@@ -1,4 +1,5 @@
-//! Ablation benchmarks on the design choices called out in `DESIGN.md`:
+//! Ablation benchmarks on the simulator's own design choices — integrator,
+//! time step, multiplier depth — which the paper fixes without measuring:
 //!
 //! * `integrator/*` — backward Euler vs trapezoidal on the coupled harvester.
 //! * `timestep/*` — cost of the detailed transient vs time-step size.

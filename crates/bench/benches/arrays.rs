@@ -1,102 +1,47 @@
-//! Dense vs matrix-free shooting on coupled harvester arrays.
+//! Shooting on coupled harvester arrays.
 //!
-//! The scaling study behind the matrix-free Newton–Krylov shooting mode,
+//! The scaling study behind the matrix-free Newton–Krylov shooting engine,
 //! emitted as `BENCH_arrays.json`: the [`coupled_array`] fixtures grow the
-//! periodic system linearly in the stage count `n` (3·n + 2 unknowns), so
-//! the dense sensitivity sweep (one back-substitution per unknown per
-//! accepted step, plus an O(n³) monodromy solve per shooting iteration)
-//! grows superlinearly while the Krylov path pays one back-substitution per
-//! step per matvec with an n-independent matvec budget.
+//! periodic system linearly in the stage count `n` (3·n + 2 unknowns), and
+//! the engine pays one back-substitution per step per GMRES matvec with an
+//! n-independent matvec budget instead of forming the n×n monodromy.
 //!
-//! Three measurements per size:
-//!
-//! * `array<n>_dense` — explicit monodromy accumulation
-//!   ([`ShootingJacobian::Dense`]);
-//! * `array<n>_matrix_free` — GMRES on `(I − M)v` without forming `M`
-//!   ([`ShootingJacobian::MatrixFree`]);
-//! * `array<n>_ratio` — `wall_speedup` (dense wall / matrix-free wall),
-//!   `solve_reduction` (dense back-substitutions / matrix-free ones) and
-//!   the worst per-stage orbit deviation between the two modes.
-//!
-//! The PR's acceptance criterion lives in the largest record: at `n = 64`
-//! the matrix-free engine must be at least 3× faster in wall-clock while
-//! matching the dense orbit to well below the shooting tolerance.
+//! One record per size, `array<n>_matrix_free`: wall time and the work
+//! counters of the fixture's steady-state analysis on the default path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use harvester_bench::report::{self, BenchRecord};
-use harvester_experiments::arrays::{coupled_array, CoupledArray};
-use harvester_mna::shooting::{ShootingJacobian, SteadyStateAnalysis, SteadyStateResult};
+use harvester_experiments::arrays::coupled_array;
+use harvester_mna::shooting::SteadyStateAnalysis;
 use std::time::Instant;
 
-fn run(array: &CoupledArray, jacobian: ShootingJacobian) -> (SteadyStateResult, f64) {
-    let mut options = array.steady_state_options();
-    options.jacobian = jacobian;
-    let start = Instant::now();
-    let pss = SteadyStateAnalysis::new(options)
-        .run(&array.circuit)
-        .expect("coupled array must simulate");
-    let wall = start.elapsed().as_secs_f64();
-    assert!(
-        pss.converged,
-        "array fixture must close its orbit, error {}",
-        pss.closure_error
-    );
-    (pss, wall)
-}
-
-/// Worst per-stage deviation between the two modes' period-start states.
-fn worst_orbit_deviation(
-    array: &CoupledArray,
-    a: &SteadyStateResult,
-    b: &SteadyStateResult,
-) -> f64 {
-    array
-        .outputs
-        .iter()
-        .map(|&out| (a.result.voltage(out)[0] - b.result.voltage(out)[0]).abs())
-        .fold(0.0f64, f64::max)
-}
-
-/// Deterministic dense-vs-Krylov comparison, emitted as `BENCH_arrays.json`.
+/// Deterministic coupled-array shooting work, emitted as `BENCH_arrays.json`.
 fn array_scaling(_c: &mut Criterion) {
     println!("\ngroup: arrays (machine readable -> BENCH_arrays.json)");
     let mut records: Vec<BenchRecord> = Vec::new();
     for n in [4usize, 16, 64] {
         let array = coupled_array(n);
-        let (dense, dense_wall) = run(&array, ShootingJacobian::Dense);
-        let (krylov, krylov_wall) = run(&array, ShootingJacobian::matrix_free());
-
-        for (label, pss, wall) in [
-            ("dense", &dense, dense_wall),
-            ("matrix_free", &krylov, krylov_wall),
-        ] {
-            let stats = pss.statistics();
-            println!(
-                "  arrays/array{n}_{label}: {wall:.3}s, {} shooting iterations, \
-                 {} linear solves, {} newton iterations",
-                stats.shooting_iterations, stats.linear_solves, stats.newton_iterations
-            );
-            records.push(report::statistics_record(
-                format!("array{n}_{label}"),
-                &stats,
-                wall,
-            ));
-        }
-
-        let wall_speedup = dense_wall / krylov_wall;
-        let solve_reduction =
-            dense.statistics().linear_solves as f64 / krylov.statistics().linear_solves as f64;
-        let deviation = worst_orbit_deviation(&array, &dense, &krylov);
+        let start = Instant::now();
+        let pss = SteadyStateAnalysis::new(array.steady_state_options())
+            .run(&array.circuit)
+            .expect("coupled array must simulate");
+        let wall = start.elapsed().as_secs_f64();
+        assert!(
+            pss.converged,
+            "array fixture must close its orbit, error {}",
+            pss.closure_error
+        );
+        let stats = pss.statistics();
         println!(
-            "  arrays/array{n}: matrix-free is {wall_speedup:.1}x faster \
-             ({solve_reduction:.1}x fewer back-substitutions), orbits agree to {deviation:.3e} V"
+            "  arrays/array{n}_matrix_free: {wall:.3}s, {} shooting iterations, \
+             {} linear solves, {} newton iterations",
+            stats.shooting_iterations, stats.linear_solves, stats.newton_iterations
         );
-        records.push(
-            BenchRecord::new(format!("array{n}_ratio"))
-                .metric("wall_speedup", wall_speedup)
-                .metric("solve_reduction", solve_reduction)
-                .metric("worst_deviation_volts", deviation),
-        );
+        records.push(report::statistics_record(
+            format!("array{n}_matrix_free"),
+            &stats,
+            wall,
+        ));
     }
     report::emit("arrays", &records);
 }

@@ -46,7 +46,6 @@ const LOWER_IS_BETTER: &[(&str, f64)] = &[
     ("integrated_cycles", 0.10),
     ("shooting_iterations", 0.25),
     ("worst_deviation_amperes", 1.0),
-    ("worst_deviation_volts", 1.0),
 ];
 
 /// Metrics where a smaller fresh value means a regression.
@@ -56,7 +55,6 @@ const HIGHER_IS_BETTER: &[(&str, f64)] = &[
     ("cycle_reduction", 0.10),
     ("sparse_speedup", 0.50),
     ("wall_speedup", 0.50),
-    ("solve_reduction", 0.10),
 ];
 
 /// Default `--tolerance`: the widest regression any metric may show before

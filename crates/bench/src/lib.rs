@@ -3,7 +3,8 @@
 //! The benches regenerate the content of every table and figure of the
 //! paper's evaluation at a reduced budget (so `cargo bench` completes in
 //! minutes rather than the paper's 17 CPU-hours) and additionally report
-//! ablation studies on the design choices documented in `DESIGN.md`.
+//! ablation studies on the simulator's own design choices (integration
+//! method, time step, Villard stage count).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,7 +24,7 @@ use crate::system::{HarvesterConfig, HarvesterNodes};
 use harvester_mna::cancel::CancelToken;
 use harvester_mna::circuit::Circuit;
 use harvester_mna::devices::{Resistor, VoltageSource};
-use harvester_mna::shooting::{ShootingJacobian, SteadyStateAnalysis, SteadyStateOptions};
+use harvester_mna::shooting::{SteadyStateAnalysis, SteadyStateOptions};
 use harvester_mna::transient::{
     RunStatistics, SolverBackend, StepControl, TransientAnalysis, TransientOptions,
     TransientResult, TransientWorkspace,
@@ -138,12 +138,6 @@ pub struct EnvelopeOptions {
     /// shooting-Newton closure (the default) or brute-force settling. See
     /// [`SteadyState`].
     pub steady_state: SteadyState,
-    /// How the shooting closure equation is solved:
-    /// [`ShootingJacobian::Auto`] (the default) accumulates the dense
-    /// monodromy matrix on small systems and switches to the matrix-free
-    /// Newton–Krylov path above the size threshold; see
-    /// [`ShootingJacobian`]. Ignored under [`SteadyState::BruteForce`].
-    pub shooting_jacobian: ShootingJacobian,
     /// Whether the detailed transients may reuse factored Newton Jacobians
     /// across iterations and nearby steps (the modified-Newton bypass,
     /// [`TransientOptions::reuse_jacobian`]). On by default; switch off to
@@ -165,7 +159,6 @@ impl Default for EnvelopeOptions {
             backend: SolverBackend::Auto,
             step_control: StepControl::adaptive_averaging(),
             steady_state: SteadyState::default(),
-            shooting_jacobian: ShootingJacobian::default(),
             reuse_jacobian: true,
         }
     }
@@ -611,7 +604,6 @@ impl EnvelopeSimulator {
         };
         options.max_iterations = max_iters;
         options.tolerance = tol;
-        options.jacobian = self.options.shooting_jacobian;
         options.transient = TransientOptions {
             dt: self.options.detail_dt,
             backend: self.options.backend,

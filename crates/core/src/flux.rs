@@ -11,8 +11,11 @@
 //! The paper publishes two of the seven sections and omits the remaining five
 //! "due to space limitation"; this module reconstructs a continuous
 //! seven-section function that matches the two published sections exactly and
-//! bridges the others with monotone cubic interpolation (see `DESIGN.md` §3.1
-//! for the substitution rationale).
+//! bridges the others with monotone cubic interpolation. The omitted sections
+//! cannot be recovered, so the substitute is chosen to add nothing the
+//! published ones do not imply: it is continuous at every section boundary,
+//! and the monotone interpolant introduces no overshoot or extra extrema
+//! between the published values.
 
 use crate::params::MicroGeneratorParams;
 use harvester_numerics::interp::MonotoneCubic;

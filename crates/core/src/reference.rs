@@ -2,10 +2,10 @@
 //!
 //! The paper validates its models against a physical cantilever
 //! micro-generator on a shaker table (Fig. 6). That hardware is not available
-//! to this reproduction, so — per the substitution rule documented in
-//! `DESIGN.md` §4 — the "measured" curves are generated from a
+//! to this reproduction, so the "measured" curves are substituted by a
 //! **higher-fidelity variant of the analytical model** plus measurement
-//! noise:
+//! noise — a ground truth that differs from every model under test in the
+//! physics those models leave out:
 //!
 //! * extra mechanical damping that grows with velocity (air drag / material
 //!   losses the nominal model ignores),

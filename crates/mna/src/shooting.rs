@@ -8,14 +8,18 @@
 //!
 //! 1. integrate a short warm-up (a few excitation periods) to land inside the
 //!    Newton basin;
-//! 2. integrate **one** period `T` while propagating the forward sensitivity
-//!    `S_k = ∂x_k/∂x_0` through every accepted step — the per-step solves
-//!    reuse the step's already-factored Newton Jacobian, and the dynamic
-//!    stamp matrices are extracted from two Jacobian assemblies at `h` and
-//!    `2h` (see [`harvester_numerics::monodromy`] for the recursion);
-//! 3. Newton-update the period-start state through the monodromy matrix
-//!    `M = S_N`: solve `(I − M)·Δx₀ = x(T) − x(0)` and repeat from 2 until
-//!    the orbit closes to tolerance.
+//! 2. integrate **one** period `T`, banking every accepted step's factored
+//!    Newton Jacobian and its dynamic stamp matrix `W` (extracted from two
+//!    Jacobian assemblies at `h` and `2h`) — the chain that applies the
+//!    monodromy matrix `M = ∂x(T)/∂x(0)` to a vector with one
+//!    back-substitution per step (see [`harvester_numerics::monodromy`] for
+//!    the recursion);
+//! 3. Newton-update the period-start state: solve
+//!    `(I − M)·Δx₀ = x(T) − x(0)` by restarted GMRES over the banked chain,
+//!    never forming `M`, and repeat from 2 until the orbit closes to
+//!    tolerance. Should GMRES stagnate or exhaust its matvec budget, `M` is
+//!    formed from `n` replays of the same chain and the update is solved by
+//!    LU instead (counted in [`RunStatistics::gmres_fallbacks`]).
 //!
 //! A damped physical circuit typically closes in a handful of iterations —
 //! each costing one period — where settling costs tens of periods, and the
@@ -76,74 +80,8 @@ use crate::MnaError;
 use harvester_numerics::fault::FaultInjector;
 use harvester_numerics::gmres::{GmresOptions, GmresWorkspace};
 use harvester_numerics::linalg::{norm_inf, Matrix};
-use harvester_numerics::monodromy::{shooting_update, MonodromyAccumulator, VectorSensitivity};
+use harvester_numerics::monodromy::{shooting_update, VectorSensitivity};
 use harvester_numerics::NumericsError;
-
-/// How the shooting engine solves the closure-Newton system
-/// `(I − M)·Δx₀ = x(T) − x(0)`.
-///
-/// The **dense** mode propagates all `n` columns of the sensitivity
-/// `S_k = ∂x_k/∂x_0` through every accepted step — `n` back-substitutions
-/// per step plus an `O(nnz(W)·n)` stamp product — and solves the closure
-/// system directly. The **matrix-free** mode stores no monodromy at all: it
-/// banks each accepted step's factored Jacobian and sparse `W` stamps during
-/// the nonlinear period sweep, then lets restarted GMRES solve the closure
-/// system with one *linearised period integration per matvec* (one
-/// back-substitution per step). A damped circuit's `I − M` spectrum clusters
-/// around 1, so GMRES typically needs far fewer matvecs than `n` — the
-/// asymptotic win that makes coupled harvester arrays tractable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShootingJacobian {
-    /// Pick automatically: dense up to
-    /// [`ShootingJacobian::AUTO_MATRIX_FREE_THRESHOLD`] unknowns (small
-    /// systems lose nothing to the direct solve and keep bit-stable
-    /// behaviour), matrix-free above it with the default Krylov budget.
-    #[default]
-    Auto,
-    /// Always propagate and solve the dense monodromy.
-    Dense,
-    /// Always solve matrix-free via restarted GMRES.
-    MatrixFree {
-        /// Krylov subspace dimension per restart cycle.
-        restart: usize,
-        /// Total matvec budget (each matvec costs one linearised period);
-        /// exhaustion triggers the dense fallback.
-        max_matvecs: usize,
-    },
-}
-
-impl ShootingJacobian {
-    /// System size above which [`ShootingJacobian::Auto`] goes matrix-free.
-    pub const AUTO_MATRIX_FREE_THRESHOLD: usize = 48;
-    /// Restart length of [`ShootingJacobian::matrix_free`] and auto-selected
-    /// matrix-free solves.
-    pub const DEFAULT_RESTART: usize = 24;
-    /// Matvec budget of [`ShootingJacobian::matrix_free`] and auto-selected
-    /// matrix-free solves.
-    pub const DEFAULT_MAX_MATVECS: usize = 96;
-
-    /// Matrix-free mode with the engine-recommended Krylov budget.
-    pub fn matrix_free() -> Self {
-        ShootingJacobian::MatrixFree {
-            restart: Self::DEFAULT_RESTART,
-            max_matvecs: Self::DEFAULT_MAX_MATVECS,
-        }
-    }
-
-    /// Resolves the mode for an `n`-unknown system: `Some((restart,
-    /// max_matvecs))` when the matrix-free path is to be used.
-    fn resolve(self, n: usize) -> Option<(usize, usize)> {
-        match self {
-            ShootingJacobian::Dense => None,
-            ShootingJacobian::MatrixFree {
-                restart,
-                max_matvecs,
-            } => Some((restart, max_matvecs)),
-            ShootingJacobian::Auto => (n > Self::AUTO_MATRIX_FREE_THRESHOLD)
-                .then_some((Self::DEFAULT_RESTART, Self::DEFAULT_MAX_MATVECS)),
-        }
-    }
-}
 
 /// Options of a [`SteadyStateAnalysis`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,9 +123,6 @@ pub struct SteadyStateOptions {
     /// Only honoured by [`SteadyStateAnalysis::run_with`]; a fresh
     /// [`SteadyStateAnalysis::run`] always cold-starts.
     pub warm_start: bool,
-    /// How the closure-Newton system is solved: dense monodromy or
-    /// matrix-free Newton–Krylov (see [`ShootingJacobian`]).
-    pub jacobian: ShootingJacobian,
 }
 
 impl SteadyStateOptions {
@@ -208,7 +143,6 @@ impl SteadyStateOptions {
             tolerance: Self::DEFAULT_TOLERANCE,
             transient: TransientOptions::default(),
             warm_start: false,
-            jacobian: ShootingJacobian::Auto,
         }
     }
 
@@ -231,20 +165,7 @@ impl SteadyStateOptions {
         }
         crate::options::at_least("shooting max_iterations", self.max_iterations, 1)?;
         crate::options::positive_finite("shooting tolerance", self.tolerance)?;
-        crate::options::positive_finite("shooting transient dt", self.transient.dt)?;
-        if let ShootingJacobian::MatrixFree {
-            restart,
-            max_matvecs,
-        } = self.jacobian
-        {
-            if restart == 0 || max_matvecs == 0 {
-                return Err(crate::options::invalid(format!(
-                    "shooting jacobian MatrixFree needs restart and max_matvecs of at \
-                     least 1, got restart {restart} and max_matvecs {max_matvecs}"
-                )));
-            }
-        }
-        Ok(())
+        crate::options::positive_finite("shooting transient dt", self.transient.dt)
     }
 }
 
@@ -263,13 +184,21 @@ const UPDATE_DAMPING: f64 = 4.0;
 /// analysis reports non-convergence (→ brute-force fallback at the caller).
 const MIN_STEP_SCALE: f64 = 1.0 / 64.0;
 
-/// Relative GMRES residual of the matrix-free closure solve: tight enough
-/// that the Krylov update is a full-quality Newton direction (the closure
-/// Newton's own convergence behaviour matches the dense mode), loose enough
-/// to stop well short of roundoff stagnation.
+/// Relative GMRES residual of the closure solve: tight enough that the
+/// Krylov update is a full-quality Newton direction (the closure Newton
+/// converges as it would on the exactly solved update), loose enough to stop
+/// well short of roundoff stagnation.
 const SHOOTING_GMRES_RTOL: f64 = 1e-10;
 
-/// One banked step of a matrix-free shooting period: the converged Newton
+/// Krylov subspace dimension per GMRES restart cycle of the closure solve.
+const SHOOTING_GMRES_RESTART: usize = 24;
+
+/// Matvec budget of one closure solve (each matvec replays one linearised
+/// period); exhausting it triggers the LU fallback. A damped circuit's
+/// `I − M` spectrum clusters around 1, so GMRES usually needs a handful.
+const SHOOTING_GMRES_MAX_MATVECS: usize = 96;
+
+/// One banked step of a shooting period: the converged Newton
 /// Jacobian's factorisation and the step's effective size and memory rule.
 /// The point's `W` stamps live in [`PeriodCache::w`] (indexed one past the
 /// step, slot 0 being the period-start seed).
@@ -280,12 +209,12 @@ struct CachedPeriodStep {
     trapezoidal_memory: bool,
 }
 
-/// The matrix-free shooting engine's bank of one nonlinear period sweep:
-/// per-step factored Jacobians and sparse `W` stamps, replayed by
+/// The shooting engine's bank of one nonlinear period sweep: per-step
+/// factored Jacobians and sparse `W` stamps, replayed by
 /// [`PeriodCache::apply_monodromy`] to compute `M·v` with one
-/// back-substitution per step — no monodromy matrix is ever formed. All
-/// slots are reused across periods and shooting iterations; steady state
-/// allocates nothing after the first period.
+/// back-substitution per step. All slots are reused across periods and
+/// shooting iterations; steady state allocates nothing after the first
+/// period.
 #[derive(Debug)]
 struct PeriodCache {
     n: usize,
@@ -389,34 +318,28 @@ impl PeriodCache {
     }
 }
 
-/// The matrix-free closure solver: the period bank plus the reusable GMRES
-/// workspace that solves `(I − M)·Δx₀ = x(T) − x(0)` against it.
+/// The closure solver: the period bank plus the reusable GMRES workspace
+/// that solves `(I − M)·Δx₀ = x(T) − x(0)` against it.
 #[derive(Debug)]
-struct MatrixFreeEngine {
+struct ClosureSolver {
     cache: PeriodCache,
     gmres: GmresWorkspace,
-    gmres_options: GmresOptions,
     update: Vec<f64>,
 }
 
-impl MatrixFreeEngine {
-    fn new(n: usize, restart: usize, max_matvecs: usize) -> Self {
-        MatrixFreeEngine {
+impl ClosureSolver {
+    fn new(n: usize) -> Self {
+        ClosureSolver {
             cache: PeriodCache::new(n),
-            gmres: GmresWorkspace::new(n, restart),
-            gmres_options: GmresOptions {
-                restart,
-                max_matvecs,
-                tolerance: SHOOTING_GMRES_RTOL,
-            },
+            gmres: GmresWorkspace::new(n, SHOOTING_GMRES_RESTART),
             update: vec![0.0; n],
         }
     }
 
-    /// Solves the closure system matrix-free; on Krylov stagnation or an
-    /// exhausted matvec budget, falls back to rebuilding the dense monodromy
-    /// through the same banked chain (`n` propagations) and solving
-    /// directly, so a hard period never converges worse than the dense mode.
+    /// Solves the closure system by GMRES over the banked chain; on Krylov
+    /// stagnation or an exhausted matvec budget, falls back to forming `M`
+    /// from `n` replays of the same chain and solving by LU, so a hard
+    /// period still gets an exact Newton direction.
     /// `fault` reaches the GMRES stagnation check, so an armed
     /// [`Fault::KrylovStagnation`](harvester_numerics::fault::Fault::KrylovStagnation)
     /// drives this exact fallback on demand.
@@ -446,12 +369,16 @@ impl MatrixFreeEngine {
             },
             closure,
             &mut self.update,
-            &self.gmres_options,
+            &GmresOptions {
+                restart: SHOOTING_GMRES_RESTART,
+                max_matvecs: SHOOTING_GMRES_MAX_MATVECS,
+                tolerance: SHOOTING_GMRES_RTOL,
+            },
             fault,
         );
         stats.linear_solves += solves;
         if broke {
-            // A banked factorisation failed to back-substitute: the dense
+            // A banked factorisation failed to back-substitute: the LU
             // fallback would replay the same chain, so report instead.
             return Err(NumericsError::SingularMatrix {
                 column: 0,
@@ -485,33 +412,6 @@ impl MatrixFreeEngine {
                 stats.linear_solves += solves;
                 shooting_update(&monodromy, closure)
             }
-        }
-    }
-}
-
-/// The per-iteration sensitivity carrier of one shooting run: dense
-/// monodromy accumulation or the matrix-free period bank.
-#[derive(Debug)]
-enum SensitivityEngine {
-    Dense(MonodromyAccumulator),
-    MatrixFree(MatrixFreeEngine),
-}
-
-impl SensitivityEngine {
-    /// The dense matrix the `W` extraction assemblies accumulate into.
-    fn w_scratch(&mut self) -> &mut Matrix {
-        match self {
-            SensitivityEngine::Dense(acc) => acc.w_mut(),
-            SensitivityEngine::MatrixFree(mf) => &mut mf.cache.scratch,
-        }
-    }
-
-    /// Installs the scratch `W` as the period-start stamp matrix and resets
-    /// the chain for a fresh period.
-    fn seed(&mut self) {
-        match self {
-            SensitivityEngine::Dense(acc) => acc.seed(),
-            SensitivityEngine::MatrixFree(mf) => mf.cache.seed(),
         }
     }
 }
@@ -663,33 +563,8 @@ impl SteadyStateAnalysis {
         // [t_a, t_a + T] (the sources are T-periodic, so the map is the same
         // each time and the uniform grid never drifts).
         let t_anchor = (warmup * steps) as f64 * dt;
-        let mut engine = match opts.jacobian.resolve(n) {
-            Some((restart, max_matvecs)) => {
-                SensitivityEngine::MatrixFree(MatrixFreeEngine::new(n, restart, max_matvecs))
-            }
-            None => SensitivityEngine::Dense(MonodromyAccumulator::new(n)),
-        };
-        // Which state slots are ddt-managed previous *values*: those are
-        // re-derived from the solution vector whenever a shooting update
-        // restarts the period from a new x0 (the integration history lives
-        // in the device states, not in x — overwriting x alone would leave
-        // the dynamics anchored to the old trajectory). Derivative slots and
-        // any other device state are carried unchanged.
-        let mut ddt_mask = vec![0u8; ws.layout.total_states];
-        assemble_system_masked(
-            circuit,
-            &ws.layout,
-            self.options.transient.method,
-            t_anchor,
-            dt,
-            false,
-            &ws.x,
-            &ws.states,
-            &mut ws.new_states,
-            &mut ws.residual,
-            &mut ws.jacobian,
-            Some(&mut ddt_mask),
-        );
+        let mut solver = ClosureSolver::new(n);
+        let ddt_mask = self.ddt_value_mask(circuit, ws, t_anchor, dt);
 
         let mut x0 = vec![0.0; n];
         let mut closure = vec![0.0; n];
@@ -711,57 +586,34 @@ impl SteadyStateAnalysis {
         let mut converged = false;
         let mut closure_error = f64::INFINITY;
 
-        'newton: for attempt in 0..=opts.max_iterations {
+        for attempt in 0..=opts.max_iterations {
             x0.copy_from_slice(&ws.x);
-            ws.times.clear();
-            ws.history.clear();
-            ws.times.push(t_anchor);
-            ws.history.extend_from_slice(&ws.x);
-            self.seed_sensitivity(circuit, ws, &mut engine, t_anchor, dt);
-            // Every period opens with the engine's backward-Euler start-up
-            // companion step (first_step = true): it ignores the derivative
-            // history, so a restart — which can only re-derive the *value*
-            // states for its new x₀ — never injects a derivative-
-            // inconsistency transient into the orbit it is trying to close,
-            // and the one-period map becomes a function of x₀ alone. The
-            // sensitivity chain accounts for the BE step exactly (see
-            // `advance_interval`); the O(h²) local error of one BE step per
-            // period is far below the closure tolerance.
-            let mut period_first = true;
-            for k in 0..steps {
-                let t_from = t_anchor + k as f64 * dt;
-                let t_to = t_anchor + (k + 1) as f64 * dt;
-                if let Err(error) = self.advance_interval(
-                    circuit,
-                    &analysis,
-                    ws,
-                    t_from,
-                    t_to,
-                    &mut period_first,
-                    &mut stats,
-                    Some(&mut engine),
-                ) {
-                    match error {
-                        // A breakdown mid-iteration is usually the closure
-                        // Newton's own doing (an over-reached start state
-                        // driving the diodes somewhere hopeless), and the
-                        // warm-up already proved the circuit integrates:
-                        // report a stall — with the work counters intact —
-                        // so the caller falls back to settling instead of
-                        // losing the attempt's accounting to an error path.
-                        MnaError::StepFailed { .. } | MnaError::Numerics(_) => {
-                            // Discard the partial-period fragment so the
-                            // returned trace is never mistaken for a full
-                            // period (only the period-start sample remains).
-                            ws.times.truncate(1);
-                            ws.history.truncate(n);
-                            break 'newton;
-                        }
-                        other => return Err(other),
+            if let Err(error) = self.integrate_period(
+                circuit,
+                &analysis,
+                ws,
+                t_anchor,
+                &mut stats,
+                &mut solver.cache,
+            ) {
+                match error {
+                    // A breakdown mid-iteration is usually the closure
+                    // Newton's own doing (an over-reached start state
+                    // driving the diodes somewhere hopeless), and the
+                    // warm-up already proved the circuit integrates: report
+                    // a stall — with the work counters intact — so the
+                    // caller falls back to settling instead of losing the
+                    // attempt's accounting to an error path.
+                    MnaError::StepFailed { .. } | MnaError::Numerics(_) => {
+                        // Discard the partial-period fragment so the
+                        // returned trace is never mistaken for a full period
+                        // (only the period-start sample remains).
+                        ws.times.truncate(1);
+                        ws.history.truncate(n);
+                        break;
                     }
+                    other => return Err(other),
                 }
-                ws.times.push(t_to);
-                ws.history.extend_from_slice(&ws.x);
             }
             stats.integrated_cycles += 1;
 
@@ -777,13 +629,7 @@ impl SteadyStateAnalysis {
             for (c, (after, before)) in closure.iter_mut().zip(ws.x.iter().zip(x0.iter())) {
                 *c = after - before;
             }
-            let update_result = match &mut engine {
-                SensitivityEngine::Dense(acc) => shooting_update(acc.monodromy(), &closure),
-                SensitivityEngine::MatrixFree(mf) => {
-                    mf.solve_update(&closure, &mut stats, ws.fault.as_mut())
-                }
-            };
-            let accepted = match update_result {
+            let accepted = match solver.solve_update(&closure, &mut stats, ws.fault.as_mut()) {
                 Ok(update) => {
                     let limit = UPDATE_DAMPING * (1.0 + norm_inf(&x0));
                     let magnitude = norm_inf(&update);
@@ -841,6 +687,84 @@ impl SteadyStateAnalysis {
         })
     }
 
+    /// Which state slots are ddt-managed previous *values*: those are
+    /// re-derived from the solution vector whenever a shooting update
+    /// restarts the period from a new x0 (the integration history lives in
+    /// the device states, not in x — overwriting x alone would leave the
+    /// dynamics anchored to the old trajectory). Derivative slots and any
+    /// other device state are carried unchanged.
+    fn ddt_value_mask(
+        &self,
+        circuit: &Circuit,
+        ws: &mut TransientWorkspace,
+        t: f64,
+        dt: f64,
+    ) -> Vec<u8> {
+        let mut mask = vec![0u8; ws.layout.total_states];
+        assemble_system_masked(
+            circuit,
+            &ws.layout,
+            self.options.transient.method,
+            t,
+            dt,
+            false,
+            &ws.x,
+            &ws.states,
+            &mut ws.new_states,
+            &mut ws.residual,
+            &mut ws.jacobian,
+            Some(&mut mask),
+        );
+        mask
+    }
+
+    /// Integrates one period `[t_anchor, t_anchor + T]` from the committed
+    /// state — the one-period map of a shooting iteration — recording every
+    /// grid point and banking the sensitivity chain into `cache`.
+    ///
+    /// Every period opens with the engine's backward-Euler start-up
+    /// companion step: it ignores the derivative history, so a restart —
+    /// which can only re-derive the *value* states for its new x₀ — never
+    /// injects a derivative-inconsistency transient into the orbit it is
+    /// trying to close, and the one-period map becomes a function of x₀
+    /// alone. The sensitivity chain accounts for the BE step exactly (see
+    /// `advance_interval`); the O(h²) local error of one BE step per period
+    /// is far below the closure tolerance.
+    fn integrate_period(
+        &self,
+        circuit: &Circuit,
+        analysis: &TransientAnalysis,
+        ws: &mut TransientWorkspace,
+        t_anchor: f64,
+        stats: &mut RunStatistics,
+        cache: &mut PeriodCache,
+    ) -> Result<(), MnaError> {
+        let (steps, dt) = self.period_grid();
+        ws.times.clear();
+        ws.history.clear();
+        ws.times.push(t_anchor);
+        ws.history.extend_from_slice(&ws.x);
+        self.seed_sensitivity(circuit, ws, cache, t_anchor, dt);
+        let mut period_first = true;
+        for k in 0..steps {
+            let t_from = t_anchor + k as f64 * dt;
+            let t_to = t_anchor + (k + 1) as f64 * dt;
+            self.advance_interval(
+                circuit,
+                analysis,
+                ws,
+                t_from,
+                t_to,
+                &mut period_first,
+                stats,
+                Some(&mut *cache),
+            )?;
+            ws.times.push(t_to);
+            ws.history.extend_from_slice(&ws.x);
+        }
+        Ok(())
+    }
+
     /// The fixed period grid: `steps` uniform steps of size `dt` spanning
     /// the period exactly.
     pub(crate) fn period_grid(&self) -> (usize, f64) {
@@ -876,11 +800,9 @@ impl SteadyStateAnalysis {
     /// grid, halving within the interval on Newton failure (the same
     /// recovery as the fixed-step transient loop). With `sensitivity`, every
     /// committed sub-step also feeds the sensitivity chain: the converged
-    /// step Jacobian is factored once and the dynamic stamp matrix `W` is
-    /// extracted from assemblies at `h` and `2h`; the dense engine then
-    /// propagates all `n` columns of `∂x/∂x₀` immediately, while the
-    /// matrix-free engine banks the factorisation and the `W` triplets for
-    /// the Krylov matvecs at closure time.
+    /// step Jacobian is factored once, the dynamic stamp matrix `W` is
+    /// extracted from assemblies at `h` and `2h`, and both are banked for
+    /// the matvecs of the closure solve.
     #[allow(clippy::too_many_arguments)]
     fn advance_interval(
         &self,
@@ -891,7 +813,7 @@ impl SteadyStateAnalysis {
         t_to: f64,
         first_step: &mut bool,
         stats: &mut RunStatistics,
-        mut sensitivity: Option<&mut SensitivityEngine>,
+        mut sensitivity: Option<&mut PeriodCache>,
     ) -> Result<(), MnaError> {
         let opts = analysis.options();
         let nominal = t_to - t_from;
@@ -924,11 +846,12 @@ impl SteadyStateAnalysis {
                 }
                 continue;
             }
-            if let Some(engine) = sensitivity.as_deref_mut() {
-                // `attempt_step` leaves the Jacobian assembled at the
-                // accepted solution with step size `step`; factor it for the
-                // sensitivity solves and capture its `2h`-scaled copy before
-                // the second assembly overwrites the storage.
+            if let Some(cache) = sensitivity.as_deref_mut() {
+                // `attempt_step` leaves the Jacobian assembled at its last
+                // Newton iterate (within one converged update of the
+                // accepted solution) with step size `step`; factor it for
+                // the sensitivity solves and capture its `2h`-scaled copy
+                // before the second assembly overwrites the storage.
                 if !ws.jacobian.factor(stats, ws.fault.as_mut()) {
                     return Err(MnaError::Numerics(
                         harvester_numerics::NumericsError::SingularMatrix {
@@ -958,7 +881,7 @@ impl SteadyStateAnalysis {
                 // (`first = false`) instead of reusing it.
                 let trapezoidal = opts.method == IntegrationMethod::Trapezoidal;
                 let be_startup = was_first && trapezoidal;
-                engine.w_scratch().fill_zero();
+                cache.scratch.fill_zero();
                 if be_startup {
                     assemble_system(
                         circuit,
@@ -975,7 +898,7 @@ impl SteadyStateAnalysis {
                     );
                 }
                 ws.jacobian
-                    .accumulate_scaled(2.0 * step, engine.w_scratch());
+                    .accumulate_scaled(2.0 * step, &mut cache.scratch);
                 assemble_system(
                     circuit,
                     &ws.layout,
@@ -990,29 +913,15 @@ impl SteadyStateAnalysis {
                     &mut ws.jacobian,
                 );
                 ws.jacobian
-                    .accumulate_scaled(-2.0 * step, engine.w_scratch());
+                    .accumulate_scaled(-2.0 * step, &mut cache.scratch);
                 let h_eff = if be_startup { 2.0 * step } else { step };
-                match engine {
-                    SensitivityEngine::Dense(acc) => {
-                        acc.advance_step(h_eff, trapezoidal && !was_first, |rhs, out| {
-                            ws.jacobian.solve_factored(rhs, out)
-                        })
-                        .map_err(MnaError::Numerics)?;
-                        stats.linear_solves += ws.layout.n;
-                    }
-                    SensitivityEngine::MatrixFree(mf) => {
-                        // No solves here: the chain is replayed lazily, one
-                        // back-substitution per step per Krylov matvec.
-                        if !mf
-                            .cache
-                            .push_step(&ws.jacobian, h_eff, trapezoidal && !was_first)
-                        {
-                            return Err(MnaError::Numerics(NumericsError::SingularMatrix {
-                                column: 0,
-                                pivot: 0.0,
-                            }));
-                        }
-                    }
+                // No solves here: the chain is replayed lazily, one
+                // back-substitution per step per Krylov matvec.
+                if !cache.push_step(&ws.jacobian, h_eff, trapezoidal && !was_first) {
+                    return Err(MnaError::Numerics(NumericsError::SingularMatrix {
+                        column: 0,
+                        pivot: 0.0,
+                    }));
                 }
             } else {
                 ws.states.copy_from_slice(&ws.new_states);
@@ -1029,12 +938,12 @@ impl SteadyStateAnalysis {
     }
 
     /// Extracts the dynamic stamp matrix at the current committed state and
-    /// seeds the sensitivity chain for a fresh period (`S = I`, `P = 0`).
+    /// seeds the sensitivity chain for a fresh period.
     fn seed_sensitivity(
         &self,
         circuit: &Circuit,
         ws: &mut TransientWorkspace,
-        engine: &mut SensitivityEngine,
+        cache: &mut PeriodCache,
         t: f64,
         dt: f64,
     ) {
@@ -1054,11 +963,11 @@ impl SteadyStateAnalysis {
                 &mut ws.jacobian,
             );
             if scale > 0.0 {
-                engine.w_scratch().fill_zero();
+                cache.scratch.fill_zero();
             }
-            ws.jacobian.accumulate_scaled(scale, engine.w_scratch());
+            ws.jacobian.accumulate_scaled(scale, &mut cache.scratch);
         }
-        engine.seed();
+        cache.seed();
     }
 }
 
@@ -1183,6 +1092,27 @@ mod tests {
         (circuit, out)
     }
 
+    /// Two-stage Villard voltage multiplier: the canonical nonlinear
+    /// harvester interface circuit of the paper.
+    fn villard() -> (Circuit, crate::circuit::NodeId) {
+        let mut circuit = Circuit::new();
+        let vin = circuit.node("in");
+        let pump = circuit.node("pump");
+        let out = circuit.node("out");
+        circuit.add(VoltageSource::new(
+            "V",
+            vin,
+            Circuit::GROUND,
+            Waveform::sine(2.5, 1000.0),
+        ));
+        circuit.add(Capacitor::new("Cp", vin, pump, 1e-7));
+        circuit.add(Diode::new("Dclamp", Circuit::GROUND, pump));
+        circuit.add(Diode::new("Dout", pump, out));
+        circuit.add(Capacitor::new("Cout", out, Circuit::GROUND, 4.7e-7));
+        circuit.add(Resistor::new("Rload", out, Circuit::GROUND, 47e3));
+        (circuit, out)
+    }
+
     fn options(period: f64, dt: f64) -> SteadyStateOptions {
         let mut options = SteadyStateOptions::new(period);
         options.transient.dt = dt;
@@ -1227,44 +1157,147 @@ mod tests {
 
     #[test]
     fn rectifier_steady_state_matches_brute_force_settling() {
-        let (circuit, out) = rectifier();
-        let pss = SteadyStateAnalysis::new(options(1e-3, 1e-5))
+        // Brute force integrates each fixture for at least ten output time
+        // constants (rectifier: 10 kΩ·470 nF = 4.7 ms; Villard: 47 kΩ·470 nF
+        // = 22 ms), leaving a start-up residue below e⁻¹⁰ ≈ 5e-5 of the
+        // settled value, and averages the last five periods.
+        for (label, (circuit, out), settle) in [
+            ("rectifier", rectifier(), 50e-3),
+            ("villard", villard(), 250e-3),
+        ] {
+            let pss = SteadyStateAnalysis::new(options(1e-3, 1e-5))
+                .run(&circuit)
+                .unwrap();
+            assert!(
+                pss.converged,
+                "{label}: closure error {}",
+                pss.closure_error
+            );
+
+            let brute = TransientAnalysis::new(TransientOptions {
+                t_stop: settle,
+                dt: 1e-5,
+                ..TransientOptions::default()
+            })
             .run(&circuit)
             .unwrap();
-        assert!(pss.converged, "closure error {}", pss.closure_error);
+            let window = |result: &TransientResult, from: f64| -> f64 {
+                let samples: Vec<f64> = result
+                    .times()
+                    .iter()
+                    .zip(result.voltage(out))
+                    .filter(|(t, _)| **t > from)
+                    .map(|(_, v)| v)
+                    .collect();
+                mean(&samples)
+            };
+            let shooting_avg = window(&pss.result, pss.result.times()[0]);
+            let brute_avg = window(&brute, settle - 5e-3);
+            assert!(
+                (shooting_avg - brute_avg).abs() < 2e-3 * brute_avg.abs().max(1.0),
+                "{label}: shooting steady state must reproduce the settled average: \
+                 {shooting_avg} vs {brute_avg}"
+            );
 
-        // Brute force: integrate 40 periods and average the last five.
-        let brute = TransientAnalysis::new(TransientOptions {
-            t_stop: 40e-3,
-            dt: 1e-5,
-            ..TransientOptions::default()
-        })
-        .run(&circuit)
-        .unwrap();
-        let window = |result: &TransientResult, from: f64| -> f64 {
-            let samples: Vec<f64> = result
-                .times()
-                .iter()
-                .zip(result.voltage(out))
-                .filter(|(t, _)| **t > from)
-                .map(|(_, v)| v)
-                .collect();
-            mean(&samples)
+            // The whole point: far fewer integrated cycles than settling.
+            let cycles = pss.statistics().integrated_cycles;
+            assert!(
+                cycles < 12,
+                "{label}: shooting must need few excitation cycles, took {cycles}"
+            );
+        }
+    }
+
+    /// Checks `PeriodCache::apply_monodromy(e_j)`, column by column, against
+    /// central finite differences of the one-period map `x₀ ↦ x(T)` that a
+    /// shooting iteration evaluates (value states re-derived from `x₀`,
+    /// then one period from the backward-Euler restart). The start point is
+    /// the converged orbit with `offset` volts added on `out`.
+    ///
+    /// The map runs full Newton (`reuse_jacobian = false`) at the default
+    /// `delta_tolerance = 1e-9`. Quadratic convergence leaves each accepted
+    /// step at roundoff level once the last update passes that tolerance,
+    /// so the map itself carries noise `ε ≈ 1e-15 V`. The banked chain is
+    /// less exact: each step's Jacobian, and the `W` stamp extracted with
+    /// it, is assembled at the last Newton iterate, up to one update
+    /// (≤ 1e-9·(1 + |x|) ≈ 4e-9 V) from the accepted point — through the
+    /// diode's `1/V_T ≈ 40 V⁻¹` curvature a ~1e-7 relative lag in the
+    /// conducting steps. The step `δ = 1e-6 V` keeps the difference
+    /// quotient's noise `ε/δ ≈ 1e-9` and its truncation
+    /// `δ²/(6·V_T²) ≈ 2.5e-10` (per unit of `M`) below that lag. The
+    /// tolerance, 100 Newton tolerances (1e-7) on entries of order one,
+    /// admits the lag, while an error in the recursion itself (step sizes,
+    /// memory terms, `W` extraction) shows up at 1e-2 or more.
+    fn assert_chain_matches_finite_differences(
+        circuit: &Circuit,
+        out: crate::circuit::NodeId,
+        offset: f64,
+    ) {
+        let mut opts = options(1e-3, 1e-5);
+        opts.transient.reuse_jacobian = false;
+        let analysis = SteadyStateAnalysis::new(opts);
+        let transient = TransientAnalysis::new(analysis.effective_transient());
+        let mut ws = TransientWorkspace::for_circuit(circuit, transient.options()).unwrap();
+        let pss = analysis.run_with(circuit, &mut ws).unwrap();
+        assert!(pss.converged);
+
+        // Continue from where the converged run ended, a period boundary.
+        let (steps, dt) = analysis.period_grid();
+        let t_anchor = *pss.result.times().last().unwrap();
+        let mask = analysis.ddt_value_mask(circuit, &mut ws, t_anchor, dt);
+        let states0 = ws.states.clone();
+        let mut x0 = ws.x.clone();
+        x0[out.index() - 1] += offset;
+        let n = x0.len();
+        let mut period_map = |x: &[f64], cache: &mut PeriodCache| -> Vec<f64> {
+            ws.states.copy_from_slice(&states0);
+            ws.x.copy_from_slice(x);
+            analysis.refresh_value_states(circuit, &mut ws, &mask, t_anchor, dt);
+            let mut stats = RunStatistics::default();
+            analysis
+                .integrate_period(circuit, &transient, &mut ws, t_anchor, &mut stats, cache)
+                .unwrap();
+            ws.x.clone()
         };
-        let shooting_avg = window(&pss.result, pss.result.times()[0]);
-        let brute_avg = window(&brute, 35e-3);
-        assert!(
-            (shooting_avg - brute_avg).abs() < 2e-3 * brute_avg.abs().max(1.0),
-            "shooting steady state must reproduce the settled average: \
-             {shooting_avg} vs {brute_avg}"
-        );
 
-        // The whole point: far fewer integrated cycles than settling.
-        let cycles = pss.statistics().integrated_cycles;
-        assert!(
-            cycles < 12,
-            "shooting must need few excitation cycles, took {cycles}"
-        );
+        let mut chain = PeriodCache::new(n);
+        period_map(&x0, &mut chain);
+        let mut scratch = PeriodCache::new(n);
+        let delta = 1e-6;
+        for j in 0..n {
+            let mut basis = vec![0.0; n];
+            basis[j] = 1.0;
+            let mut column = vec![0.0; n];
+            assert_eq!(chain.apply_monodromy(&basis, &mut column), Some(steps));
+            let mut plus = x0.clone();
+            plus[j] += delta;
+            let mut minus = x0.clone();
+            minus[j] -= delta;
+            let xp = period_map(&plus, &mut scratch);
+            let xm = period_map(&minus, &mut scratch);
+            for i in 0..n {
+                let fd = (xp[i] - xm[i]) / (2.0 * delta);
+                assert!(
+                    (column[i] - fd).abs() < 1e-7,
+                    "M[{i}][{j}]: banked chain {} vs finite difference {fd}",
+                    column[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn banked_chain_matches_finite_differences_of_the_period_map() {
+        // 0.45 V above its orbit the rectifier's diode conducts for only
+        // part of the peak: M[out][out] ≈ 0.2 sits between the conducting
+        // (≈ 0) and blocking (≈ 0.81, the RC decay) limits, so the check
+        // covers the diode's nonlinearity rather than either linear regime.
+        let (circuit, out) = rectifier();
+        assert_chain_matches_finite_differences(&circuit, out, 0.45);
+        // The Villard orbit couples two capacitors, one of them floating:
+        // a 2×2 block of O(0.1–1) entries with off-diagonal terms.
+        let (circuit, out) = villard();
+        assert_chain_matches_finite_differences(&circuit, out, 0.0);
     }
 
     #[test]
@@ -1390,139 +1423,5 @@ mod tests {
             loose.closure_error
         );
         assert!(tight.iterations >= loose.iterations);
-    }
-
-    /// Two-stage Villard voltage multiplier: the canonical nonlinear
-    /// harvester interface circuit of the paper.
-    fn villard() -> (Circuit, crate::circuit::NodeId) {
-        let mut circuit = Circuit::new();
-        let vin = circuit.node("in");
-        let pump = circuit.node("pump");
-        let out = circuit.node("out");
-        circuit.add(VoltageSource::new(
-            "V",
-            vin,
-            Circuit::GROUND,
-            Waveform::sine(2.5, 1000.0),
-        ));
-        circuit.add(Capacitor::new("Cp", vin, pump, 1e-7));
-        circuit.add(Diode::new("Dclamp", Circuit::GROUND, pump));
-        circuit.add(Diode::new("Dout", pump, out));
-        circuit.add(Capacitor::new("Cout", out, Circuit::GROUND, 4.7e-7));
-        circuit.add(Resistor::new("Rload", out, Circuit::GROUND, 47e3));
-        (circuit, out)
-    }
-
-    fn run_with_jacobian(
-        circuit: &Circuit,
-        mut opts: SteadyStateOptions,
-        jacobian: ShootingJacobian,
-    ) -> SteadyStateResult {
-        opts.jacobian = jacobian;
-        SteadyStateAnalysis::new(opts).run(circuit).unwrap()
-    }
-
-    fn assert_same_orbit(
-        circuit: &Circuit,
-        out: crate::circuit::NodeId,
-        opts: SteadyStateOptions,
-        label: &str,
-    ) {
-        let dense = run_with_jacobian(circuit, opts, ShootingJacobian::Dense);
-        let krylov = run_with_jacobian(circuit, opts, ShootingJacobian::matrix_free());
-        assert!(
-            dense.converged,
-            "{label}: dense closure {}",
-            dense.closure_error
-        );
-        assert!(
-            krylov.converged,
-            "{label}: matrix-free closure {}",
-            krylov.closure_error
-        );
-        for (a, b) in dense
-            .result
-            .voltage(out)
-            .iter()
-            .zip(krylov.result.voltage(out))
-        {
-            assert!(
-                (a - b).abs() < 1e-6 * a.abs().max(1.0),
-                "{label}: matrix-free and dense shooting must converge to the \
-                 same orbit: {a} vs {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn matrix_free_matches_dense_orbit_on_the_rectifier() {
-        let (circuit, out) = rectifier();
-        assert_same_orbit(&circuit, out, options(1e-3, 1e-5), "rectifier");
-    }
-
-    #[test]
-    fn matrix_free_matches_dense_orbit_on_the_villard_multiplier() {
-        let (circuit, out) = villard();
-        assert_same_orbit(&circuit, out, options(1e-3, 1e-5), "villard");
-    }
-
-    #[test]
-    fn matrix_free_replays_the_chain_instead_of_dense_column_sweeps() {
-        // The dense path performs `n` sensitivity back-substitutions per
-        // accepted step; the matrix-free path performs one per step per
-        // Krylov matvec, and on these small fixtures GMRES needs far fewer
-        // matvecs than there are unknowns × Newton updates.
-        let (circuit, _) = rectifier();
-        let dense = run_with_jacobian(&circuit, options(1e-3, 1e-5), ShootingJacobian::Dense);
-        let krylov = run_with_jacobian(
-            &circuit,
-            options(1e-3, 1e-5),
-            ShootingJacobian::matrix_free(),
-        );
-        assert!(
-            krylov.statistics().linear_solves < dense.statistics().linear_solves,
-            "matrix-free shooting must spend fewer back-substitutions: {} vs {}",
-            krylov.statistics().linear_solves,
-            dense.statistics().linear_solves
-        );
-    }
-
-    #[test]
-    fn auto_jacobian_selects_by_system_size() {
-        let threshold = ShootingJacobian::AUTO_MATRIX_FREE_THRESHOLD;
-        assert_eq!(ShootingJacobian::Auto.resolve(threshold), None);
-        assert!(ShootingJacobian::Auto.resolve(threshold + 1).is_some());
-        assert_eq!(ShootingJacobian::Dense.resolve(1_000), None);
-        assert_eq!(
-            ShootingJacobian::MatrixFree {
-                restart: 7,
-                max_matvecs: 11
-            }
-            .resolve(2),
-            Some((7, 11))
-        );
-    }
-
-    #[test]
-    fn degenerate_matrix_free_budgets_are_rejected() {
-        let (circuit, _) = rectifier();
-        for jacobian in [
-            ShootingJacobian::MatrixFree {
-                restart: 0,
-                max_matvecs: 10,
-            },
-            ShootingJacobian::MatrixFree {
-                restart: 10,
-                max_matvecs: 0,
-            },
-        ] {
-            let mut opts = options(1e-3, 1e-5);
-            opts.jacobian = jacobian;
-            let err = SteadyStateAnalysis::new(opts).run(&circuit).unwrap_err();
-            assert!(
-                format!("{err}").contains("MatrixFree"),
-                "degenerate Krylov budget must be rejected up front: {err}"
-            );
-        }
     }
 }

@@ -635,11 +635,12 @@ pub struct RunStatistics {
     /// headline work metric of the shooting engine — the same cycle-averaged
     /// measurement at a fraction of the integrated cycles.
     pub integrated_cycles: usize,
-    /// Matrix-free shooting closure solves whose Krylov iteration stagnated
-    /// or exhausted its matvec budget and fell back to rebuilding the dense
-    /// monodromy (`n` banked-chain propagations). A healthy damped circuit
-    /// keeps this at zero; a climbing count says the closure spectrum is not
-    /// clustering and the matrix-free budget is mis-sized for the workload.
+    /// Shooting closure solves whose GMRES iteration stagnated or exhausted
+    /// its matvec budget and fell back to forming the monodromy matrix (`n`
+    /// banked-chain propagations) and solving by LU. A healthy damped
+    /// circuit keeps this low; a climbing count says the closure spectrum
+    /// is not clustering and the Krylov budget is mis-sized for the
+    /// workload.
     pub gmres_fallbacks: usize,
     /// Envelope measurements that fell back from the shooting engine to
     /// brute-force settling because the orbit would not close (accounted by

@@ -1,7 +1,7 @@
 //! Direct tests of every solver fallback path, driven by the deterministic
 //! [`FaultInjector`]: singular-factorisation retry via step halving, the
-//! sparse stale-pivot repivot, the matrix-free shooting engine's
-//! GMRES→dense monodromy fallback, the operating-point homotopy cascade
+//! sparse stale-pivot repivot, the shooting engine's fallback from GMRES
+//! to an LU solve of the formed monodromy, the operating-point homotopy cascade
 //! down to source stepping, the transient recovery legs (gmin ramp and
 //! junction limiting) and the structured [`ConvergenceReport`] failure.
 //! Also home of the [`SimulationBudget`] truncation contracts.
@@ -9,7 +9,7 @@
 use harvester_mna::analysis::{Analysis, AnalysisEngine, AnalysisPlan, OpOptions, OpStrategy};
 use harvester_mna::circuit::{Circuit, NodeId};
 use harvester_mna::devices::{Capacitor, Diode, Resistor, VoltageSource};
-use harvester_mna::shooting::{ShootingJacobian, SteadyStateOptions};
+use harvester_mna::shooting::SteadyStateOptions;
 use harvester_mna::transient::{
     RecoveryPolicy, SimulationBudget, SolverBackend, TransientAnalysis, TransientOptions,
     TransientResult, TransientWorkspace,
@@ -321,7 +321,6 @@ fn krylov_stagnation_falls_back_to_the_dense_monodromy() {
     // Krylov injection site is never reached.
     options.warmup_cycles = 1.0;
     options.tolerance = 1e-12;
-    options.jacobian = ShootingJacobian::matrix_free();
     let plan = AnalysisPlan::from_cards(vec![Analysis::Pss(options)]).unwrap();
 
     let mut engine = AnalysisEngine::new();

@@ -46,8 +46,8 @@ pub enum Fault {
     /// A freshly assembled *static* (operating-point) Newton residual is
     /// poisoned to NaN — drives the gmin/source-stepping homotopy cascade.
     NanStaticResidual,
-    /// A Krylov solve stagnates immediately — exercises the GMRES→dense
-    /// monodromy fallback of the matrix-free shooting engine.
+    /// A Krylov solve stagnates immediately — exercises the shooting
+    /// engine's fallback from GMRES to an LU solve of the formed monodromy.
     KrylovStagnation,
 }
 

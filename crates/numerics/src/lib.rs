@@ -15,22 +15,20 @@
 //! * [`gmres`] — restarted GMRES with an allocation-reusing workspace, the
 //!   Krylov backbone of the matrix-free shooting method (the operator is only
 //!   ever applied to vectors, never formed).
+//! * [`monodromy`] — the per-step sensitivity recursion that applies a
+//!   shooting period's monodromy matrix to a vector, and the direct LU
+//!   shooting update used when the Krylov solve fails.
 //! * [`fault`] — deterministic, seedable fault injection
 //!   ([`fault::FaultInjector`]) the solver layer consults at factorisation,
 //!   residual and Krylov sites, so every recovery/fallback path is directly
 //!   testable instead of only incidentally reachable.
-//! * [`newton`] — damped Newton–Raphson for systems of nonlinear equations.
-//! * [`ode`] — explicit and implicit initial-value-problem integrators
-//!   (forward Euler, RK4, adaptive RKF45, semi-implicit Euler, backward Euler
-//!   and trapezoidal rule), used both by the standalone behavioural models and
-//!   as an independent cross-check of the circuit-level transient engine.
+//! * [`ode`] — the fixed-step RK4 integrator of the envelope simulator's
+//!   slow charging ODE.
 //! * [`interp`] — linear and monotone-cubic (PCHIP) interpolation, used to
 //!   bridge the unspecified sections of the piecewise flux-linkage function.
 //! * [`extrap`] — Newton divided-difference polynomial extrapolation over
 //!   non-equidistant support points, the predictor of the adaptive
 //!   (LTE-controlled) transient time-stepper.
-//! * [`roots`] — scalar root bracketing (bisection, Brent), used e.g. to find
-//!   the mechanical resonance of a generator design.
 //! * [`stats`] — small statistics helpers (RMS, total harmonic distortion,
 //!   linear regression) used by the experiment harness.
 //! * [`complex`] — a minimal [`Complex64`](complex::Complex64) and the
@@ -63,9 +61,7 @@ pub mod gmres;
 pub mod interp;
 pub mod linalg;
 pub mod monodromy;
-pub mod newton;
 pub mod ode;
-pub mod roots;
 pub mod sparse;
 pub mod stats;
 

@@ -1,11 +1,11 @@
-//! Monodromy-matrix accumulation and the dense shooting-Newton update.
+//! Monodromy-vector products and the direct shooting-Newton update.
 //!
 //! A shooting method for periodic steady state integrates one excitation
 //! period `T` of a discretised DAE and asks for closure: `x(T) = x(0)`.
 //! Newton's method on the closure residual needs the **monodromy matrix**
-//! `M = ∂x(T)/∂x(0)`, which for a companion-model time stepper is obtained by
-//! chaining one sensitivity solve per accepted time step against the step's
-//! already-factored Newton Jacobian.
+//! `M = ∂x(T)/∂x(0)`, or rather its action on vectors: for a companion-model
+//! time stepper, `M·v` is obtained by chaining one sensitivity solve per
+//! accepted time step against the step's already-factored Newton Jacobian.
 //!
 //! # The recursion
 //!
@@ -22,183 +22,38 @@
 //! Writing `b_j = ∂F/∂d_j` (constant for physical devices: derivatives enter
 //! residuals linearly) and `W(x) = Σ_j α·b_j·∇v_j(x)ᵀ` — the *dynamic stamp
 //! matrix*, recoverable from two Jacobian assemblies at different step sizes
-//! because `J(x, h) = G'(x) + W(x)/h` — the per-step sensitivities
-//! `S_k = ∂x_k/∂x_0` and the trapezoidal memory term `P_k = Σ_j b_j·∂q_j/∂x_0`
-//! obey
+//! because `J(x, h) = G'(x) + W(x)/h` — the propagated sensitivity
+//! `s_k = (∂x_k/∂x_0)·v` and the trapezoidal memory term
+//! `p_k = Σ_j b_j·(∂q_j/∂x_0)·v` obey
 //!
 //! ```text
-//! J_k·S_k = (1/h)·W_{k−1}·S_{k−1} + β·P_{k−1}          (one solve per column)
-//! P_k     = (1/h)·W_k·S_k − RHS_k
+//! J_k·s_k = (1/h)·W_{k−1}·s_{k−1} + β·p_{k−1}          (one solve per step)
+//! p_k     = (1/h)·W_k·s_k − rhs_k
 //! ```
 //!
-//! starting from `S_0 = I`, `P_0 = 0`. After a full period `M = S_N`, and the
-//! shooting update solves `(I − M)·Δx_0 = x(T) − x(0)`.
+//! starting from `s_0 = v`, `p_0 = 0`. After a full period `s_N = M·v` —
+//! the matvec a Krylov method (GMRES) needs to solve the shooting update
+//! `(I − M)·Δx₀ = x(T) − x(0)` without ever forming `M`. When the Krylov
+//! solve fails, `n` propagations of the unit vectors form `M` column by
+//! column and [`shooting_update`] solves the update directly.
 //!
-//! This module owns the dense bookkeeping; the caller supplies the `W`
-//! matrices (extracted from its Jacobian assemblies) and a per-column linear
+//! [`VectorSensitivity`] owns the per-step bookkeeping; the caller supplies
+//! the `W` matrices (extracted from its Jacobian assemblies) and a linear
 //! solve against its factored step Jacobian.
 
 use crate::linalg::Matrix;
 use crate::NumericsError;
 
-/// Dense per-step sensitivity state of a shooting integration: the running
-/// monodromy factor `S_k = ∂x_k/∂x_0`, the trapezoidal memory term `P_k` and
-/// the dynamic stamp matrices `W` of the two most recent accepted points.
+/// Propagates a **single vector** `v` through the per-step sensitivity
+/// recursion (see the [module docs](self)), so one pass over a banked
+/// period computes `M·v` with one back-substitution per step.
 ///
-/// Usage per period: fill [`MonodromyAccumulator::w_mut`] with `W(x_0)` and
-/// call [`MonodromyAccumulator::seed`], then after every accepted step fill
-/// `w_mut` with `W(x_k)` and call [`MonodromyAccumulator::advance_step`].
-/// When the period is complete, [`MonodromyAccumulator::monodromy`] is
-/// `∂x(T)/∂x(0)`.
-#[derive(Debug, Clone)]
-pub struct MonodromyAccumulator {
-    n: usize,
-    /// `S_k = ∂x_k/∂x_0`.
-    sensitivity: Matrix,
-    /// `P_k = Σ_j b_j·∂q_j/∂x_0` (trapezoidal derivative-state memory).
-    memory: Matrix,
-    /// Scratch for the per-step right-hand side `(1/h)·W_{k−1}·S_{k−1} + β·P`.
-    rhs: Matrix,
-    /// `W` at the previously accepted point (`x_{k−1}`).
-    w_prev: Matrix,
-    /// `W` at the newly accepted point (`x_k`); filled by the caller.
-    w_curr: Matrix,
-    col: Vec<f64>,
-    sol: Vec<f64>,
-}
-
-impl MonodromyAccumulator {
-    /// Creates an accumulator for an `n`-unknown system.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "sensitivity system must have at least one unknown");
-        MonodromyAccumulator {
-            n,
-            sensitivity: Matrix::identity(n),
-            memory: Matrix::zeros(n, n),
-            rhs: Matrix::zeros(n, n),
-            w_prev: Matrix::zeros(n, n),
-            w_curr: Matrix::zeros(n, n),
-            col: vec![0.0; n],
-            sol: Vec::with_capacity(n),
-        }
-    }
-
-    /// System size the accumulator was built for.
-    pub fn dimension(&self) -> usize {
-        self.n
-    }
-
-    /// The dynamic stamp matrix of the *newest* accepted point, for the
-    /// caller to fill (typically: zero it, add `2h·J(h)`, subtract
-    /// `2h·J(2h)`) before [`MonodromyAccumulator::seed`] or
-    /// [`MonodromyAccumulator::advance_step`].
-    pub fn w_mut(&mut self) -> &mut Matrix {
-        &mut self.w_curr
-    }
-
-    /// Starts a fresh period at the point whose `W` the caller just wrote
-    /// through [`MonodromyAccumulator::w_mut`]: resets `S` to the identity,
-    /// clears the memory term and installs that `W` as the previous-point
-    /// stamp matrix.
-    pub fn seed(&mut self) {
-        for i in 0..self.n {
-            for j in 0..self.n {
-                self.sensitivity[(i, j)] = if i == j { 1.0 } else { 0.0 };
-            }
-        }
-        self.memory.fill_zero();
-        std::mem::swap(&mut self.w_prev, &mut self.w_curr);
-    }
-
-    /// Advances the sensitivity across one accepted step of size `h`, whose
-    /// converged Jacobian the caller exposes through `solve` (a factored
-    /// linear solve `J_k·x = b`; returns `false` on failure). `w_mut` must
-    /// already hold `W` at the newly accepted point; `trapezoidal_memory`
-    /// selects β = 1 (trapezoidal) or β = 0 (backward Euler).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::InvalidArgument`] for a non-positive step and
-    /// [`NumericsError::SingularMatrix`] when `solve` reports failure.
-    pub fn advance_step<F>(
-        &mut self,
-        h: f64,
-        trapezoidal_memory: bool,
-        mut solve: F,
-    ) -> Result<(), NumericsError>
-    where
-        F: FnMut(&[f64], &mut Vec<f64>) -> bool,
-    {
-        if h <= 0.0 || !h.is_finite() {
-            return Err(NumericsError::InvalidArgument(format!(
-                "sensitivity step size must be positive and finite, got {h}"
-            )));
-        }
-        let n = self.n;
-        // RHS_k = (1/h)·W_{k−1}·S_{k−1} (+ P_{k−1} under the trapezoidal rule).
-        if trapezoidal_memory {
-            self.rhs.copy_from(&self.memory);
-        } else {
-            self.rhs.fill_zero();
-        }
-        mat_mul_acc(1.0 / h, &self.w_prev, &self.sensitivity, &mut self.rhs);
-        // One factored solve per column: J_k·S_k[:, c] = RHS[:, c]. The old
-        // S is fully consumed by the RHS product above, so the solutions can
-        // overwrite it in place.
-        for c in 0..n {
-            for r in 0..n {
-                self.col[r] = self.rhs[(r, c)];
-            }
-            if !solve(&self.col, &mut self.sol) || self.sol.len() != n {
-                return Err(NumericsError::SingularMatrix {
-                    column: c,
-                    pivot: 0.0,
-                });
-            }
-            for r in 0..n {
-                self.sensitivity[(r, c)] = self.sol[r];
-            }
-        }
-        // P_k = (1/h)·W_k·S_k − RHS_k.
-        for i in 0..n {
-            for j in 0..n {
-                self.memory[(i, j)] = -self.rhs[(i, j)];
-            }
-        }
-        mat_mul_acc(1.0 / h, &self.w_curr, &self.sensitivity, &mut self.memory);
-        std::mem::swap(&mut self.w_prev, &mut self.w_curr);
-        Ok(())
-    }
-
-    /// The accumulated sensitivity `S_k = ∂x_k/∂x_0` — the monodromy matrix
-    /// once a full period has been advanced.
-    pub fn monodromy(&self) -> &Matrix {
-        &self.sensitivity
-    }
-}
-
-/// The matrix-free counterpart of [`MonodromyAccumulator`]: propagates a
-/// **single vector** `v` through the per-step sensitivity recursion instead
-/// of all `n` columns of `S_k`, so one pass over a cached period computes
-/// `M·v` with one back-substitution per step — the matvec a Krylov method
-/// (GMRES) needs to solve `(I − M)·Δx₀ = x(T) − x(0)` without ever forming
-/// the monodromy matrix.
-///
-/// The recursion is identical to the dense one with `S_k` replaced by
-/// `s_k = S_k·v` and `P_k` by `p_k = P_k·v`:
-///
-/// ```text
-/// J_k·s_k = (1/h)·W_{k−1}·s_{k−1} + β·p_{k−1}          (one solve per step)
-/// p_k     = (1/h)·W_k·s_k − rhs_k
-/// ```
-///
-/// The caller supplies the `W` matrices in sparse **triplet** form (they
-/// have one row per differentiated quantity, so a dense product would waste
-/// almost all its work) and a factored solve per step.
+/// Usage per product: [`VectorSensitivity::seed`] with `v`, then
+/// [`VectorSensitivity::advance_step`] once per accepted step; when the
+/// period is complete, [`VectorSensitivity::state`] is `M·v`. The caller
+/// supplies the `W` matrices in sparse **triplet** form (they have one row
+/// per differentiated quantity, so a dense product would waste almost all
+/// its work) and a factored solve per step.
 #[derive(Debug, Clone)]
 pub struct VectorSensitivity {
     n: usize,
@@ -301,25 +156,6 @@ impl VectorSensitivity {
     }
 }
 
-/// `out += alpha·a·b`, skipping zero entries of `a` — the dynamic stamp
-/// matrices are extremely sparse (one row per differentiated quantity), so
-/// the triple loop degenerates to `nnz(a)·n` work.
-fn mat_mul_acc(alpha: f64, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let n = a.rows();
-    for i in 0..n {
-        for k in 0..n {
-            let w = a[(i, k)];
-            if w == 0.0 {
-                continue;
-            }
-            let scale = alpha * w;
-            for j in 0..n {
-                out[(i, j)] += scale * b[(k, j)];
-            }
-        }
-    }
-}
-
 /// Solves the shooting-Newton update `(I − M)·Δx₀ = x(T) − x(0)` for the
 /// correction `Δx₀` to the period-start state.
 ///
@@ -356,6 +192,11 @@ pub fn shooting_update(monodromy: &Matrix, closure: &[f64]) -> Result<Vec<f64>, 
 mod tests {
     use super::*;
 
+    /// A scalar step's `W` stamp as a triplet list.
+    fn scalar_w(w: f64) -> [(usize, usize, f64); 1] {
+        [(0, 0, w)]
+    }
+
     /// Scalar backward-Euler model problem `dx/dt = λx`: the step equation is
     /// `(x_k − x_{k−1})/h − λ·x_k = 0`, so `J = 1/h − λ`, `W = 1`, and the
     /// per-step sensitivity must equal the BE amplification `1/(1 − λh)`.
@@ -364,13 +205,11 @@ mod tests {
         let lambda = -3.0;
         let h = 0.1;
         let jac = 1.0 / h - lambda;
-        let mut acc = MonodromyAccumulator::new(1);
-        acc.w_mut()[(0, 0)] = 1.0;
-        acc.seed();
+        let mut prop = VectorSensitivity::new(1);
+        prop.seed(&[1.0]);
         let mut m = 1.0;
         for _ in 0..5 {
-            acc.w_mut()[(0, 0)] = 1.0;
-            acc.advance_step(h, false, |b, x| {
+            prop.advance_step(h, false, &scalar_w(1.0), &scalar_w(1.0), |b, x| {
                 x.clear();
                 x.push(b[0] / jac);
                 true
@@ -378,11 +217,11 @@ mod tests {
             .unwrap();
             m /= 1.0 - lambda * h;
         }
-        assert!((acc.monodromy()[(0, 0)] - m).abs() < 1e-12 * m.abs());
+        assert!((prop.state()[0] - m).abs() < 1e-12 * m.abs());
     }
 
     /// Scalar trapezoidal model problem `dx/dt = λx`: with the period-start
-    /// derivative state frozen (`P₀ = 0`, the shooting restart semantics),
+    /// derivative state frozen (`p₀ = 0`, the shooting restart semantics),
     /// the first step's sensitivity is `(2/h)/(2/h − λ)` and every later
     /// step contributes the classical amplification
     /// `(1 + λh/2)/(1 − λh/2)` — the memory recursion must reproduce the
@@ -394,14 +233,12 @@ mod tests {
         // Step equation: 2(x_k − x_{k−1})/h − q_{k−1} − λ·x_k = 0 with
         // q_k = 2(x_k − x_{k−1})/h − q_{k−1}; J = 2/h − λ, W = 2 (α = 2).
         let jac = 2.0 / h - lambda;
-        let mut acc = MonodromyAccumulator::new(1);
-        acc.w_mut()[(0, 0)] = 2.0;
-        acc.seed();
+        let mut prop = VectorSensitivity::new(1);
+        prop.seed(&[1.0]);
         let amp = (1.0 + lambda * h / 2.0) / (1.0 - lambda * h / 2.0);
         let mut m = 1.0;
         for k in 0..7 {
-            acc.w_mut()[(0, 0)] = 2.0;
-            acc.advance_step(h, true, |b, x| {
+            prop.advance_step(h, true, &scalar_w(2.0), &scalar_w(2.0), |b, x| {
                 x.clear();
                 x.push(b[0] / jac);
                 true
@@ -410,9 +247,9 @@ mod tests {
             m *= if k == 0 { (2.0 / h) / jac } else { amp };
         }
         assert!(
-            (acc.monodromy()[(0, 0)] - m).abs() < 1e-12,
+            (prop.state()[0] - m).abs() < 1e-12,
             "trapezoidal monodromy {} must match the frozen-memory product {}",
-            acc.monodromy()[(0, 0)],
+            prop.state()[0],
             m
         );
     }
@@ -441,77 +278,16 @@ mod tests {
         ));
     }
 
-    /// The vector propagator must agree with the dense accumulator applied
-    /// to the same chain, column by column — same recursion, two codepaths.
-    #[test]
-    fn vector_propagation_matches_dense_accumulation() {
-        let n = 4;
-        let h = 0.05;
-        // Deterministic pseudo-random W per point and a fixed, diagonally
-        // dominant Jacobian (stands in for the factored step Jacobians).
-        let w_at = |point: usize| -> Vec<(usize, usize, f64)> {
-            let mut w = Vec::new();
-            for r in 0..n {
-                for c in 0..n {
-                    let v = (((point * 7 + r * 5 + c * 3) % 11) as f64 - 5.0) / 7.0;
-                    if v != 0.0 {
-                        w.push((r, c, v));
-                    }
-                }
-            }
-            w
-        };
-        let jac = |b: &[f64], x: &mut Vec<f64>| -> bool {
-            // J = 10·I + lower shift: forward substitution.
-            x.clear();
-            for r in 0..n {
-                let prev = if r > 0 { x[r - 1] } else { 0.0 };
-                x.push((b[r] - 0.5 * prev) / 10.0);
-            }
-            true
-        };
-
-        let steps = 5usize;
-        let mut acc = MonodromyAccumulator::new(n);
-        let install = |acc: &mut MonodromyAccumulator, point: usize| {
-            acc.w_mut().fill_zero();
-            for &(r, c, v) in &w_at(point) {
-                acc.w_mut()[(r, c)] += v;
-            }
-        };
-        install(&mut acc, 0);
-        acc.seed();
-        for k in 0..steps {
-            install(&mut acc, k + 1);
-            acc.advance_step(h, k > 0, jac).unwrap();
-        }
-
-        let mut prop = VectorSensitivity::new(n);
-        for col in 0..n {
-            let mut e = vec![0.0; n];
-            e[col] = 1.0;
-            prop.seed(&e);
-            for k in 0..steps {
-                prop.advance_step(h, k > 0, &w_at(k), &w_at(k + 1), jac)
-                    .unwrap();
-            }
-            for row in 0..n {
-                assert!(
-                    (prop.state()[row] - acc.monodromy()[(row, col)]).abs() < 1e-13,
-                    "column {col} row {row}: {} vs {}",
-                    prop.state()[row],
-                    acc.monodromy()[(row, col)]
-                );
-            }
-        }
-    }
-
     #[test]
     fn failed_sensitivity_solve_is_reported() {
-        let mut acc = MonodromyAccumulator::new(2);
-        acc.seed();
-        let err = acc.advance_step(0.1, false, |_, _| false).unwrap_err();
+        let mut prop = VectorSensitivity::new(2);
+        prop.seed(&[1.0, 0.0]);
+        let err = prop
+            .advance_step(0.1, false, &[], &[], |_, _| false)
+            .unwrap_err();
         assert!(matches!(err, NumericsError::SingularMatrix { .. }));
-        assert!(acc.advance_step(-1.0, false, |_, _| true).is_err());
+        assert!(prop
+            .advance_step(-1.0, false, &[], &[], |_, _| true)
+            .is_err());
     }
 }

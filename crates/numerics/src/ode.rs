@@ -1,16 +1,12 @@
-//! Initial-value-problem integrators.
+//! The fixed-step initial-value-problem integrator of the slow envelope ODE.
 //!
-//! Two families are provided:
-//!
-//! * **Explicit** ([`rk4`], [`rkf45_adaptive`], [`forward_euler`],
-//!   [`semi_implicit_euler`]) — used by the standalone behavioural generator
-//!   models and as an independent cross-check of the circuit-level engine.
-//! * **Implicit** ([`backward_euler`], [`trapezoidal`]) — A-stable methods for
-//!   the stiff systems that appear once the large storage capacitor and diode
-//!   nonlinearities are in the loop.
+//! [`rk4`] (classic fourth-order Runge–Kutta) integrates a first-order
+//! [`OdeSystem`] into a recorded [`Trajectory`]. The envelope simulator uses
+//! it for `C·dV/dt = I(V) − V/R_leak`, a smooth one-dimensional ODE whose
+//! right-hand side interpolates the measured charging characteristic; the
+//! stiff circuit-level dynamics run through the MNA transient engine
+//! instead.
 
-use crate::linalg::Matrix;
-use crate::newton::{NewtonOptions, NewtonSolver, NonlinearSystem};
 use crate::NumericsError;
 
 /// A first-order ODE system `dx/dt = f(t, x)`.
@@ -117,38 +113,6 @@ fn validate_span(t0: f64, t1: f64, dt: f64) -> Result<(), NumericsError> {
     Ok(())
 }
 
-/// Integrates with the explicit (forward) Euler method at fixed step `dt`.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidArgument`] for a non-positive step or an
-/// empty time span.
-pub fn forward_euler<S: OdeSystem + ?Sized>(
-    system: &S,
-    x0: &[f64],
-    t0: f64,
-    t1: f64,
-    dt: f64,
-) -> Result<Trajectory, NumericsError> {
-    validate_span(t0, t1, dt)?;
-    let n = system.dimension();
-    let mut x = x0.to_vec();
-    let mut dxdt = vec![0.0; n];
-    let mut traj = Trajectory::new();
-    traj.push(t0, &x);
-    let mut t = t0;
-    while t < t1 - 1e-15 {
-        let h = dt.min(t1 - t);
-        system.derivative(t, &x, &mut dxdt);
-        for i in 0..n {
-            x[i] += h * dxdt[i];
-        }
-        t += h;
-        traj.push(t, &x);
-    }
-    Ok(traj)
-}
-
 /// Integrates with the classic fourth-order Runge–Kutta method at fixed step.
 ///
 /// # Errors
@@ -194,328 +158,6 @@ pub fn rk4<S: OdeSystem + ?Sized>(
     Ok(traj)
 }
 
-/// Semi-implicit (symplectic) Euler for second-order mechanical systems whose
-/// state is laid out as `[position..., velocity...]` with the first half
-/// positions and the second half velocities.
-///
-/// The velocity is advanced first, then the position uses the *new* velocity,
-/// which preserves the energy behaviour of oscillators much better than
-/// forward Euler at the same cost.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidArgument`] for a non-positive step, an
-/// empty time span, or an odd state dimension.
-pub fn semi_implicit_euler<S: OdeSystem + ?Sized>(
-    system: &S,
-    x0: &[f64],
-    t0: f64,
-    t1: f64,
-    dt: f64,
-) -> Result<Trajectory, NumericsError> {
-    validate_span(t0, t1, dt)?;
-    let n = system.dimension();
-    if n % 2 != 0 {
-        return Err(NumericsError::InvalidArgument(
-            "semi-implicit Euler requires an even state dimension (positions then velocities)"
-                .to_string(),
-        ));
-    }
-    let half = n / 2;
-    let mut x = x0.to_vec();
-    let mut dxdt = vec![0.0; n];
-    let mut traj = Trajectory::new();
-    traj.push(t0, &x);
-    let mut t = t0;
-    while t < t1 - 1e-15 {
-        let h = dt.min(t1 - t);
-        system.derivative(t, &x, &mut dxdt);
-        // Advance velocities with the current acceleration…
-        for i in half..n {
-            x[i] += h * dxdt[i];
-        }
-        // …then positions with the *updated* velocities.
-        for i in 0..half {
-            x[i] += h * x[half + i];
-        }
-        t += h;
-        traj.push(t, &x);
-    }
-    Ok(traj)
-}
-
-/// Options for the adaptive RKF45 integrator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveOptions {
-    /// Relative local error tolerance.
-    pub rel_tol: f64,
-    /// Absolute local error tolerance.
-    pub abs_tol: f64,
-    /// Initial step size.
-    pub initial_step: f64,
-    /// Smallest permitted step size.
-    pub min_step: f64,
-    /// Largest permitted step size.
-    pub max_step: f64,
-}
-
-impl Default for AdaptiveOptions {
-    fn default() -> Self {
-        AdaptiveOptions {
-            rel_tol: 1e-6,
-            abs_tol: 1e-9,
-            initial_step: 1e-4,
-            min_step: 1e-12,
-            max_step: 1e-2,
-        }
-    }
-}
-
-/// Integrates with the adaptive Runge–Kutta–Fehlberg 4(5) method.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::InvalidArgument`] for invalid options and
-/// [`NumericsError::NoConvergence`] if the step controller collapses the step
-/// below `min_step`.
-pub fn rkf45_adaptive<S: OdeSystem + ?Sized>(
-    system: &S,
-    x0: &[f64],
-    t0: f64,
-    t1: f64,
-    options: &AdaptiveOptions,
-) -> Result<Trajectory, NumericsError> {
-    validate_span(t0, t1, options.initial_step)?;
-    if options.min_step <= 0.0 || options.max_step < options.min_step {
-        return Err(NumericsError::InvalidArgument(
-            "adaptive options require 0 < min_step <= max_step".to_string(),
-        ));
-    }
-    let n = system.dimension();
-    let mut x = x0.to_vec();
-    let mut traj = Trajectory::new();
-    traj.push(t0, &x);
-    let mut t = t0;
-    let mut h = options.initial_step.min(t1 - t0);
-
-    // Fehlberg coefficients.
-    const A: [[f64; 5]; 5] = [
-        [1.0 / 4.0, 0.0, 0.0, 0.0, 0.0],
-        [3.0 / 32.0, 9.0 / 32.0, 0.0, 0.0, 0.0],
-        [1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0, 0.0, 0.0],
-        [439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0, 0.0],
-        [
-            -8.0 / 27.0,
-            2.0,
-            -3544.0 / 2565.0,
-            1859.0 / 4104.0,
-            -11.0 / 40.0,
-        ],
-    ];
-    const C: [f64; 6] = [0.0, 0.25, 0.375, 12.0 / 13.0, 1.0, 0.5];
-    const B4: [f64; 6] = [
-        25.0 / 216.0,
-        0.0,
-        1408.0 / 2565.0,
-        2197.0 / 4104.0,
-        -1.0 / 5.0,
-        0.0,
-    ];
-    const B5: [f64; 6] = [
-        16.0 / 135.0,
-        0.0,
-        6656.0 / 12825.0,
-        28561.0 / 56430.0,
-        -9.0 / 50.0,
-        2.0 / 55.0,
-    ];
-
-    let mut k = vec![vec![0.0; n]; 6];
-    let mut tmp = vec![0.0; n];
-    let mut iterations_guard = 0usize;
-    let max_total_steps = 50_000_000usize;
-
-    while t < t1 - 1e-15 {
-        iterations_guard += 1;
-        if iterations_guard > max_total_steps {
-            return Err(NumericsError::NoConvergence {
-                iterations: iterations_guard,
-                residual: h,
-            });
-        }
-        h = h.min(t1 - t).min(options.max_step);
-        system.derivative(t, &x, &mut k[0]);
-        for stage in 1..6 {
-            for i in 0..n {
-                let mut acc = 0.0;
-                for (j, kj) in k.iter().enumerate().take(stage) {
-                    acc += A[stage - 1][j] * kj[i];
-                }
-                tmp[i] = x[i] + h * acc;
-            }
-            let (before, after) = k.split_at_mut(stage);
-            let _ = before;
-            system.derivative(t + C[stage] * h, &tmp, &mut after[0]);
-        }
-        // Fourth and fifth order solutions, error estimate.
-        let mut err_norm = 0.0f64;
-        let mut x5 = vec![0.0; n];
-        for i in 0..n {
-            let mut acc4 = 0.0;
-            let mut acc5 = 0.0;
-            for j in 0..6 {
-                acc4 += B4[j] * k[j][i];
-                acc5 += B5[j] * k[j][i];
-            }
-            let y4 = x[i] + h * acc4;
-            let y5 = x[i] + h * acc5;
-            x5[i] = y5;
-            let scale = options.abs_tol + options.rel_tol * x[i].abs().max(y5.abs());
-            err_norm = err_norm.max(((y5 - y4) / scale).abs());
-        }
-        if err_norm <= 1.0 {
-            t += h;
-            x = x5;
-            traj.push(t, &x);
-        }
-        // Step-size controller.
-        let factor = if err_norm > 0.0 {
-            0.9 * err_norm.powf(-0.2)
-        } else {
-            5.0
-        };
-        h *= factor.clamp(0.2, 5.0);
-        if h < options.min_step {
-            return Err(NumericsError::NoConvergence {
-                iterations: iterations_guard,
-                residual: err_norm,
-            });
-        }
-    }
-    Ok(traj)
-}
-
-/// Implicit single-step context handed to the Newton solver.
-struct ImplicitStep<'a, S: OdeSystem + ?Sized> {
-    system: &'a S,
-    x_prev: &'a [f64],
-    f_prev: &'a [f64],
-    t_next: f64,
-    dt: f64,
-    /// 1.0 for backward Euler, 0.5 for trapezoidal.
-    theta: f64,
-}
-
-impl<S: OdeSystem + ?Sized> NonlinearSystem for ImplicitStep<'_, S> {
-    fn dimension(&self) -> usize {
-        self.system.dimension()
-    }
-
-    fn residual(&self, x: &[f64], residual: &mut [f64]) {
-        let n = self.dimension();
-        let mut f_next = vec![0.0; n];
-        self.system.derivative(self.t_next, x, &mut f_next);
-        for i in 0..n {
-            residual[i] = x[i]
-                - self.x_prev[i]
-                - self.dt * (self.theta * f_next[i] + (1.0 - self.theta) * self.f_prev[i]);
-        }
-    }
-
-    fn jacobian(&self, x: &[f64], jacobian: &mut Matrix) {
-        // Finite-difference the derivative function and assemble
-        // I - dt*theta*df/dx.
-        let n = self.dimension();
-        let mut base = vec![0.0; n];
-        self.system.derivative(self.t_next, x, &mut base);
-        let mut xp = x.to_vec();
-        let mut fp = vec![0.0; n];
-        for j in 0..n {
-            let h = 1e-7 * x[j].abs().max(1e-7);
-            xp[j] = x[j] + h;
-            self.system.derivative(self.t_next, &xp, &mut fp);
-            for i in 0..n {
-                let dfdx = (fp[i] - base[i]) / h;
-                jacobian[(i, j)] = if i == j { 1.0 } else { 0.0 } - self.dt * self.theta * dfdx;
-            }
-            xp[j] = x[j];
-        }
-    }
-}
-
-fn implicit_theta<S: OdeSystem + ?Sized>(
-    system: &S,
-    x0: &[f64],
-    t0: f64,
-    t1: f64,
-    dt: f64,
-    theta: f64,
-) -> Result<Trajectory, NumericsError> {
-    validate_span(t0, t1, dt)?;
-    let n = system.dimension();
-    let solver = NewtonSolver::new(NewtonOptions {
-        max_iterations: 50,
-        residual_tolerance: 1e-10,
-        ..NewtonOptions::default()
-    });
-    let mut x = x0.to_vec();
-    let mut f_prev = vec![0.0; n];
-    let mut traj = Trajectory::new();
-    traj.push(t0, &x);
-    let mut t = t0;
-    while t < t1 - 1e-15 {
-        let h = dt.min(t1 - t);
-        system.derivative(t, &x, &mut f_prev);
-        let step = ImplicitStep {
-            system,
-            x_prev: &x,
-            f_prev: &f_prev,
-            t_next: t + h,
-            dt: h,
-            theta,
-        };
-        // Predictor: explicit Euler.
-        let guess: Vec<f64> = (0..n).map(|i| x[i] + h * f_prev[i]).collect();
-        let result = solver.solve(&step, &guess)?;
-        x = result.solution;
-        t += h;
-        traj.push(t, &x);
-    }
-    Ok(traj)
-}
-
-/// Integrates with the implicit (backward) Euler method, an L-stable method
-/// appropriate for stiff circuit dynamics.
-///
-/// # Errors
-///
-/// Propagates Newton convergence failures and invalid-argument errors.
-pub fn backward_euler<S: OdeSystem + ?Sized>(
-    system: &S,
-    x0: &[f64],
-    t0: f64,
-    t1: f64,
-    dt: f64,
-) -> Result<Trajectory, NumericsError> {
-    implicit_theta(system, x0, t0, t1, dt, 1.0)
-}
-
-/// Integrates with the trapezoidal rule (Crank–Nicolson), an A-stable
-/// second-order method.
-///
-/// # Errors
-///
-/// Propagates Newton convergence failures and invalid-argument errors.
-pub fn trapezoidal<S: OdeSystem + ?Sized>(
-    system: &S,
-    x0: &[f64],
-    t0: f64,
-    t1: f64,
-    dt: f64,
-) -> Result<Trajectory, NumericsError> {
-    implicit_theta(system, x0, t0, t1, dt, 0.5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,18 +173,6 @@ mod tests {
         }
     }
 
-    /// Harmonic oscillator x'' = -x as a first-order system [x, v].
-    struct Oscillator;
-    impl OdeSystem for Oscillator {
-        fn dimension(&self) -> usize {
-            2
-        }
-        fn derivative(&self, _t: f64, x: &[f64], dxdt: &mut [f64]) {
-            dxdt[0] = x[1];
-            dxdt[1] = -x[0];
-        }
-    }
-
     #[test]
     fn rk4_matches_exponential_decay() {
         let traj = rk4(&Decay, &[1.0], 0.0, 1.0, 1e-3).unwrap();
@@ -551,78 +181,15 @@ mod tests {
     }
 
     #[test]
-    fn forward_euler_is_first_order() {
-        let coarse = forward_euler(&Decay, &[1.0], 0.0, 1.0, 1e-2).unwrap();
-        let fine = forward_euler(&Decay, &[1.0], 0.0, 1.0, 1e-3).unwrap();
+    fn rk4_is_fourth_order() {
         let exact = (-1.0f64).exp();
-        let err_coarse = (coarse.final_state().unwrap()[0] - exact).abs();
-        let err_fine = (fine.final_state().unwrap()[0] - exact).abs();
-        // Error should shrink roughly 10x for a 10x smaller step.
-        assert!(err_fine < err_coarse / 5.0);
-    }
-
-    #[test]
-    fn rk4_is_higher_order_than_euler() {
-        let euler = forward_euler(&Decay, &[1.0], 0.0, 1.0, 1e-2).unwrap();
-        let rk = rk4(&Decay, &[1.0], 0.0, 1.0, 1e-2).unwrap();
-        let exact = (-1.0f64).exp();
-        assert!(
-            (rk.final_state().unwrap()[0] - exact).abs()
-                < (euler.final_state().unwrap()[0] - exact).abs() / 100.0
-        );
-    }
-
-    #[test]
-    fn backward_euler_is_stable_for_stiff_decay() {
-        // dx/dt = -1000 x with dt far above the explicit stability limit.
-        let stiff = (1usize, |_t: f64, x: &[f64], dxdt: &mut [f64]| {
-            dxdt[0] = -1000.0 * x[0];
-        });
-        let traj = backward_euler(&stiff, &[1.0], 0.0, 0.1, 1e-2).unwrap();
-        let last = traj.final_state().unwrap()[0];
-        assert!(last.abs() < 1.0, "implicit method must not blow up");
-        assert!(last >= 0.0);
-    }
-
-    #[test]
-    fn trapezoidal_is_second_order() {
-        let coarse = trapezoidal(&Decay, &[1.0], 0.0, 1.0, 2e-2).unwrap();
-        let fine = trapezoidal(&Decay, &[1.0], 0.0, 1.0, 1e-2).unwrap();
-        let exact = (-1.0f64).exp();
-        let err_coarse = (coarse.final_state().unwrap()[0] - exact).abs();
-        let err_fine = (fine.final_state().unwrap()[0] - exact).abs();
-        assert!(err_fine < err_coarse / 3.0, "expected ~4x error reduction");
-    }
-
-    #[test]
-    fn rkf45_meets_tolerance() {
-        let traj = rkf45_adaptive(
-            &Oscillator,
-            &[1.0, 0.0],
-            0.0,
-            10.0,
-            &AdaptiveOptions::default(),
-        )
-        .unwrap();
-        let last = traj.final_state().unwrap();
-        assert!((last[0] - 10.0f64.cos()).abs() < 1e-4);
-        assert!((last[1] + 10.0f64.sin()).abs() < 1e-4);
-    }
-
-    #[test]
-    fn semi_implicit_euler_conserves_oscillator_energy() {
-        let traj = semi_implicit_euler(&Oscillator, &[1.0, 0.0], 0.0, 100.0, 1e-3).unwrap();
-        let last = traj.final_state().unwrap();
-        let energy = 0.5 * (last[0] * last[0] + last[1] * last[1]);
-        assert!(
-            (energy - 0.5).abs() < 1e-2,
-            "symplectic energy drift too big"
-        );
-    }
-
-    #[test]
-    fn semi_implicit_euler_rejects_odd_dimension() {
-        assert!(semi_implicit_euler(&Decay, &[1.0], 0.0, 1.0, 1e-3).is_err());
+        let error = |dt: f64| {
+            let traj = rk4(&Decay, &[1.0], 0.0, 1.0, dt).unwrap();
+            (traj.final_state().unwrap()[0] - exact).abs()
+        };
+        // Halving the step must cut the global error by about 2⁴ = 16.
+        let ratio = error(0.1) / error(0.05);
+        assert!((12.0..20.0).contains(&ratio), "error ratio {ratio}");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!
 //! This facade crate re-exports the workspace crates:
 //!
-//! * [`numerics`] — linear algebra, Newton, ODE/DAE integrators.
+//! * [`numerics`] — dense and sparse linear algebra, GMRES, the shooting
+//!   sensitivity chain and the envelope ODE integrator.
 //! * [`mna`] — the mixed-technology transient simulation kernel
 //!   (the stand-in for the paper's VHDL-AMS simulator), including the
 //!   [`netlist`] front-end that parses SPICE-flavoured circuit files with

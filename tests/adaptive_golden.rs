@@ -36,7 +36,6 @@ fn envelope_options(step_control: StepControl, detail_dt: f64) -> EnvelopeOption
         // `crates/mna/tests/jacobian_reuse.rs`).
         steady_state: SteadyState::BruteForce,
         reuse_jacobian: false,
-        ..EnvelopeOptions::default()
     }
 }
 

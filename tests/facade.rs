@@ -23,7 +23,7 @@ fn documented_reexport_paths_resolve() {
     // The periodic steady-state (shooting) engine.
     let _steady_state = energy_harvester::models::SteadyState::shooting();
     let _pss_options = energy_harvester::mna::shooting::SteadyStateOptions::new(1e-3);
-    let _monodromy = energy_harvester::numerics::monodromy::MonodromyAccumulator::new(2);
+    let _monodromy = energy_harvester::numerics::monodromy::VectorSensitivity::new(2);
 }
 
 /// `encode` → `decode` reproduces the Table 1 design: the baseline genes lie
