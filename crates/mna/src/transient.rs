@@ -576,16 +576,18 @@ pub struct RunStatistics {
     /// Total Newton iterations across all steps.
     pub newton_iterations: usize,
     /// Total linear solves (back-substitutions against a factorisation):
-    /// one per Newton iteration, plus the per-unknown (dense) or per-matvec
-    /// (matrix-free) sensitivity solves of the shooting engine.
+    /// one per Newton iteration, plus the shooting engine's replays of its
+    /// banked period chain (one back-substitution per in-period step): one
+    /// replay per GMRES matvec, and `n` replays per LU fallback of the
+    /// closure update.
     pub linear_solves: usize,
     /// Numeric factorisations that rebuilt the factors wholesale: every
     /// dense LU (dense factors have no symbolic reuse) and, on the sparse
-    /// backend, the first factorisation of a workspace (later ones reuse its
-    /// pivot order and fill pattern via the O(nnz) refactorisation, which is
-    /// counted nowhere — it is bookkeeping-free by design). Stale-pivot
-    /// *recoveries* are counted separately in
-    /// [`RunStatistics::repivot_factorizations`].
+    /// backend, the first factorisation of a workspace or after a failed one
+    /// dropped the factors (later ones reuse its pivot order and fill
+    /// pattern via the O(nnz) refactorisation, which is counted nowhere —
+    /// it is bookkeeping-free by design). Stale-pivot *recoveries* are
+    /// counted separately in [`RunStatistics::repivot_factorizations`].
     ///
     /// # Counter contract
     ///
@@ -789,7 +791,9 @@ impl JacobianStorage {
 
     /// Factors the currently assembled Jacobian into the cached factors,
     /// updating the factorisation counters. Returns `false` on a singular
-    /// system.
+    /// system and drops the cached factors, which the failed elimination
+    /// left half-finished, so [`JacobianStorage::solve_factored`] reports
+    /// `false` until a later call succeeds.
     ///
     /// `fault` is the solver-layer injection hook: an armed
     /// [`Fault::SingularFactorization`] makes this call report failure
@@ -808,7 +812,7 @@ impl JacobianStorage {
         {
             return false;
         }
-        match self {
+        let factored = match self {
             JacobianStorage::Dense { matrix, factors } => {
                 let factored = match factors {
                     Some(f) => matrix.lu_into(f).is_ok(),
@@ -851,6 +855,19 @@ impl JacobianStorage {
                     Err(_) => false,
                 },
             },
+        };
+        if !factored {
+            self.drop_factors();
+        }
+        factored
+    }
+
+    /// Forgets the cached factors, so the next [`JacobianStorage::factor`]
+    /// starts from a fresh pivoted factorisation.
+    fn drop_factors(&mut self) {
+        match self {
+            JacobianStorage::Dense { factors, .. } => *factors = None,
+            JacobianStorage::Sparse { factors, .. } => *factors = None,
         }
     }
 
@@ -865,10 +882,12 @@ impl JacobianStorage {
         }
     }
 
-    /// Solves against the already-computed factors (no refactorisation).
-    /// Returns `false` if no factors are cached or the solve fails — the
-    /// sensitivity-propagation hook of the shooting engine, which performs
-    /// `n` back-substitutions per accepted step against one factorisation.
+    /// Solves against the already-computed factors (no refactorisation) —
+    /// the back-substitution of a Newton or operating-point iteration.
+    /// Returns `false` if no factors are cached (none yet, invalidated, or
+    /// dropped by a failed [`JacobianStorage::factor`]) or the solve fails.
+    /// The shooting engine's banked factors solve through
+    /// [`CachedFactors::solve_into`] instead.
     pub(crate) fn solve_factored(&self, rhs: &[f64], delta: &mut Vec<f64>) -> bool {
         match self {
             JacobianStorage::Dense {
@@ -1249,10 +1268,7 @@ impl TransientWorkspace {
     /// every logical boundary; the first solve after the call performs one
     /// full pivoted factorisation, exactly as a fresh workspace would.
     pub fn invalidate_factors(&mut self) {
-        match &mut self.jacobian {
-            JacobianStorage::Dense { factors, .. } => *factors = None,
-            JacobianStorage::Sparse { factors, .. } => *factors = None,
-        }
+        self.jacobian.drop_factors();
         self.factored_h = f64::NAN;
     }
 
@@ -2974,6 +2990,49 @@ mod tests {
             sparse_analysis.run_with(&c, &mut ws),
             Err(MnaError::InvalidOptions(_))
         ));
+    }
+
+    #[test]
+    fn a_failed_factorisation_cannot_be_solved_against() {
+        let (c, _) = rc_circuit();
+        let rhs = [1.0, 2.0, 3.0];
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            let analysis = TransientAnalysis::new(TransientOptions {
+                t_stop: 2e-5,
+                dt: 1e-6,
+                backend,
+                ..TransientOptions::default()
+            });
+            let mut ws = TransientWorkspace::for_circuit(&c, analysis.options()).unwrap();
+            analysis.run_with(&c, &mut ws).unwrap();
+            let mut stats = RunStatistics::default();
+            let mut delta = Vec::new();
+            assert!(ws.jacobian.solve_factored(&rhs, &mut delta));
+
+            // An injected failure reports `false` but keeps the good factors.
+            let mut inj = FaultInjector::new();
+            inj.arm(Fault::SingularFactorization, 1);
+            assert!(!ws.jacobian.factor(&mut stats, Some(&mut inj)));
+            assert!(ws.jacobian.solve_factored(&rhs, &mut delta), "{backend:?}");
+
+            // A genuinely singular matrix (columns 1 and 2 empty) fails part
+            // way through the elimination; its factors must not be usable.
+            ws.jacobian.fill_zero();
+            ws.jacobian.add_diagonal(0, 1.0);
+            assert!(!ws.jacobian.factor(&mut stats, None), "{backend:?}");
+            assert!(
+                !ws.jacobian.solve_factored(&rhs, &mut delta),
+                "{backend:?}: solved against failed factors, got {delta:?}"
+            );
+
+            // The next good matrix factors afresh.
+            for i in 0..rhs.len() {
+                ws.jacobian.add_diagonal(i, 1.0);
+            }
+            assert!(ws.jacobian.factor(&mut stats, None), "{backend:?}");
+            assert!(ws.jacobian.solve_factored(&rhs, &mut delta));
+            assert_eq!(delta, [0.5, 2.0, 3.0], "{backend:?}");
+        }
     }
 
     #[test]

@@ -191,7 +191,10 @@ impl Matrix {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Matrix::lu`].
+    /// Same conditions as [`Matrix::lu`]. A singular matrix leaves `factors`
+    /// half-eliminated: [`LuFactors::solve_into`] cannot tell and returns
+    /// meaningless (typically non-finite) values, so do not solve against
+    /// `factors` again until a later `lu_into` succeeds.
     pub fn lu_into(&self, factors: &mut LuFactors) -> Result<(), NumericsError> {
         if !self.is_square() {
             return Err(NumericsError::DimensionMismatch {
@@ -311,9 +314,15 @@ impl Mul for &Matrix {
 
 /// Gaussian elimination with partial pivoting on pre-initialised factors
 /// (`lu` holds the matrix to factor, `perm` the identity, `sign` 1.0).
+///
+/// Works on whole row slices (one bounds check per row, not per entry) and
+/// skips the update of a row whose multiplier is exactly zero, as
+/// [`SparseLu::refactor`](crate::sparse::SparseLu::refactor) does: for
+/// finite input `a − 0·b` can differ from `a` only in the sign of an exact
+/// zero, so every non-zero factor entry matches the full update bit for bit.
 fn factorize_in_place(factors: &mut LuFactors) -> Result<(), NumericsError> {
-    let lu = &mut factors.lu;
-    let n = lu.rows;
+    let n = factors.lu.rows;
+    let data = &mut factors.lu.data;
     // Singularity is judged per column against the column's own entry scale,
     // not against the global matrix norm: MNA matrices mix 1/dt-scaled
     // companion conductances with unit-scale branch equations, and a global
@@ -323,9 +332,9 @@ fn factorize_in_place(factors: &mut LuFactors) -> Result<(), NumericsError> {
     let col_scale = &mut factors.col_scale;
     col_scale.clear();
     col_scale.resize(n, 0.0);
-    for i in 0..n {
-        for (j, scale) in col_scale.iter_mut().enumerate() {
-            let v = lu[(i, j)].abs();
+    for row in data.chunks_exact(n) {
+        for (scale, v) in col_scale.iter_mut().zip(row) {
+            let v = v.abs();
             if v > *scale {
                 *scale = v;
             }
@@ -335,9 +344,9 @@ fn factorize_in_place(factors: &mut LuFactors) -> Result<(), NumericsError> {
     for k in 0..n {
         // Find the pivot row.
         let mut pivot_row = k;
-        let mut pivot_val = lu[(k, k)].abs();
-        for i in (k + 1)..n {
-            let v = lu[(i, k)].abs();
+        let mut pivot_val = data[k * n + k].abs();
+        for (i, row) in data.chunks_exact(n).enumerate().skip(k + 1) {
+            let v = row[k].abs();
             if v > pivot_val {
                 pivot_val = v;
                 pivot_row = i;
@@ -350,22 +359,22 @@ fn factorize_in_place(factors: &mut LuFactors) -> Result<(), NumericsError> {
             });
         }
         if pivot_row != k {
-            for j in 0..n {
-                let a = lu[(k, j)];
-                let b = lu[(pivot_row, j)];
-                lu[(k, j)] = b;
-                lu[(pivot_row, j)] = a;
-            }
+            let (top, bottom) = data.split_at_mut(pivot_row * n);
+            top[k * n..(k + 1) * n].swap_with_slice(&mut bottom[..n]);
             factors.perm.swap(k, pivot_row);
             factors.sign = -factors.sign;
         }
-        let pivot = lu[(k, k)];
-        for i in (k + 1)..n {
-            let factor = lu[(i, k)] / pivot;
-            lu[(i, k)] = factor;
-            for j in (k + 1)..n {
-                let delta = factor * lu[(k, j)];
-                lu[(i, j)] -= delta;
+        let (top, below) = data.split_at_mut((k + 1) * n);
+        let pivot = top[k * n + k];
+        let pivot_tail = &top[k * n + k + 1..];
+        for row in below.chunks_exact_mut(n) {
+            let factor = row[k] / pivot;
+            row[k] = factor;
+            if factor == 0.0 {
+                continue;
+            }
+            for (a, b) in row[k + 1..].iter_mut().zip(pivot_tail) {
+                *a -= factor * b;
             }
         }
     }
@@ -413,22 +422,26 @@ impl LuFactors {
                 found: format!("vector of length {}", b.len()),
             });
         }
-        // Apply the permutation, then forward/backward substitution.
+        // Apply the permutation, then forward/backward substitution, one
+        // factor row slice per unknown.
         x.clear();
         x.extend(self.perm.iter().map(|&p| b[p]));
-        for i in 1..n {
-            let mut acc = x[i];
-            for (j, &xj) in x.iter().enumerate().take(i) {
-                acc -= self.lu[(i, j)] * xj;
+        let rows = self.lu.data.chunks_exact(n);
+        for (i, row) in rows.clone().enumerate().skip(1) {
+            let (solved, rest) = x.split_at_mut(i);
+            let mut acc = rest[0];
+            for (l, xj) in row[..i].iter().zip(solved.iter()) {
+                acc -= l * xj;
             }
-            x[i] = acc;
+            rest[0] = acc;
         }
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                acc -= self.lu[(i, j)] * xj;
+        for (i, row) in rows.enumerate().rev() {
+            let (head, solved) = x.split_at_mut(i + 1);
+            let mut acc = head[i];
+            for (u, xj) in row[i + 1..].iter().zip(solved.iter()) {
+                acc -= u * xj;
             }
-            x[i] = acc / self.lu[(i, i)];
+            head[i] = acc / row[i];
         }
         Ok(())
     }
@@ -626,6 +639,230 @@ mod tests {
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
         assert!(Matrix::zeros(2, 3).lu_into(&mut factors).is_err());
         assert!(factors.solve_into(&[1.0], &mut x).is_err());
+    }
+
+    /// The element-indexed elimination the row-slice kernel replaced, kept
+    /// as the reference it must match: same pivoting, and every row updated,
+    /// zero multiplier or not.
+    fn reference_factorize(factors: &mut LuFactors) -> Result<(), NumericsError> {
+        let lu = &mut factors.lu;
+        let n = lu.rows;
+        let mut col_scale = vec![0.0f64; n];
+        for i in 0..n {
+            for (j, scale) in col_scale.iter_mut().enumerate() {
+                let v = lu[(i, j)].abs();
+                if v > *scale {
+                    *scale = v;
+                }
+            }
+        }
+        for k in 0..n {
+            let mut pivot_row = k;
+            let mut pivot_val = lu[(k, k)].abs();
+            for i in (k + 1)..n {
+                let v = lu[(i, k)].abs();
+                if v > pivot_val {
+                    pivot_val = v;
+                    pivot_row = i;
+                }
+            }
+            if pivot_val <= 1e-14 * col_scale[k].max(f64::MIN_POSITIVE) {
+                return Err(NumericsError::SingularMatrix {
+                    column: k,
+                    pivot: pivot_val,
+                });
+            }
+            if pivot_row != k {
+                for j in 0..n {
+                    let a = lu[(k, j)];
+                    let b = lu[(pivot_row, j)];
+                    lu[(k, j)] = b;
+                    lu[(pivot_row, j)] = a;
+                }
+                factors.perm.swap(k, pivot_row);
+                factors.sign = -factors.sign;
+            }
+            let pivot = lu[(k, k)];
+            for i in (k + 1)..n {
+                let factor = lu[(i, k)] / pivot;
+                lu[(i, k)] = factor;
+                for j in (k + 1)..n {
+                    let delta = factor * lu[(k, j)];
+                    lu[(i, j)] -= delta;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The element-indexed substitution the row-slice solve replaced.
+    fn reference_solve(f: &LuFactors, b: &[f64]) -> Vec<f64> {
+        let n = f.lu.rows;
+        let mut x: Vec<f64> = f.perm.iter().map(|&p| b[p]).collect();
+        for i in 1..n {
+            let mut acc = x[i];
+            for (j, &xj) in x.iter().enumerate().take(i) {
+                acc -= f.lu[(i, j)] * xj;
+            }
+            x[i] = acc;
+        }
+        for i in (0..n).rev() {
+            let mut acc = x[i];
+            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
+                acc -= f.lu[(i, j)] * xj;
+            }
+            x[i] = acc / f.lu[(i, i)];
+        }
+        x
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream of test inputs.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
+
+        /// Uniform in `0..n`.
+        fn index(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+
+    /// A random matrix shaped like an MNA Jacobian: symmetric conductance
+    /// stamps spanning nine decades (1/dt companions beside unit-scale
+    /// branches), unit incidence entries of branch unknowns, 15–40 % of the
+    /// off-diagonal entries filled, some zero diagonals (branch rows, which
+    /// force row swaps) and now and then a duplicated row (singular).
+    fn mna_shaped(rng: &mut SplitMix, n: usize) -> Matrix {
+        let density = rng.range(0.15, 0.40);
+        let mut a = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.unit() >= density {
+                    continue;
+                }
+                if rng.unit() < 0.7 {
+                    let g = 10f64.powf(rng.range(-3.0, 6.0)) * rng.range(0.5, 2.0);
+                    a[(i, j)] -= g;
+                    a[(j, i)] -= g;
+                    a[(i, i)] += g;
+                    a[(j, j)] += g;
+                } else {
+                    let s = if rng.unit() < 0.5 { 1.0 } else { -1.0 };
+                    a[(i, j)] += s;
+                    a[(j, i)] += s;
+                }
+            }
+            a[(i, i)] += 10f64.powf(rng.range(-6.0, 1.0));
+        }
+        for i in 0..n {
+            if rng.unit() < 0.2 {
+                a[(i, i)] = 0.0;
+            }
+        }
+        if n >= 2 && rng.unit() < 0.15 {
+            let (from, to) = (rng.index(n), rng.index(n));
+            for j in 0..n {
+                a[(to, j)] = a[(from, j)];
+            }
+        }
+        a
+    }
+
+    /// `==` everywhere (so ±0 match) and identical bits wherever non-zero.
+    fn same_value(x: f64, y: f64) -> bool {
+        x == y && (x == 0.0 || x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn row_slice_kernels_match_the_element_indexed_reference() {
+        let mut rng = SplitMix(0x5eed);
+        let (mut swapped, mut zero_multipliers, mut singular, mut solved) = (0, 0, 0, 0);
+        for n in 1..=32 {
+            for _ in 0..40 {
+                let a = mna_shaped(&mut rng, n);
+                let fresh = LuFactors {
+                    lu: a.clone(),
+                    perm: (0..n).collect(),
+                    sign: 1.0,
+                    col_scale: Vec::new(),
+                };
+                let (mut fast, mut slow) = (fresh.clone(), fresh);
+                let fast_result = factorize_in_place(&mut fast);
+                let slow_result = reference_factorize(&mut slow);
+                match (&fast_result, &slow_result) {
+                    (Ok(()), Ok(())) => {}
+                    (
+                        Err(NumericsError::SingularMatrix { column, pivot }),
+                        Err(NumericsError::SingularMatrix {
+                            column: ref_column,
+                            pivot: ref_pivot,
+                        }),
+                    ) => {
+                        assert_eq!(column, ref_column, "n = {n}\n{a}");
+                        assert_eq!(pivot.to_bits(), ref_pivot.to_bits(), "n = {n}\n{a}");
+                        singular += 1;
+                    }
+                    _ => panic!("{fast_result:?} vs {slow_result:?} on n = {n}\n{a}"),
+                }
+                assert_eq!(fast.perm, slow.perm, "n = {n}\n{a}");
+                assert_eq!(fast.sign.to_bits(), slow.sign.to_bits());
+                for (k, (x, y)) in fast.lu.data.iter().zip(&slow.lu.data).enumerate() {
+                    assert!(
+                        same_value(*x, *y),
+                        "factor entry ({}, {}) is {x:e} against {y:e} on n = {n}\n{a}",
+                        k / n,
+                        k % n
+                    );
+                }
+                if fast.perm.iter().enumerate().any(|(i, &p)| i != p) {
+                    swapped += 1;
+                }
+                if fast_result.is_err() {
+                    continue;
+                }
+                zero_multipliers += (0..n)
+                    .flat_map(|i| (0..i).map(move |j| (i, j)))
+                    .filter(|&ij| fast.lu[ij] == 0.0)
+                    .count();
+                let b: Vec<f64> = (0..n).map(|_| rng.range(-5.0, 5.0)).collect();
+                let x = fast.solve(&b).unwrap();
+                let same_factors = reference_solve(&fast, &b);
+                let reference = reference_solve(&slow, &b);
+                for ((xi, si), ri) in x.iter().zip(&same_factors).zip(&reference) {
+                    assert_eq!(xi.to_bits(), si.to_bits(), "n = {n}\n{a}");
+                    assert!(
+                        same_value(*xi, *ri),
+                        "{xi:e} against {ri:e} on n = {n}\n{a}"
+                    );
+                }
+                solved += 1;
+            }
+        }
+        // The generator must keep exercising every path the rewrite touches.
+        assert!(swapped > 100, "only {swapped} pivoting cases");
+        assert!(
+            zero_multipliers > 1000,
+            "only {zero_multipliers} zero multipliers"
+        );
+        assert!(singular > 20, "only {singular} singular cases");
+        assert!(solved > 500, "only {solved} solved cases");
     }
 
     #[test]
