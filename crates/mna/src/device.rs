@@ -161,22 +161,90 @@ pub trait Device {
 
 /// Mutable view of the Jacobian being assembled, abstracting over the dense
 /// and sparse solver backends so device models stamp identically into both.
+/// Only the engine builds one (a device reaches it through
+/// [`StampContext`]).
 #[derive(Debug)]
-pub enum JacobianView<'a> {
+pub(crate) enum JacobianView<'a> {
     /// Dense backend: stamps accumulate into a dense [`Matrix`].
     Dense(&'a mut Matrix),
-    /// Sparse backend: stamps accumulate into a fixed-pattern CSR matrix.
-    /// Stamping a position outside the pattern declared by
-    /// [`Device::stamp_pattern`] panics.
-    Sparse(&'a mut SparseMatrix),
+    /// Sparse backend: stamps accumulate into a fixed-pattern CSR matrix,
+    /// each into the storage slot the cache `slots` bound to its place in
+    /// the stamp sequence (see [`StampSlots`]). Stamping a position outside
+    /// the pattern declared by [`Device::stamp_pattern`] panics.
+    Sparse {
+        matrix: &'a mut SparseMatrix,
+        slots: &'a mut StampSlots,
+    },
 }
 
 impl JacobianView<'_> {
     fn add(&mut self, row: usize, col: usize, value: f64) {
         match self {
             JacobianView::Dense(m) => m[(row, col)] += value,
-            JacobianView::Sparse(s) => s.add_at(row, col, value),
+            JacobianView::Sparse { matrix, slots } => slots.add(matrix, row, col, value),
         }
+    }
+}
+
+/// The sparse Jacobian's write-order slot cache: the CSR storage slot of
+/// every stamp of the previous assemblies, by position in the stamp
+/// sequence.
+///
+/// Devices stamp the same positions in the same order on almost every
+/// assembly, so the `k`-th stamp of an assembly finds its slot in
+/// `entries[k]` in O(1) instead of searching its CSR row. The cached
+/// `(row, col)` is compared on every stamp; a stamp sequence that changes
+/// (an iterate-dependent device, a reordered circuit on a reused workspace)
+/// falls back to the row search and records the new slot from that write
+/// on, so the assembled values are exactly those of
+/// [`SparseMatrix::add_at`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StampSlots {
+    /// `(row, col, slot)` of each stamp, in write order.
+    entries: Vec<(usize, usize, usize)>,
+    /// Position of the next stamp of the running assembly.
+    cursor: usize,
+}
+
+impl StampSlots {
+    /// Rewinds to the first stamp: the start of every assembly.
+    pub(crate) fn rewind(&mut self) {
+        self.cursor = 0;
+    }
+
+    /// Adds `value` at `(row, col)` of `matrix` through the slot cached for
+    /// the current stamp, looking the slot up (and caching it) when the
+    /// cache holds another position.
+    ///
+    /// Out of line, so the dense arm of [`JacobianView::add`] compiles to
+    /// the same inlined code as it would without a sparse backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(row, col)` is not in `matrix`'s sparsity pattern.
+    #[inline(never)]
+    fn add(&mut self, matrix: &mut SparseMatrix, row: usize, col: usize, value: f64) {
+        let k = self.cursor;
+        let slot = match self.entries.get(k) {
+            Some(&(r, c, slot)) if r == row && c == col => slot,
+            _ => self.bind(matrix, row, col),
+        };
+        self.cursor = k + 1;
+        matrix.add_at_slot(slot, value);
+    }
+
+    /// Looks up the slot of `(row, col)` and binds it to the current stamp.
+    /// Cold, so the cache hit in [`StampSlots::add`] stays a short leaf.
+    #[cold]
+    fn bind(&mut self, matrix: &SparseMatrix, row: usize, col: usize) -> usize {
+        let slot = matrix.slot(row, col);
+        let k = self.cursor;
+        if k < self.entries.len() {
+            self.entries[k] = (row, col, slot);
+        } else {
+            self.entries.push((row, col, slot));
+        }
+        slot
     }
 }
 

@@ -215,11 +215,17 @@ struct CachedPeriodStep {
 /// back-substitution per step. All slots are reused across periods and
 /// shooting iterations; steady state allocates nothing after the first
 /// period.
+///
+/// Each point's `W` is extracted into a values vector laid out like the
+/// Jacobian's own storage and swept from there into row-major triplets, so
+/// banking a step costs `O(nnz)` on the sparse backend (`O(n²)` on the
+/// dense one, whose storage is the full matrix).
 #[derive(Debug)]
 struct PeriodCache {
     n: usize,
-    /// Dense extraction scratch for one `W` (swept into triplets per step).
-    scratch: Matrix,
+    /// The `W` being extracted, one value per Jacobian storage slot (see
+    /// [`JacobianStorage::accumulate_scaled`]).
+    w_values: Vec<f64>,
     /// `W` stamps as `(row, col, value)` triplets: slot 0 the period-start
     /// point, slot `k ≥ 1` the `k`-th accepted point.
     w: Vec<Vec<(usize, usize, f64)>>,
@@ -227,48 +233,69 @@ struct PeriodCache {
     /// Accepted steps banked this period (`w` slots in use: this + 1).
     used_steps: usize,
     prop: VectorSensitivity,
+    /// The n×n dense extraction that `w_values` replaced, run beside it
+    /// when set (see `tests::DenseExtraction`).
+    #[cfg(test)]
+    reference: Option<tests::DenseExtraction>,
 }
 
 impl PeriodCache {
     fn new(n: usize) -> Self {
         PeriodCache {
             n,
-            scratch: Matrix::zeros(n, n),
+            w_values: Vec::new(),
             w: Vec::new(),
             steps: Vec::new(),
             used_steps: 0,
             prop: VectorSensitivity::new(n),
+            #[cfg(test)]
+            reference: None,
         }
     }
 
-    /// Sweeps the dense extraction scratch into the triplet slot `idx`,
-    /// reusing its allocation.
-    fn sweep_scratch_into(&mut self, idx: usize) {
+    /// Starts extracting a fresh `W` from `jacobian`'s assemblies.
+    fn clear_w(&mut self, jacobian: &JacobianStorage) {
+        jacobian.zero_slots(&mut self.w_values);
+        #[cfg(test)]
+        if let Some(reference) = self.reference.as_mut() {
+            reference.clear();
+        }
+    }
+
+    /// Adds `alpha ×` the Jacobian currently assembled in `jacobian` to the
+    /// `W` being extracted.
+    fn accumulate_w(&mut self, jacobian: &JacobianStorage, alpha: f64) {
+        jacobian.accumulate_scaled(alpha, &mut self.w_values);
+        #[cfg(test)]
+        if let Some(reference) = self.reference.as_mut() {
+            reference.accumulate(jacobian, alpha);
+        }
+    }
+
+    /// Sweeps the extracted `W` into the triplet slot `idx`, reusing its
+    /// allocation.
+    fn sweep_w_into(&mut self, jacobian: &JacobianStorage, idx: usize) {
         if self.w.len() <= idx {
             self.w.push(Vec::new());
         }
         let out = &mut self.w[idx];
         out.clear();
-        for r in 0..self.n {
-            for c in 0..self.n {
-                let v = self.scratch[(r, c)];
-                if v != 0.0 {
-                    out.push((r, c, v));
-                }
-            }
+        jacobian.push_triplets(&self.w_values, out);
+        #[cfg(test)]
+        if let Some(reference) = self.reference.as_mut() {
+            reference.sweep_into(idx);
         }
     }
 
-    /// Starts a fresh period at the point whose `W` the caller just wrote
-    /// into the scratch.
-    fn seed(&mut self) {
-        self.sweep_scratch_into(0);
+    /// Starts a fresh period at the point whose `W` was just extracted.
+    fn seed(&mut self, jacobian: &JacobianStorage) {
+        self.sweep_w_into(jacobian, 0);
         self.used_steps = 0;
     }
 
-    /// Banks one accepted step: its `W` (from the scratch) and the factored
-    /// Jacobian currently cached in `jacobian`. Returns `false` when no
-    /// factors are available.
+    /// Banks one accepted step: its extracted `W` and the factored Jacobian
+    /// currently cached in `jacobian`. Returns `false` when no factors are
+    /// available.
     fn push_step(
         &mut self,
         jacobian: &JacobianStorage,
@@ -276,7 +303,7 @@ impl PeriodCache {
         trapezoidal_memory: bool,
     ) -> bool {
         let idx = self.used_steps;
-        self.sweep_scratch_into(idx + 1);
+        self.sweep_w_into(jacobian, idx + 1);
         if self.steps.len() <= idx {
             self.steps.push(CachedPeriodStep {
                 factors: None,
@@ -881,7 +908,7 @@ impl SteadyStateAnalysis {
                 // (`first = false`) instead of reusing it.
                 let trapezoidal = opts.method == IntegrationMethod::Trapezoidal;
                 let be_startup = was_first && trapezoidal;
-                cache.scratch.fill_zero();
+                cache.clear_w(&ws.jacobian);
                 if be_startup {
                     assemble_system(
                         circuit,
@@ -897,8 +924,7 @@ impl SteadyStateAnalysis {
                         &mut ws.jacobian,
                     );
                 }
-                ws.jacobian
-                    .accumulate_scaled(2.0 * step, &mut cache.scratch);
+                cache.accumulate_w(&ws.jacobian, 2.0 * step);
                 assemble_system(
                     circuit,
                     &ws.layout,
@@ -912,8 +938,7 @@ impl SteadyStateAnalysis {
                     &mut ws.residual,
                     &mut ws.jacobian,
                 );
-                ws.jacobian
-                    .accumulate_scaled(-2.0 * step, &mut cache.scratch);
+                cache.accumulate_w(&ws.jacobian, -2.0 * step);
                 let h_eff = if be_startup { 2.0 * step } else { step };
                 // No solves here: the chain is replayed lazily, one
                 // back-substitution per step per Krylov matvec.
@@ -963,11 +988,11 @@ impl SteadyStateAnalysis {
                 &mut ws.jacobian,
             );
             if scale > 0.0 {
-                cache.scratch.fill_zero();
+                cache.clear_w(&ws.jacobian);
             }
-            ws.jacobian.accumulate_scaled(scale, &mut cache.scratch);
+            cache.accumulate_w(&ws.jacobian, scale);
         }
-        cache.seed();
+        cache.seed(&ws.jacobian);
     }
 }
 
@@ -1053,8 +1078,73 @@ mod tests {
     use super::*;
     use crate::circuit::Circuit;
     use crate::devices::{Capacitor, Diode, Resistor, TimedSwitch, VoltageSource};
+    use crate::transient::SolverBackend;
     use crate::waveform::Waveform;
     use harvester_numerics::stats::mean;
+
+    /// The n×n dense `W` extraction the storage-order sweep replaced, kept
+    /// as its reference: accumulate every non-zero Jacobian entry into a
+    /// dense scratch, then scan the scratch row by row into triplets. A
+    /// [`PeriodCache`] with `reference` set runs it beside its own
+    /// extraction and keeps the swept triplets of every `w` slot.
+    #[derive(Debug)]
+    pub(super) struct DenseExtraction {
+        scratch: Matrix,
+        w: Vec<Vec<(usize, usize, f64)>>,
+    }
+
+    impl DenseExtraction {
+        fn new(n: usize) -> Self {
+            DenseExtraction {
+                scratch: Matrix::zeros(n, n),
+                w: Vec::new(),
+            }
+        }
+
+        pub(super) fn clear(&mut self) {
+            self.scratch.fill_zero();
+        }
+
+        pub(super) fn accumulate(&mut self, jacobian: &JacobianStorage, alpha: f64) {
+            let out = &mut self.scratch;
+            match jacobian {
+                JacobianStorage::Dense { matrix, .. } => {
+                    for r in 0..matrix.rows() {
+                        for c in 0..matrix.cols() {
+                            let v = matrix[(r, c)];
+                            if v != 0.0 {
+                                out[(r, c)] += alpha * v;
+                            }
+                        }
+                    }
+                }
+                JacobianStorage::Sparse { matrix, .. } => {
+                    for (r, c, v) in matrix.entries() {
+                        if v != 0.0 {
+                            out[(r, c)] += alpha * v;
+                        }
+                    }
+                }
+            }
+        }
+
+        pub(super) fn sweep_into(&mut self, idx: usize) {
+            if self.w.len() <= idx {
+                self.w.push(Vec::new());
+            }
+            let out = &mut self.w[idx];
+            out.clear();
+            let n = self.scratch.rows();
+            for r in 0..n {
+                for c in 0..n {
+                    let v = self.scratch[(r, c)];
+                    if v != 0.0 {
+                        out.push((r, c, v));
+                    }
+                }
+            }
+        }
+    }
 
     fn rc_sine(
         r: f64,
@@ -1232,12 +1322,15 @@ mod tests {
         circuit: &Circuit,
         out: crate::circuit::NodeId,
         offset: f64,
+        backend: SolverBackend,
     ) {
         let mut opts = options(1e-3, 1e-5);
         opts.transient.reuse_jacobian = false;
+        opts.transient.backend = backend;
         let analysis = SteadyStateAnalysis::new(opts);
         let transient = TransientAnalysis::new(analysis.effective_transient());
         let mut ws = TransientWorkspace::for_circuit(circuit, transient.options()).unwrap();
+        assert_eq!(ws.backend(), backend);
         let pss = analysis.run_with(circuit, &mut ws).unwrap();
         assert!(pss.converged);
 
@@ -1279,7 +1372,7 @@ mod tests {
                 let fd = (xp[i] - xm[i]) / (2.0 * delta);
                 assert!(
                     (column[i] - fd).abs() < 1e-7,
-                    "M[{i}][{j}]: banked chain {} vs finite difference {fd}",
+                    "{backend:?} M[{i}][{j}]: banked chain {} vs finite difference {fd}",
                     column[i]
                 );
             }
@@ -1288,16 +1381,67 @@ mod tests {
 
     #[test]
     fn banked_chain_matches_finite_differences_of_the_period_map() {
-        // 0.45 V above its orbit the rectifier's diode conducts for only
-        // part of the peak: M[out][out] ≈ 0.2 sits between the conducting
-        // (≈ 0) and blocking (≈ 0.81, the RC decay) limits, so the check
-        // covers the diode's nonlinearity rather than either linear regime.
-        let (circuit, out) = rectifier();
-        assert_chain_matches_finite_differences(&circuit, out, 0.45);
-        // The Villard orbit couples two capacitors, one of them floating:
-        // a 2×2 block of O(0.1–1) entries with off-diagonal terms.
-        let (circuit, out) = villard();
-        assert_chain_matches_finite_differences(&circuit, out, 0.0);
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            // 0.45 V above its orbit the rectifier's diode conducts for only
+            // part of the peak: M[out][out] ≈ 0.2 sits between the
+            // conducting (≈ 0) and blocking (≈ 0.81, the RC decay) limits,
+            // so the check covers the diode's nonlinearity rather than
+            // either linear regime.
+            let (circuit, out) = rectifier();
+            assert_chain_matches_finite_differences(&circuit, out, 0.45, backend);
+            // The Villard orbit couples two capacitors, one of them
+            // floating: a 2×2 block of O(0.1–1) entries with off-diagonal
+            // terms.
+            let (circuit, out) = villard();
+            assert_chain_matches_finite_differences(&circuit, out, 0.0, backend);
+        }
+    }
+
+    /// Banks one period from the converged orbit with [`DenseExtraction`]
+    /// running beside the storage-order extraction, and compares every
+    /// banked `W` (period start plus each step) triplet by triplet: same
+    /// rows, columns and order, and bit-identical values.
+    fn assert_banked_w_matches_the_dense_extraction(circuit: &Circuit, backend: SolverBackend) {
+        let mut opts = options(1e-3, 1e-5);
+        opts.transient.backend = backend;
+        let analysis = SteadyStateAnalysis::new(opts);
+        let transient = TransientAnalysis::new(analysis.effective_transient());
+        let mut ws = TransientWorkspace::for_circuit(circuit, transient.options()).unwrap();
+        assert_eq!(ws.backend(), backend);
+        let pss = analysis.run_with(circuit, &mut ws).unwrap();
+        let t_anchor = *pss.result.times().last().unwrap();
+
+        let n = ws.unknown_count();
+        let mut cache = PeriodCache::new(n);
+        cache.reference = Some(DenseExtraction::new(n));
+        let mut stats = RunStatistics::default();
+        analysis
+            .integrate_period(
+                circuit, &transient, &mut ws, t_anchor, &mut stats, &mut cache,
+            )
+            .unwrap();
+        let (steps, _) = analysis.period_grid();
+        assert_eq!(cache.used_steps, steps);
+        let reference = cache.reference.take().unwrap();
+        let bits = |w: &[(usize, usize, f64)]| -> Vec<(usize, usize, u64)> {
+            w.iter().map(|&(r, c, v)| (r, c, v.to_bits())).collect()
+        };
+        for idx in 0..=steps {
+            assert!(!cache.w[idx].is_empty(), "{backend:?}: empty W at {idx}");
+            assert_eq!(
+                bits(&cache.w[idx]),
+                bits(&reference.w[idx]),
+                "{backend:?}: W of point {idx}"
+            );
+        }
+    }
+
+    #[test]
+    fn banked_w_triplets_match_the_dense_extraction_bit_for_bit() {
+        for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+            assert_banked_w_matches_the_dense_extraction(&rectifier().0, backend);
+            assert_banked_w_matches_the_dense_extraction(&villard().0, backend);
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   pattern declared by [`Device::stamp_pattern`](crate::device::Device::stamp_pattern), factored with a sparse LU
 //!   whose symbolic analysis (pivot order, fill pattern, scatter map) is
 //!   computed **once per circuit** and reused across every Newton iteration
-//!   and time step.
+//!   and time step. Each stamp lands on a CSR slot bound to its position in
+//!   the stamp sequence once per workspace, so assembly does no searching.
 //! * [`SolverBackend::Auto`] (the default) picks dense below
 //!   [`SolverBackend::AUTO_SPARSE_THRESHOLD`] unknowns and sparse above it.
 //!
@@ -30,7 +31,7 @@
 
 use crate::cancel::CancelToken;
 use crate::circuit::{Circuit, NodeId};
-use crate::device::{JacobianView, PatternContext, StampContext};
+use crate::device::{JacobianView, PatternContext, StampContext, StampSlots};
 use crate::error::{ConvergenceReport, RecoveryStrategy};
 use crate::MnaError;
 use harvester_numerics::extrap::{divided_differences, extrapolate_rows, newton_eval};
@@ -85,9 +86,11 @@ pub enum SolverBackend {
 
 impl SolverBackend {
     /// Largest system the [`SolverBackend::Auto`] policy still solves
-    /// densely. At and below this size the dense factorisation's perfect
-    /// cache behaviour beats the sparse bookkeeping; above it the `O(n³)`
-    /// dense cost takes over.
+    /// densely; above it the `O(n³)` dense cost takes over. The crossover
+    /// is a measurement: `cargo bench -p harvester-bench --bench solver`
+    /// records the sparse backend's speed relative to dense
+    /// (`sparse_speedup`) on either side of it, and
+    /// `bench/baselines/BENCH_solver.json` holds the reviewed figures.
     pub const AUTO_SPARSE_THRESHOLD: usize = 24;
 
     /// Resolves the backend for a system of `unknowns` unknowns, mapping
@@ -683,7 +686,8 @@ impl RunStatistics {
 }
 
 /// Static layout of a circuit's global system: which global index each
-/// device's extra unknowns and state slots start at.
+/// device's extra unknowns and state slots start at, and how many state
+/// slots each device owns.
 #[derive(Debug, Clone)]
 pub(crate) struct SystemLayout {
     node_unknowns: usize,
@@ -691,6 +695,7 @@ pub(crate) struct SystemLayout {
     pub(crate) total_states: usize,
     extra_bases: Vec<usize>,
     state_bases: Vec<usize>,
+    state_counts: Vec<usize>,
     pub(crate) probes: HashMap<String, (usize, Vec<String>)>,
 }
 
@@ -704,6 +709,7 @@ impl SystemLayout {
         let node_unknowns = circuit.unknown_node_count();
         let mut extra_bases = Vec::with_capacity(circuit.device_count());
         let mut state_bases = Vec::with_capacity(circuit.device_count());
+        let mut state_counts = Vec::with_capacity(circuit.device_count());
         let mut total_extras = 0usize;
         let mut total_states = 0usize;
         let mut probes: HashMap<String, (usize, Vec<String>)> = HashMap::new();
@@ -712,6 +718,7 @@ impl SystemLayout {
             let states = device.state_count();
             extra_bases.push(node_unknowns + total_extras);
             state_bases.push(total_states);
+            state_counts.push(states);
             if extras > 0 {
                 let names = device.unknown_names();
                 if names.len() != extras {
@@ -742,6 +749,7 @@ impl SystemLayout {
             total_states,
             extra_bases,
             state_bases,
+            state_counts,
             probes,
         })
     }
@@ -768,7 +776,11 @@ impl SystemLayout {
 }
 
 /// Backend-specific Jacobian storage plus its (lazily created, then reused)
-/// factorisation.
+/// factorisation. The sparse matrix carries the stamp-slot cache its
+/// assemblies stamp through.
+// One per workspace, built once and never moved on a hot path: boxing the
+// larger sparse variant would only add an indirection.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(crate) enum JacobianStorage {
     Dense {
@@ -777,15 +789,21 @@ pub(crate) enum JacobianStorage {
     },
     Sparse {
         matrix: SparseMatrix,
+        slots: StampSlots,
         factors: Option<SparseLu>,
     },
 }
 
 impl JacobianStorage {
+    /// Zeroes the matrix for a fresh assembly and, on the sparse backend,
+    /// rewinds the stamp-slot cache to the assembly's first stamp.
     pub(crate) fn fill_zero(&mut self) {
         match self {
             JacobianStorage::Dense { matrix, .. } => matrix.fill_zero(),
-            JacobianStorage::Sparse { matrix, .. } => matrix.fill_zero(),
+            JacobianStorage::Sparse { matrix, slots, .. } => {
+                matrix.fill_zero();
+                slots.rewind();
+            }
         }
     }
 
@@ -829,7 +847,9 @@ impl JacobianStorage {
                 }
                 factored
             }
-            JacobianStorage::Sparse { matrix, factors } => match factors {
+            JacobianStorage::Sparse {
+                matrix, factors, ..
+            } => match factors {
                 Some(f) => {
                     // Cheap pattern-reusing refactorisation first; recover
                     // with a re-pivoting factorisation (what
@@ -930,25 +950,54 @@ impl JacobianStorage {
         }
     }
 
-    /// Accumulates `alpha ×` the currently assembled Jacobian into a dense
-    /// matrix — the extraction primitive behind the shooting engine's
-    /// dynamic-stamp matrices (`W = 2h·J(h) − 2h·J(2h)`).
-    pub(crate) fn accumulate_scaled(&self, alpha: f64, out: &mut Matrix) {
+    /// The assembled values in storage order: `n²` row-major entries on
+    /// the dense backend, one per pattern slot on the sparse one.
+    fn values(&self) -> &[f64] {
+        match self {
+            JacobianStorage::Dense { matrix, .. } => matrix.as_slice(),
+            JacobianStorage::Sparse { matrix, .. } => matrix.values(),
+        }
+    }
+
+    /// Resets `out` to one zero per storage slot (see
+    /// [`JacobianStorage::accumulate_scaled`]), keeping its allocation.
+    pub(crate) fn zero_slots(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.values().len(), 0.0);
+    }
+
+    /// Accumulates `alpha ×` the currently assembled Jacobian into `out`,
+    /// laid out like the storage itself (see
+    /// [`JacobianStorage::zero_slots`]) — the extraction primitive behind the
+    /// shooting engine's dynamic-stamp matrices (`W = 2h·J(h) − 2h·J(2h)`).
+    /// Zero entries are skipped, so it costs `O(n²)` on the dense backend
+    /// and `O(nnz)` on the sparse one.
+    pub(crate) fn accumulate_scaled(&self, alpha: f64, out: &mut [f64]) {
+        for (o, &v) in out.iter_mut().zip(self.values()) {
+            if v != 0.0 {
+                *o += alpha * v;
+            }
+        }
+    }
+
+    /// Appends the non-zero entries of `values` (laid out as by
+    /// [`JacobianStorage::accumulate_scaled`]) to `out` as `(row, col,
+    /// value)` triplets in row-major order.
+    pub(crate) fn push_triplets(&self, values: &[f64], out: &mut Vec<(usize, usize, f64)>) {
         match self {
             JacobianStorage::Dense { matrix, .. } => {
-                for r in 0..matrix.rows() {
-                    for c in 0..matrix.cols() {
-                        let v = matrix[(r, c)];
+                for (r, row) in values.chunks_exact(matrix.cols()).enumerate() {
+                    for (c, &v) in row.iter().enumerate() {
                         if v != 0.0 {
-                            out[(r, c)] += alpha * v;
+                            out.push((r, c, v));
                         }
                     }
                 }
             }
             JacobianStorage::Sparse { matrix, .. } => {
-                for (r, c, v) in matrix.entries() {
+                for ((r, c, _), &v) in matrix.entries().zip(values) {
                     if v != 0.0 {
-                        out[(r, c)] += alpha * v;
+                        out.push((r, c, v));
                     }
                 }
             }
@@ -1104,6 +1153,7 @@ impl TransientWorkspace {
             }
             JacobianStorage::Sparse {
                 matrix: triplets.to_csr(),
+                slots: StampSlots::default(),
                 factors: None,
             }
         } else {
@@ -1283,8 +1333,12 @@ impl TransientWorkspace {
         self.x.iter_mut().for_each(|v| *v = 0.0);
         self.candidate.iter_mut().for_each(|v| *v = 0.0);
         self.states.iter_mut().for_each(|v| *v = 0.0);
-        for (device, &base) in circuit.devices().iter().zip(self.layout.state_bases.iter()) {
-            let count = device.state_count();
+        for ((device, &base), &count) in circuit
+            .devices()
+            .iter()
+            .zip(self.layout.state_bases.iter())
+            .zip(self.layout.state_counts.iter())
+        {
             if count > 0 {
                 device.initial_state(&mut self.states[base..base + count]);
             }
@@ -1414,24 +1468,18 @@ fn assemble_system_full(
         *r = 0.0;
     }
     jacobian.fill_zero();
-    for ((device, &extra_base), &state_base) in circuit
+    for (((device, &extra_base), &state_base), &count) in circuit
         .devices()
         .iter()
         .zip(layout.extra_bases.iter())
         .zip(layout.state_bases.iter())
+        .zip(layout.state_counts.iter())
     {
-        let count = device.state_count();
-        let (dev_states, dev_new_states) = if count > 0 {
-            (
-                &states[state_base..state_base + count],
-                &mut new_states[state_base..state_base + count],
-            )
-        } else {
-            (&states[0..0], &mut new_states[0..0])
-        };
+        let dev_states = &states[state_base..state_base + count];
+        let dev_new_states = &mut new_states[state_base..state_base + count];
         let view = match jacobian {
             JacobianStorage::Dense { matrix, .. } => JacobianView::Dense(matrix),
-            JacobianStorage::Sparse { matrix, .. } => JacobianView::Sparse(matrix),
+            JacobianStorage::Sparse { matrix, slots, .. } => JacobianView::Sparse { matrix, slots },
         };
         let mut ctx = StampContext::new(
             time,
@@ -3405,5 +3453,220 @@ mod tests {
         .unwrap();
         // Voltage divider: 100 Ω over (100 Ω + 100 Ω).
         assert!((result.final_voltage(out) - 0.5).abs() < 1e-9);
+    }
+
+    /// Assembles `circuit` at the iterate `x` into `ws`'s Jacobian.
+    fn assemble_at(circuit: &Circuit, ws: &mut TransientWorkspace, x: &[f64]) {
+        assemble_system(
+            circuit,
+            &ws.layout,
+            IntegrationMethod::BackwardEuler,
+            0.0,
+            1e-3,
+            false,
+            x,
+            &ws.states,
+            &mut ws.new_states,
+            &mut ws.residual,
+            &mut ws.jacobian,
+        );
+    }
+
+    fn sparse_jacobian(ws: &TransientWorkspace) -> &SparseMatrix {
+        match &ws.jacobian {
+            JacobianStorage::Sparse { matrix, .. } => matrix,
+            JacobianStorage::Dense { .. } => panic!("expected the sparse backend"),
+        }
+    }
+
+    fn sparse_options() -> TransientOptions {
+        TransientOptions {
+            backend: SolverBackend::Sparse,
+            ..TransientOptions::default()
+        }
+    }
+
+    /// A two-terminal device whose stamp sequence depends on the iterate: it
+    /// skips its `(a, b)` derivative while `v(a) − v(b)` is negative and
+    /// writes `(b, b)` twice.
+    #[derive(Clone, Copy)]
+    struct IterateDependent {
+        a: NodeId,
+        b: NodeId,
+    }
+
+    impl IterateDependent {
+        /// The Jacobian stamps at branch voltage `v`, in write order.
+        fn stamps(&self, v: f64) -> Vec<(NodeId, NodeId, f64)> {
+            let g = 1e-3 * (1.0 + v * v);
+            let mut stamps = vec![(self.a, self.a, g)];
+            if v >= 0.0 {
+                stamps.push((self.a, self.b, -g));
+            }
+            stamps.extend([
+                (self.b, self.a, -g),
+                (self.b, self.b, 0.5 * g),
+                (self.b, self.b, 0.5 * g + v),
+            ]);
+            stamps
+        }
+    }
+
+    impl crate::device::Device for IterateDependent {
+        fn name(&self) -> &str {
+            "flip"
+        }
+        fn stamp(&self, ctx: &mut StampContext<'_>) {
+            let v = ctx.voltage_between(self.a, self.b);
+            for (row, col, value) in self.stamps(v) {
+                ctx.add_current_derivative(row, crate::device::Unknown::Node(col), value);
+            }
+        }
+        fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
+            ctx.conductance(self.a, self.b);
+        }
+    }
+
+    #[test]
+    fn slot_cache_assembles_what_lookups_assemble_when_the_stamp_sequence_changes() {
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        let m = c.node("m");
+        let devices = [IterateDependent { a, b }, IterateDependent { a: b, b: m }];
+        for device in devices {
+            c.add(device);
+        }
+        let mut ws = TransientWorkspace::for_circuit(&c, &sparse_options()).unwrap();
+        // Iterates that flip each device's branch-voltage sign in turn.
+        let iterates = [
+            [1.0, 0.0, 0.5],
+            [-1.0, 0.0, 0.5],
+            [-1.0, 0.0, -0.5],
+            [1.0, 0.0, -0.5],
+            [1.0, 0.0, 0.5],
+            [-2.0, 1.0, 0.25],
+        ];
+        for x in iterates {
+            assemble_at(&c, &mut ws, &x);
+            let mut reference = sparse_jacobian(&ws).clone();
+            reference.fill_zero();
+            for device in devices {
+                let v = x[device.a.index() - 1] - x[device.b.index() - 1];
+                for (row, col, value) in device.stamps(v) {
+                    reference.add_at(row.index() - 1, col.index() - 1, value);
+                }
+            }
+            let bits =
+                |m: &SparseMatrix| -> Vec<u64> { m.values().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(sparse_jacobian(&ws)), bits(&reference), "at {x:?}");
+        }
+    }
+
+    #[test]
+    fn slot_cache_follows_a_reordered_circuit_on_a_reused_workspace() {
+        // Same layout and pattern, R1 and R2 stamped in the opposite order.
+        fn ladder(swapped: bool) -> Circuit {
+            let mut c = Circuit::new();
+            let vin = c.node("in");
+            let mid = c.node("mid");
+            let out = c.node("out");
+            c.add(VoltageSource::new(
+                "V",
+                vin,
+                Circuit::GROUND,
+                Waveform::sine(1.0, 1e3),
+            ));
+            let r1 = Resistor::new("R1", vin, mid, 1e3);
+            let r2 = Resistor::new("R2", mid, out, 2.2e3);
+            if swapped {
+                c.add(r2);
+                c.add(r1);
+            } else {
+                c.add(r1);
+                c.add(r2);
+            }
+            c.add(Capacitor::new("C1", mid, Circuit::GROUND, 1e-7));
+            c.add(Capacitor::new("C2", out, Circuit::GROUND, 4.7e-8));
+            c
+        }
+        let analysis = TransientAnalysis::new(TransientOptions {
+            t_stop: 2e-3,
+            dt: 1e-5,
+            ..sparse_options()
+        });
+        let (first, second) = (ladder(false), ladder(true));
+        let mut ws = TransientWorkspace::for_circuit(&first, analysis.options()).unwrap();
+        assert!(ws.fits(&second, analysis.options()));
+        for circuit in [&first, &second] {
+            let fresh = analysis.run(circuit).unwrap();
+            ws.invalidate_factors();
+            let reused = analysis.run_with(circuit, &mut ws).unwrap();
+            assert_eq!(
+                fresh.statistics().newton_iterations,
+                reused.statistics().newton_iterations
+            );
+            assert_eq!(fresh.len(), reused.len());
+            for k in 0..fresh.len() {
+                let (f, r) = (fresh.sample(k), reused.sample(k));
+                assert!(
+                    f.iter().zip(r).all(|(f, r)| f.to_bits() == r.to_bits()),
+                    "sample {k}: fresh {f:?} vs reused {r:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_stamp_outside_the_pattern_panics_on_any_assembly() {
+        /// Declares only its diagonal but stamps `(a, b)` between two
+        /// diagonal writes once `v(a)` exceeds 0.5 V.
+        struct Stray {
+            a: NodeId,
+            b: NodeId,
+        }
+        impl crate::device::Device for Stray {
+            fn name(&self) -> &str {
+                "stray"
+            }
+            fn stamp(&self, ctx: &mut StampContext<'_>) {
+                use crate::device::Unknown::Node;
+                ctx.add_current_derivative(self.a, Node(self.a), 1.0);
+                if ctx.voltage(self.a) > 0.5 {
+                    ctx.add_current_derivative(self.a, Node(self.b), -1.0);
+                }
+                ctx.add_current_derivative(self.a, Node(self.a), 1.0);
+            }
+            fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
+                ctx.current_derivative(self.a, crate::device::Unknown::Node(self.a));
+            }
+        }
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let b = c.node("b");
+        c.add(Stray { a, b });
+        c.add(Resistor::new("R", b, Circuit::GROUND, 1.0));
+        let quiet = [0.0, 0.0];
+        let stray = [1.0, 0.0];
+        let panic_message = |history: &[[f64; 2]]| -> String {
+            let mut ws = TransientWorkspace::for_circuit(&c, &sparse_options()).unwrap();
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for x in history {
+                    assemble_at(&c, &mut ws, x);
+                }
+            }))
+            .expect_err("the stray stamp must panic");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        let message = "entry (0, 1) is not in the sparsity pattern";
+        assert_eq!(panic_message(&[stray]), message, "first assembly");
+        assert_eq!(
+            panic_message(&[quiet, quiet, stray]),
+            message,
+            "after the cache has bound every stamp"
+        );
     }
 }

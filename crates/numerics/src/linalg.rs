@@ -86,6 +86,12 @@ impl Matrix {
         self.rows == self.cols
     }
 
+    /// The entries as one row-major slice: row `i` occupies
+    /// `[i·cols, (i + 1)·cols)`.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Sets every entry to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         for v in &mut self.data {
@@ -499,6 +505,15 @@ mod tests {
         let x = m.solve(&b).unwrap();
         for (xi, bi) in x.iter().zip(b.iter()) {
             assert!((xi - bi).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn as_slice_is_row_major() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        for (k, &v) in m.as_slice().iter().enumerate() {
+            assert_eq!(v, m[(k / m.cols(), k % m.cols())]);
         }
     }
 

@@ -263,7 +263,8 @@ impl SparseMatrix {
         }
     }
 
-    /// Iterates over the stored entries as `(row, col, value)`.
+    /// Iterates over the stored entries as `(row, col, value)`, in slot
+    /// order (see [`SparseMatrix::slot`]): row by row, ascending columns.
     pub fn entries(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.rows).flat_map(move |r| {
             (self.row_ptr[r]..self.row_ptr[r + 1])
@@ -288,10 +289,42 @@ impl SparseMatrix {
     /// outside the pattern declared at assembly time is a programming error
     /// in the device model, not a recoverable condition.
     pub fn add_at(&mut self, row: usize, col: usize, value: f64) {
+        let slot = self.slot(row, col);
+        self.values[slot] += value;
+    }
+
+    /// The storage slot of `(row, col)`: the index of its value in
+    /// [`SparseMatrix::values`]. Slots run row by row with ascending
+    /// columns, the order of [`SparseMatrix::entries`], and stay fixed with
+    /// the pattern, so a caller that stamps the same positions over and over
+    /// can look each one up once and add through
+    /// [`SparseMatrix::add_at_slot`] from then on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(row, col)` is not part of the sparsity pattern, exactly
+    /// as [`SparseMatrix::add_at`] does.
+    pub fn slot(&self, row: usize, col: usize) -> usize {
         match self.position(row, col) {
-            Some(k) => self.values[k] += value,
+            Some(k) => k,
             None => panic!("entry ({row}, {col}) is not in the sparsity pattern"),
         }
+    }
+
+    /// Adds `value` to the entry stored at `slot` (see
+    /// [`SparseMatrix::slot`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= self.nnz()`.
+    pub fn add_at_slot(&mut self, slot: usize, value: f64) {
+        self.values[slot] += value;
+    }
+
+    /// The stored values in slot order (see [`SparseMatrix::slot`]), one
+    /// per pattern entry.
+    pub fn values(&self) -> &[f64] {
+        &self.values
     }
 
     /// Returns `true` if `(row, col)` is part of the sparsity pattern.
@@ -814,6 +847,32 @@ mod tests {
         sparse.add_at(0, 0, 5.0);
         sparse.add_at(0, 0, 1.0);
         assert_eq!(sparse.get(0, 0), 6.0);
+    }
+
+    #[test]
+    fn slots_follow_the_entry_order_and_accumulate_like_add_at() {
+        let triplets = [(2, 0, 1.0), (0, 2, 2.0), (0, 0, 3.0), (1, 1, 4.0)];
+        let mut a = SparseMatrix::from_triplets(3, 3, &triplets);
+        let mut b = a.clone();
+        for (k, (r, c, v)) in a.entries().enumerate() {
+            assert_eq!(a.slot(r, c), k);
+            assert_eq!(a.values()[k], v);
+        }
+        assert_eq!(a.values().len(), a.nnz());
+        for &(r, c, v) in &triplets {
+            a.add_at(r, c, 0.1 * v);
+            let slot = b.slot(r, c);
+            b.add_at_slot(slot, 0.1 * v);
+        }
+        assert_eq!(a, b);
+        assert_eq!(a.get(0, 2), 2.0 + 0.1 * 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry (0, 1) is not in the sparsity pattern")]
+    fn slot_outside_pattern_panics() {
+        let sparse = SparseMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]);
+        sparse.slot(0, 1);
     }
 
     #[test]
