@@ -16,7 +16,7 @@
 use crate::flux::CouplingFunction;
 use crate::params::{MicroGeneratorParams, Vibration};
 use harvester_mna::circuit::NodeId;
-use harvester_mna::device::{Device, PatternContext, StampContext, Unknown};
+use harvester_mna::device::{Device, StampContext, Unknown};
 use harvester_mna::devices::VoltageSource;
 use harvester_mna::waveform::Waveform;
 
@@ -202,21 +202,6 @@ impl Device for ElectromechanicalGenerator {
         ctx.add_equation_derivative(2, Unknown::Extra(2), -1.0);
     }
 
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.current_derivative(self.positive, Unknown::Extra(0));
-        ctx.current_derivative(self.negative, Unknown::Extra(0));
-        ctx.equation_derivative(0, Unknown::Node(self.positive));
-        ctx.equation_derivative(0, Unknown::Node(self.negative));
-        ctx.equation_derivative(0, Unknown::Extra(0));
-        ctx.equation_derivative(0, Unknown::Extra(1));
-        ctx.equation_derivative(0, Unknown::Extra(2));
-        ctx.equation_derivative(1, Unknown::Extra(0));
-        ctx.equation_derivative(1, Unknown::Extra(1));
-        ctx.equation_derivative(1, Unknown::Extra(2));
-        ctx.equation_derivative(2, Unknown::Extra(1));
-        ctx.equation_derivative(2, Unknown::Extra(2));
-    }
-
     fn excitation_period(&self) -> Option<f64> {
         // The only explicit time dependence is the sinusoidal base
         // acceleration — the shooting engine must refuse any steady-state
@@ -304,10 +289,6 @@ impl Device for IdealSourceGenerator {
 
     fn stamp(&self, ctx: &mut StampContext<'_>) {
         self.inner.stamp(ctx);
-    }
-
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        self.inner.stamp_pattern(ctx);
     }
 
     fn breakpoints(&self, t_stop: f64, out: &mut Vec<f64>) {

@@ -8,7 +8,7 @@
 
 use crate::params::StorageParams;
 use harvester_mna::circuit::NodeId;
-use harvester_mna::device::{Device, PatternContext, StampContext, Unknown};
+use harvester_mna::device::{Device, StampContext, Unknown};
 
 /// Super-capacitor with leakage and equivalent series resistance.
 ///
@@ -92,14 +92,6 @@ impl Device for Supercapacitor {
         ctx.add_equation_derivative(0, Unknown::Node(self.positive), 1.0);
         ctx.add_equation_derivative(0, Unknown::Node(self.negative), -1.0);
         ctx.add_equation_derivative(0, Unknown::Extra(0), -1.0 - p.series_resistance * di_dvint);
-    }
-
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.current_derivative(self.positive, Unknown::Extra(0));
-        ctx.current_derivative(self.negative, Unknown::Extra(0));
-        ctx.equation_derivative(0, Unknown::Node(self.positive));
-        ctx.equation_derivative(0, Unknown::Node(self.negative));
-        ctx.equation_derivative(0, Unknown::Extra(0));
     }
 }
 

@@ -92,12 +92,12 @@ use harvester_numerics::linalg::{norm_inf, Matrix};
 
 use crate::cancel::CancelToken;
 use crate::circuit::{Circuit, NodeId};
-use crate::device::AcStampContext;
+use crate::device::{assemble, AcStampContext, JacobianView, StampPoint};
 use crate::options;
 use crate::shooting::{SteadyStateAnalysis, SteadyStateOptions, SteadyStateResult};
 use crate::transient::{
-    assemble_system, IntegrationMethod, JacobianStorage, RunStatistics, SimulationBudget,
-    SolverBackend, TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
+    IntegrationMethod, RunStatistics, SimulationBudget, SolverBackend, TransientAnalysis,
+    TransientOptions, TransientResult, TransientWorkspace,
 };
 use crate::MnaError;
 
@@ -1150,18 +1150,9 @@ fn workspace_options(backend: SolverBackend) -> TransientOptions {
 /// and derivative (`(value − prev)/h`) exactly, so the transient stamps
 /// reduce to the DC equations with no device-side special case.
 fn assemble_static(circuit: &Circuit, ws: &mut TransientWorkspace) {
-    assemble_system(
+    ws.assemble_solution(
         circuit,
-        &ws.layout,
-        IntegrationMethod::BackwardEuler,
-        0.0,
-        f64::INFINITY,
-        false,
-        &ws.x,
-        &ws.states,
-        &mut ws.new_states,
-        &mut ws.residual,
-        &mut ws.jacobian,
+        StampPoint::new(0.0, f64::INFINITY, IntegrationMethod::BackwardEuler, false),
     );
 }
 
@@ -1200,17 +1191,8 @@ fn newton_static(
             for i in 0..node_unknowns {
                 ws.residual[i] += gmin * ws.x[i];
             }
-            match &mut ws.jacobian {
-                JacobianStorage::Dense { matrix, .. } => {
-                    for i in 0..node_unknowns {
-                        matrix.add_at(i, i, gmin);
-                    }
-                }
-                JacobianStorage::Sparse { matrix, .. } => {
-                    for i in 0..node_unknowns {
-                        matrix.add_at(i, i, gmin);
-                    }
-                }
+            for i in 0..node_unknowns {
+                ws.jacobian.add_diagonal(i, gmin);
             }
         }
         if let Some((f0, w)) = homotopy {
@@ -1358,27 +1340,19 @@ fn small_signal_matrices(
     let mut residual = vec![0.0; n];
     let mut scratch_states = states.to_vec();
     let mut assemble_at = |dt: f64| -> Matrix {
-        let mut jac = JacobianStorage::Dense {
-            matrix: Matrix::zeros(n, n),
-            factors: None,
-        };
-        assemble_system(
+        let mut jacobian = Matrix::zeros(n, n);
+        assemble(
             circuit,
             &ws.layout,
-            IntegrationMethod::BackwardEuler,
-            0.0,
-            dt,
-            false,
+            StampPoint::new(0.0, dt, IntegrationMethod::BackwardEuler, false),
             x,
             states,
             &mut scratch_states,
             &mut residual,
-            &mut jac,
+            JacobianView::Dense(&mut jacobian),
+            None,
         );
-        match jac {
-            JacobianStorage::Dense { matrix, .. } => matrix,
-            JacobianStorage::Sparse { .. } => unreachable!("assembled dense above"),
-        }
+        jacobian
     };
     let j1 = assemble_at(1.0);
     let jh = assemble_at(0.5);

@@ -12,9 +12,14 @@
 //!   the active integration method (backward Euler or trapezoidal) and
 //!   manages the per-device history state automatically — the moral
 //!   equivalent of VHDL-AMS `'dot`.
+//!
+//! One crate-internal loop, `assemble`, stamps a whole circuit. It runs
+//! under every analysis, and once more at the zero iterate with a recording
+//! view to derive the sparse backend's Jacobian pattern from the stamps
+//! themselves.
 
-use crate::circuit::NodeId;
-use crate::transient::IntegrationMethod;
+use crate::circuit::{Circuit, NodeId};
+use crate::transient::{IntegrationMethod, SystemLayout};
 use harvester_numerics::complex::Complex64;
 use harvester_numerics::linalg::Matrix;
 use harvester_numerics::sparse::SparseMatrix;
@@ -79,20 +84,12 @@ pub trait Device {
 
     /// Contributes residual and Jacobian entries for the current Newton
     /// iterate.
-    fn stamp(&self, ctx: &mut StampContext<'_>);
-
-    /// Declares which Jacobian entries [`Device::stamp`] may ever write — the
-    /// device's contribution to the fixed MNA sparsity pattern the sparse
-    /// solver backend factorises symbolically once per circuit.
     ///
-    /// The declared pattern must be a **superset** of every entry `stamp`
-    /// touches over the whole transient (the sparse assembly panics on a
-    /// stamp outside the pattern). The default implementation conservatively
-    /// marks the entire matrix, which is always correct but forfeits
-    /// sparsity; every device shipped with this workspace overrides it.
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.mark_dense();
-    }
+    /// Must write the same Jacobian positions on every call, writing `0.0`
+    /// where a derivative vanishes: the sparse backend records the positions
+    /// of one call at the zero iterate as the circuit's sparsity pattern, and
+    /// a later write outside it panics.
+    fn stamp(&self, ctx: &mut StampContext<'_>);
 
     /// Contributes the device's small-signal (AC) excitation phasor to the
     /// complex right-hand side of an AC analysis
@@ -170,11 +167,15 @@ pub(crate) enum JacobianView<'a> {
     /// Sparse backend: stamps accumulate into a fixed-pattern CSR matrix,
     /// each into the storage slot the cache `slots` bound to its place in
     /// the stamp sequence (see [`StampSlots`]). Stamping a position outside
-    /// the pattern declared by [`Device::stamp_pattern`] panics.
+    /// the pattern recorded for the circuit panics.
     Sparse {
         matrix: &'a mut SparseMatrix,
         slots: &'a mut StampSlots,
     },
+    /// Pattern recording: each stamp appends its `(row, col)`, and the value
+    /// is dropped. The sparse backend derives its pattern from one assembly
+    /// through this view.
+    Record(&'a mut Vec<(usize, usize)>),
 }
 
 impl JacobianView<'_> {
@@ -182,8 +183,39 @@ impl JacobianView<'_> {
         match self {
             JacobianView::Dense(m) => m[(row, col)] += value,
             JacobianView::Sparse { matrix, slots } => slots.add(matrix, row, col, value),
+            JacobianView::Record(entries) => record(entries, row, col),
         }
     }
+
+    /// Clears the view for a fresh assembly: zeroes the matrix and, on the
+    /// sparse backend, rewinds the stamp-slot cache to the first stamp.
+    pub(crate) fn clear(&mut self) {
+        match self {
+            JacobianView::Dense(m) => m.fill_zero(),
+            JacobianView::Sparse { matrix, slots } => {
+                matrix.fill_zero();
+                slots.rewind();
+            }
+            JacobianView::Record(entries) => entries.clear(),
+        }
+    }
+
+    /// A shorter-lived view of the same storage, for one device's context.
+    fn reborrow(&mut self) -> JacobianView<'_> {
+        match self {
+            JacobianView::Dense(m) => JacobianView::Dense(m),
+            JacobianView::Sparse { matrix, slots } => JacobianView::Sparse { matrix, slots },
+            JacobianView::Record(entries) => JacobianView::Record(entries),
+        }
+    }
+}
+
+/// The recording arm of [`JacobianView::add`]: cold and out of line, like
+/// the sparse arm's [`StampSlots::add`].
+#[cold]
+#[inline(never)]
+fn record(entries: &mut Vec<(usize, usize)>, row: usize, col: usize) {
+    entries.push((row, col));
 }
 
 /// The sparse Jacobian's write-order slot cache: the CSR storage slot of
@@ -248,89 +280,6 @@ impl StampSlots {
     }
 }
 
-/// The view through which a device declares its Jacobian sparsity pattern
-/// (see [`Device::stamp_pattern`]).
-///
-/// The marking methods mirror the derivative-stamping methods of
-/// [`StampContext`], so a `stamp_pattern` implementation is usually a
-/// value-free copy of the derivative calls in `stamp`. Ground rows/columns
-/// are discarded exactly as they are during stamping.
-pub struct PatternContext<'a> {
-    node_unknowns: usize,
-    extra_base: usize,
-    entries: &'a mut Vec<(usize, usize)>,
-    dense: &'a mut bool,
-}
-
-impl<'a> PatternContext<'a> {
-    pub(crate) fn new(
-        node_unknowns: usize,
-        extra_base: usize,
-        entries: &'a mut Vec<(usize, usize)>,
-        dense: &'a mut bool,
-    ) -> Self {
-        PatternContext {
-            node_unknowns,
-            extra_base,
-            entries,
-            dense,
-        }
-    }
-
-    fn global_index(&self, unknown: Unknown) -> Option<usize> {
-        match unknown {
-            Unknown::Node(node) => {
-                if node.is_ground() {
-                    None
-                } else {
-                    Some(node.index() - 1)
-                }
-            }
-            Unknown::Extra(k) => Some(self.extra_base + k),
-        }
-    }
-
-    /// Number of non-ground nodes in the circuit whose pattern is being
-    /// collected.
-    pub fn node_unknown_count(&self) -> usize {
-        self.node_unknowns
-    }
-
-    /// Declares that `stamp` may call
-    /// [`StampContext::add_current_derivative`] with these arguments.
-    pub fn current_derivative(&mut self, node: NodeId, unknown: Unknown) {
-        if let (Some(row), Some(col)) = (
-            self.global_index(Unknown::Node(node)),
-            self.global_index(unknown),
-        ) {
-            self.entries.push((row, col));
-        }
-    }
-
-    /// Declares that `stamp` may call
-    /// [`StampContext::add_equation_derivative`] with these arguments.
-    pub fn equation_derivative(&mut self, equation: usize, unknown: Unknown) {
-        if let Some(col) = self.global_index(unknown) {
-            self.entries.push((self.extra_base + equation, col));
-        }
-    }
-
-    /// Declares the four entries of a conductance stamp between `a` and `b`
-    /// (the pattern of [`StampContext::stamp_conductance`]).
-    pub fn conductance(&mut self, a: NodeId, b: NodeId) {
-        self.current_derivative(a, Unknown::Node(a));
-        self.current_derivative(a, Unknown::Node(b));
-        self.current_derivative(b, Unknown::Node(a));
-        self.current_derivative(b, Unknown::Node(b));
-    }
-
-    /// Conservatively marks the whole matrix as potentially stamped: always
-    /// correct, but the sparse backend degenerates to a dense pattern.
-    pub fn mark_dense(&mut self) {
-        *self.dense = true;
-    }
-}
-
 /// The view through which a device contributes its small-signal excitation
 /// to the complex right-hand side of an AC analysis (see
 /// [`Device::stamp_ac`]).
@@ -389,15 +338,95 @@ impl<'a> AcStampContext<'a> {
     }
 }
 
+/// Where an assembly stamps the devices: the time point and step being
+/// solved, how `ddt` discretises, and whether junction limiting is on. With
+/// the iterate and the device states it fixes everything a device's
+/// [`Device::stamp`] sees.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StampPoint {
+    /// Simulation time of the step being solved (t_{n+1}).
+    pub time: f64,
+    /// Step size.
+    pub dt: f64,
+    /// Integration method [`StampContext::ddt`] applies.
+    pub method: IntegrationMethod,
+    /// Whether this is the very first step of the transient (lets devices
+    /// initialise their history consistently).
+    pub first_step: bool,
+    /// SPICE-style junction-voltage limit (volts) requested by the
+    /// convergence-recovery cascade, or `None` on the normal path.
+    pub junction_limit: Option<f64>,
+}
+
+impl StampPoint {
+    /// The step of size `dt` to `time` under `method`, without junction
+    /// limiting.
+    pub fn new(time: f64, dt: f64, method: IntegrationMethod, first_step: bool) -> Self {
+        StampPoint {
+            time,
+            dt,
+            method,
+            first_step,
+            junction_limit: None,
+        }
+    }
+}
+
+/// Stamps every device of `circuit` at `point` for the iterate `x` and the
+/// previous converged device states `states`: clears `residual` and
+/// `jacobian`, then accumulates each device's contributions in circuit
+/// order and writes its candidate new states into `new_states`.
+///
+/// This is the one assembly loop of the engine: every analysis runs it on
+/// its workspace buffers, and the sparse backend runs it through a recording
+/// [`JacobianView`] to derive its pattern. `ddt_mask` (length
+/// `layout.total_states`), when given, records which state slots each
+/// device's [`StampContext::ddt`] calls manage, the layout probe behind the
+/// shooting engine's period restarts.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assemble(
+    circuit: &Circuit,
+    layout: &SystemLayout,
+    point: StampPoint,
+    x: &[f64],
+    states: &[f64],
+    new_states: &mut [f64],
+    residual: &mut [f64],
+    mut jacobian: JacobianView<'_>,
+    mut ddt_mask: Option<&mut [u8]>,
+) {
+    residual.fill(0.0);
+    jacobian.clear();
+    for (((device, &extra_base), &state_base), &count) in circuit
+        .devices()
+        .iter()
+        .zip(layout.extra_bases.iter())
+        .zip(layout.state_bases.iter())
+        .zip(layout.state_counts.iter())
+    {
+        let slots = state_base..state_base + count;
+        let mut ctx = StampContext {
+            point,
+            x,
+            states: &states[slots.clone()],
+            new_states: &mut new_states[slots.clone()],
+            residual,
+            jacobian: jacobian.reborrow(),
+            node_unknowns: layout.node_unknowns,
+            extra_base,
+            ddt_mask: ddt_mask.as_deref_mut().map(|mask| &mut mask[slots]),
+        };
+        device.stamp(&mut ctx);
+    }
+}
+
 /// Mutable view through which a device stamps its equations.
 ///
-/// Created by the transient engine for each device on every Newton iteration.
+/// Created by the engine's assembly loop for each device on every Newton
+/// iteration.
 pub struct StampContext<'a> {
-    /// Simulation time of the step being solved (t_{n+1}).
-    time: f64,
-    /// Current step size.
-    dt: f64,
-    method: IntegrationMethod,
+    /// Time point, step, integration method and junction limit.
+    point: StampPoint,
     /// Global candidate solution: `[node voltages (id 1..), extra unknowns…]`.
     x: &'a [f64],
     /// Previous converged states for *this* device.
@@ -411,21 +440,14 @@ pub struct StampContext<'a> {
     jacobian: JacobianView<'a>,
     /// Number of non-ground nodes.
     node_unknowns: usize,
-    /// Global index of this device's first extra unknown.
+    /// Global index of this device's first extra unknown, which is also the
+    /// global row of its first equation.
     extra_base: usize,
-    /// Global row of this device's first equation.
-    equation_base: usize,
-    /// Whether this is the very first step of the transient (lets devices
-    /// initialise their history consistently).
-    first_step: bool,
     /// Optional per-device record of which state slots [`StampContext::ddt`]
     /// manages (the shooting engine's state-refresh probe):
     /// [`DDT_VALUE_SLOT`] for the previous-value slot, [`DDT_DERIVATIVE_SLOT`]
     /// for the previous-derivative slot.
     ddt_mask: Option<&'a mut [u8]>,
-    /// SPICE-style junction-voltage limit (volts) requested by the
-    /// convergence-recovery cascade, or `None` on the normal path.
-    junction_limit: Option<f64>,
 }
 
 /// Marker written into a ddt-slot mask for the slot holding a differentiated
@@ -437,81 +459,33 @@ pub(crate) const DDT_VALUE_SLOT: u8 = 1;
 pub(crate) const DDT_DERIVATIVE_SLOT: u8 = 2;
 
 impl<'a> StampContext<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        time: f64,
-        dt: f64,
-        method: IntegrationMethod,
-        x: &'a [f64],
-        states: &'a [f64],
-        new_states: &'a mut [f64],
-        residual: &'a mut [f64],
-        jacobian: JacobianView<'a>,
-        node_unknowns: usize,
-        extra_base: usize,
-        first_step: bool,
-    ) -> Self {
-        let equation_base = extra_base;
-        StampContext {
-            time,
-            dt,
-            method,
-            x,
-            states,
-            new_states,
-            residual,
-            jacobian,
-            node_unknowns,
-            extra_base,
-            equation_base,
-            first_step,
-            ddt_mask: None,
-            junction_limit: None,
-        }
-    }
-
-    /// Attaches a per-device ddt-slot mask that [`StampContext::ddt`] marks
-    /// as it runs — the layout probe of the periodic steady-state engine.
-    pub(crate) fn with_ddt_mask(mut self, mask: &'a mut [u8]) -> Self {
-        self.ddt_mask = Some(mask);
-        self
-    }
-
-    /// Requests SPICE-style junction-voltage limiting from junction devices
-    /// (the recovery cascade's second leg; see
-    /// [`RecoveryPolicy`](crate::transient::RecoveryPolicy)).
-    pub(crate) fn with_junction_limit(mut self, limit: Option<f64>) -> Self {
-        self.junction_limit = limit;
-        self
-    }
-
     /// The junction-voltage limit (volts) the current assembly runs under,
     /// or `None` on the normal unlimited path. Exponential-junction devices
     /// (the [`Diode`](crate::devices::Diode)) honour it by evaluating
     /// voltages beyond the limit at the limit and extending linearly;
     /// devices that are linear in their branch voltage ignore it.
     pub fn junction_limit(&self) -> Option<f64> {
-        self.junction_limit
+        self.point.junction_limit
     }
 
     /// Simulation time of the step being solved.
     pub fn time(&self) -> f64 {
-        self.time
+        self.point.time
     }
 
     /// Current step size.
     pub fn dt(&self) -> f64 {
-        self.dt
+        self.point.dt
     }
 
     /// Active integration method.
     pub fn method(&self) -> IntegrationMethod {
-        self.method
+        self.point.method
     }
 
     /// Returns `true` while solving the very first time step.
     pub fn is_first_step(&self) -> bool {
-        self.first_step
+        self.point.first_step
     }
 
     /// Number of non-ground nodes in the circuit being solved.
@@ -572,18 +546,21 @@ impl<'a> StampContext<'a> {
     pub fn ddt(&mut self, slot: usize, value: f64) -> Differential {
         let prev_value = self.states[slot];
         let prev_derivative = self.states[slot + 1];
-        let (derivative, gain) = match self.method {
-            IntegrationMethod::BackwardEuler => ((value - prev_value) / self.dt, 1.0 / self.dt),
+        let StampPoint {
+            dt,
+            method,
+            first_step,
+            ..
+        } = self.point;
+        let (derivative, gain) = match method {
+            IntegrationMethod::BackwardEuler => ((value - prev_value) / dt, 1.0 / dt),
             IntegrationMethod::Trapezoidal => {
-                if self.first_step {
+                if first_step {
                     // No previous derivative available yet: fall back to
                     // backward Euler for the very first step.
-                    ((value - prev_value) / self.dt, 1.0 / self.dt)
+                    ((value - prev_value) / dt, 1.0 / dt)
                 } else {
-                    (
-                        2.0 * (value - prev_value) / self.dt - prev_derivative,
-                        2.0 / self.dt,
-                    )
+                    (2.0 * (value - prev_value) / dt - prev_derivative, 2.0 / dt)
                 }
             }
         };
@@ -618,7 +595,7 @@ impl<'a> StampContext<'a> {
     /// Adds `value` to the residual of the device's `equation`-th behavioural
     /// equation (one equation per extra unknown).
     pub fn add_equation(&mut self, equation: usize, value: f64) {
-        let row = self.equation_base + equation;
+        let row = self.extra_base + equation;
         self.residual[row] += value;
     }
 
@@ -626,7 +603,7 @@ impl<'a> StampContext<'a> {
     /// equation with respect to `unknown`.
     pub fn add_equation_derivative(&mut self, equation: usize, unknown: Unknown, value: f64) {
         if let Some(col) = self.global_index(unknown) {
-            let row = self.equation_base + equation;
+            let row = self.extra_base + equation;
             self.jacobian.add(row, col, value);
         }
     }
@@ -662,21 +639,39 @@ mod tests {
         )
     }
 
+    /// A dense-backend context over a system of node voltages only, for a
+    /// device without extra unknowns.
+    fn context<'a>(
+        point: StampPoint,
+        x: &'a [f64],
+        states: &'a [f64],
+        new_states: &'a mut [f64],
+        residual: &'a mut [f64],
+        jacobian: &'a mut Matrix,
+    ) -> StampContext<'a> {
+        StampContext {
+            point,
+            x,
+            states,
+            new_states,
+            residual,
+            jacobian: JacobianView::Dense(jacobian),
+            node_unknowns: x.len(),
+            extra_base: x.len(),
+            ddt_mask: None,
+        }
+    }
+
     #[test]
     fn ground_contributions_are_discarded() {
         let (x, states, mut new_states, mut residual, mut jacobian) = make_buffers(2);
-        let mut ctx = StampContext::new(
-            0.0,
-            1e-3,
-            IntegrationMethod::BackwardEuler,
+        let mut ctx = context(
+            StampPoint::new(0.0, 1e-3, IntegrationMethod::BackwardEuler, true),
             &x,
             &states,
             &mut new_states,
             &mut residual,
-            JacobianView::Dense(&mut jacobian),
-            2,
-            2,
-            true,
+            &mut jacobian,
         );
         ctx.add_current(Circuit::GROUND, 1.0);
         ctx.add_current_derivative(Circuit::GROUND, Unknown::Node(Circuit::GROUND), 1.0);
@@ -688,18 +683,13 @@ mod tests {
     fn ddt_backward_euler() {
         let (x, mut states, mut new_states, mut residual, mut jacobian) = make_buffers(1);
         states[0] = 2.0; // previous value
-        let mut ctx = StampContext::new(
-            1e-3,
-            1e-3,
-            IntegrationMethod::BackwardEuler,
+        let mut ctx = context(
+            StampPoint::new(1e-3, 1e-3, IntegrationMethod::BackwardEuler, false),
             &x,
             &states,
             &mut new_states,
             &mut residual,
-            JacobianView::Dense(&mut jacobian),
-            1,
-            1,
-            false,
+            &mut jacobian,
         );
         let d = ctx.ddt(0, 3.0);
         assert!((d.derivative - 1000.0).abs() < 1e-9);
@@ -713,18 +703,13 @@ mod tests {
         let (x, mut states, mut new_states, mut residual, mut jacobian) = make_buffers(1);
         states[0] = 1.0; // previous value
         states[1] = 10.0; // previous derivative
-        let mut ctx = StampContext::new(
-            2e-3,
-            1e-3,
-            IntegrationMethod::Trapezoidal,
+        let mut ctx = context(
+            StampPoint::new(2e-3, 1e-3, IntegrationMethod::Trapezoidal, false),
             &x,
             &states,
             &mut new_states,
             &mut residual,
-            JacobianView::Dense(&mut jacobian),
-            1,
-            1,
-            false,
+            &mut jacobian,
         );
         let d = ctx.ddt(0, 1.0 + 10.0 * 1e-3);
         // If the value followed the previous slope exactly the trapezoidal
@@ -743,18 +728,13 @@ mod tests {
         let mut new_states = vec![0.0; 4];
         let mut residual = vec![0.0; 2];
         let mut jacobian = Matrix::zeros(2, 2);
-        let mut ctx = StampContext::new(
-            0.0,
-            1e-3,
-            IntegrationMethod::BackwardEuler,
+        let mut ctx = context(
+            StampPoint::new(0.0, 1e-3, IntegrationMethod::BackwardEuler, true),
             &x,
             &states,
             &mut new_states,
             &mut residual,
-            JacobianView::Dense(&mut jacobian),
-            2,
-            2,
-            true,
+            &mut jacobian,
         );
         let i = ctx.stamp_conductance(a, b, 0.5);
         assert!((i - 0.5).abs() < 1e-12);

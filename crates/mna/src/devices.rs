@@ -11,7 +11,7 @@
 //! to its second terminal through the device.
 
 use crate::circuit::NodeId;
-use crate::device::{AcStampContext, Device, PatternContext, StampContext, Unknown};
+use crate::device::{AcStampContext, Device, StampContext, Unknown};
 use crate::waveform::Waveform;
 use harvester_numerics::complex::Complex64;
 
@@ -85,10 +85,6 @@ impl Device for Resistor {
 
     fn stamp(&self, ctx: &mut StampContext<'_>) {
         ctx.stamp_conductance(self.a, self.b, 1.0 / self.resistance);
-    }
-
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.conductance(self.a, self.b);
     }
 }
 
@@ -183,10 +179,6 @@ impl Device for Capacitor {
         ctx.add_current_derivative(self.a, Unknown::Node(self.b), -g);
         ctx.add_current_derivative(self.b, Unknown::Node(self.a), -g);
         ctx.add_current_derivative(self.b, Unknown::Node(self.b), g);
-    }
-
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.conductance(self.a, self.b);
     }
 }
 
@@ -292,14 +284,6 @@ impl Device for Inductor {
         ctx.add_equation_derivative(0, Unknown::Node(self.b), -1.0);
         ctx.add_equation_derivative(0, Unknown::Extra(0), -self.inductance * d.gain);
     }
-
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.current_derivative(self.a, Unknown::Extra(0));
-        ctx.current_derivative(self.b, Unknown::Extra(0));
-        ctx.equation_derivative(0, Unknown::Node(self.a));
-        ctx.equation_derivative(0, Unknown::Node(self.b));
-        ctx.equation_derivative(0, Unknown::Extra(0));
-    }
 }
 
 /// Independent voltage source driven by a [`Waveform`].
@@ -384,13 +368,6 @@ impl Device for VoltageSource {
         ctx.add_equation_derivative(0, Unknown::Node(self.b), -1.0);
     }
 
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.current_derivative(self.a, Unknown::Extra(0));
-        ctx.current_derivative(self.b, Unknown::Extra(0));
-        ctx.equation_derivative(0, Unknown::Node(self.a));
-        ctx.equation_derivative(0, Unknown::Node(self.b));
-    }
-
     fn stamp_ac(&self, ctx: &mut AcStampContext<'_>) {
         if let Some(ac) = self.ac {
             // The transient equation carries `−V(t)`, so the small-signal
@@ -471,10 +448,6 @@ impl Device for CurrentSource {
         let i = self.waveform.value(ctx.time());
         ctx.add_current(self.a, i);
         ctx.add_current(self.b, -i);
-    }
-
-    fn stamp_pattern(&self, _ctx: &mut PatternContext<'_>) {
-        // Residual-only stamps: no Jacobian entries.
     }
 
     fn stamp_ac(&self, ctx: &mut AcStampContext<'_>) {
@@ -626,10 +599,6 @@ impl Device for Diode {
         ctx.add_current_derivative(self.cathode, Unknown::Node(self.anode), -g);
         ctx.add_current_derivative(self.cathode, Unknown::Node(self.cathode), g);
     }
-
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.conductance(self.anode, self.cathode);
-    }
 }
 
 /// Ideal transformer with voltage ratio `n = v_secondary / v_primary`.
@@ -734,19 +703,6 @@ impl Device for IdealTransformer {
         ctx.add_equation_derivative(1, Unknown::Extra(0), 1.0);
         ctx.add_equation_derivative(1, Unknown::Extra(1), self.ratio);
     }
-
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.current_derivative(self.primary_pos, Unknown::Extra(0));
-        ctx.current_derivative(self.primary_neg, Unknown::Extra(0));
-        ctx.current_derivative(self.secondary_pos, Unknown::Extra(1));
-        ctx.current_derivative(self.secondary_neg, Unknown::Extra(1));
-        ctx.equation_derivative(0, Unknown::Node(self.secondary_pos));
-        ctx.equation_derivative(0, Unknown::Node(self.secondary_neg));
-        ctx.equation_derivative(0, Unknown::Node(self.primary_pos));
-        ctx.equation_derivative(0, Unknown::Node(self.primary_neg));
-        ctx.equation_derivative(1, Unknown::Extra(0));
-        ctx.equation_derivative(1, Unknown::Extra(1));
-    }
 }
 
 /// A switch that is closed (low resistance) inside `[t_on, t_off)` and open
@@ -815,10 +771,6 @@ impl Device for TimedSwitch {
             self.off_resistance
         };
         ctx.stamp_conductance(self.a, self.b, 1.0 / r);
-    }
-
-    fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-        ctx.conductance(self.a, self.b);
     }
 
     fn breakpoints(&self, t_stop: f64, out: &mut Vec<f64>) {

@@ -457,7 +457,7 @@ fn wave(device: &dyn crate::device::Device, w: &Waveform) -> Result<String, Netl
 mod tests {
     use super::super::{build, print};
     use crate::circuit::Circuit;
-    use crate::device::{Device, PatternContext, StampContext};
+    use crate::device::{Device, StampContext};
     use crate::devices::{
         Capacitor, CurrentSource, Diode, IdealTransformer, Inductor, Resistor, TimedSwitch,
         VoltageSource,
@@ -554,7 +554,6 @@ mod tests {
             "G1"
         }
         fn stamp(&self, _ctx: &mut StampContext<'_>) {}
-        fn stamp_pattern(&self, _ctx: &mut PatternContext<'_>) {}
     }
 
     #[test]

@@ -70,11 +70,10 @@
 //! ```
 
 use crate::circuit::Circuit;
-use crate::device::DDT_VALUE_SLOT;
+use crate::device::{assemble, StampPoint, DDT_VALUE_SLOT};
 use crate::transient::{
-    assemble_system, assemble_system_masked, CachedFactors, IntegrationMethod, JacobianStorage,
-    RunStatistics, StepControl, TransientAnalysis, TransientOptions, TransientResult,
-    TransientWorkspace,
+    CachedFactors, IntegrationMethod, JacobianStorage, RunStatistics, StepControl,
+    TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
 };
 use crate::MnaError;
 use harvester_numerics::fault::FaultInjector;
@@ -728,18 +727,15 @@ impl SteadyStateAnalysis {
         dt: f64,
     ) -> Vec<u8> {
         let mut mask = vec![0u8; ws.layout.total_states];
-        assemble_system_masked(
+        assemble(
             circuit,
             &ws.layout,
-            self.options.transient.method,
-            t,
-            dt,
-            false,
+            StampPoint::new(t, dt, self.options.transient.method, false),
             &ws.x,
             &ws.states,
             &mut ws.new_states,
             &mut ws.residual,
-            &mut ws.jacobian,
+            ws.jacobian.view(),
             Some(&mut mask),
         );
         mask
@@ -910,33 +906,15 @@ impl SteadyStateAnalysis {
                 let be_startup = was_first && trapezoidal;
                 cache.clear_w(&ws.jacobian);
                 if be_startup {
-                    assemble_system(
+                    ws.assemble_solution(
                         circuit,
-                        &ws.layout,
-                        opts.method,
-                        t_next,
-                        step,
-                        false,
-                        &ws.x,
-                        &ws.states,
-                        &mut ws.new_states,
-                        &mut ws.residual,
-                        &mut ws.jacobian,
+                        StampPoint::new(t_next, step, opts.method, false),
                     );
                 }
                 cache.accumulate_w(&ws.jacobian, 2.0 * step);
-                assemble_system(
+                ws.assemble_solution(
                     circuit,
-                    &ws.layout,
-                    opts.method,
-                    t_next,
-                    2.0 * step,
-                    false,
-                    &ws.x,
-                    &ws.states,
-                    &mut ws.new_states,
-                    &mut ws.residual,
-                    &mut ws.jacobian,
+                    StampPoint::new(t_next, 2.0 * step, opts.method, false),
                 );
                 cache.accumulate_w(&ws.jacobian, -2.0 * step);
                 let h_eff = if be_startup { 2.0 * step } else { step };
@@ -974,19 +952,7 @@ impl SteadyStateAnalysis {
     ) {
         let method = self.options.transient.method;
         for (scale, h) in [(2.0 * dt, dt), (-2.0 * dt, 2.0 * dt)] {
-            assemble_system(
-                circuit,
-                &ws.layout,
-                method,
-                t,
-                h,
-                false,
-                &ws.x,
-                &ws.states,
-                &mut ws.new_states,
-                &mut ws.residual,
-                &mut ws.jacobian,
-            );
+            ws.assemble_solution(circuit, StampPoint::new(t, h, method, false));
             if scale > 0.0 {
                 cache.clear_w(&ws.jacobian);
             }
@@ -1013,18 +979,9 @@ impl SteadyStateAnalysis {
         t: f64,
         dt: f64,
     ) {
-        assemble_system(
+        ws.assemble_solution(
             circuit,
-            &ws.layout,
-            self.options.transient.method,
-            t,
-            dt,
-            false,
-            &ws.x,
-            &ws.states,
-            &mut ws.new_states,
-            &mut ws.residual,
-            &mut ws.jacobian,
+            StampPoint::new(t, dt, self.options.transient.method, false),
         );
         for (slot, &kind) in ddt_mask.iter().enumerate() {
             if kind == DDT_VALUE_SLOT {

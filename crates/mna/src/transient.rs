@@ -16,11 +16,15 @@
 //! * [`SolverBackend::Dense`] — dense LU with partial pivoting. Fastest for
 //!   the small systems (tens of unknowns) a single harvester produces.
 //! * [`SolverBackend::Sparse`] — CSR assembly into the fixed MNA sparsity
-//!   pattern declared by [`Device::stamp_pattern`](crate::device::Device::stamp_pattern), factored with a sparse LU
-//!   whose symbolic analysis (pivot order, fill pattern, scatter map) is
-//!   computed **once per circuit** and reused across every Newton iteration
-//!   and time step. Each stamp lands on a CSR slot bound to its position in
-//!   the stamp sequence once per workspace, so assembly does no searching.
+//!   pattern, factored with a sparse LU whose symbolic analysis (pivot
+//!   order, fill pattern, scatter map) is computed **once per circuit** and
+//!   reused across every Newton iteration and time step. The pattern is
+//!   derived from the devices' own stamps: one assembly at the zero iterate
+//!   records every position written (see
+//!   [`Device::stamp`](crate::device::Device::stamp) for the contract that
+//!   makes this sound). Each stamp lands on a CSR slot bound to its position
+//!   in the stamp sequence once per workspace, so assembly does no
+//!   searching.
 //! * [`SolverBackend::Auto`] (the default) picks dense below
 //!   [`SolverBackend::AUTO_SPARSE_THRESHOLD`] unknowns and sparse above it.
 //!
@@ -31,7 +35,7 @@
 
 use crate::cancel::CancelToken;
 use crate::circuit::{Circuit, NodeId};
-use crate::device::{JacobianView, PatternContext, StampContext, StampSlots};
+use crate::device::{assemble, JacobianView, StampPoint, StampSlots};
 use crate::error::{ConvergenceReport, RecoveryStrategy};
 use crate::MnaError;
 use harvester_numerics::extrap::{divided_differences, extrapolate_rows, newton_eval};
@@ -690,12 +694,12 @@ impl RunStatistics {
 /// slots each device owns.
 #[derive(Debug, Clone)]
 pub(crate) struct SystemLayout {
-    node_unknowns: usize,
+    pub(crate) node_unknowns: usize,
     pub(crate) n: usize,
     pub(crate) total_states: usize,
-    extra_bases: Vec<usize>,
-    state_bases: Vec<usize>,
-    state_counts: Vec<usize>,
+    pub(crate) extra_bases: Vec<usize>,
+    pub(crate) state_bases: Vec<usize>,
+    pub(crate) state_counts: Vec<usize>,
     pub(crate) probes: HashMap<String, (usize, Vec<String>)>,
 }
 
@@ -795,15 +799,11 @@ pub(crate) enum JacobianStorage {
 }
 
 impl JacobianStorage {
-    /// Zeroes the matrix for a fresh assembly and, on the sparse backend,
-    /// rewinds the stamp-slot cache to the assembly's first stamp.
-    pub(crate) fn fill_zero(&mut self) {
+    /// The view an assembly stamps through.
+    pub(crate) fn view(&mut self) -> JacobianView<'_> {
         match self {
-            JacobianStorage::Dense { matrix, .. } => matrix.fill_zero(),
-            JacobianStorage::Sparse { matrix, slots, .. } => {
-                matrix.fill_zero();
-                slots.rewind();
-            }
+            JacobianStorage::Dense { matrix, .. } => JacobianView::Dense(matrix),
+            JacobianStorage::Sparse { matrix, slots, .. } => JacobianView::Sparse { matrix, slots },
         }
     }
 
@@ -1109,9 +1109,9 @@ const PREDICTOR_HISTORY: usize = 3;
 
 impl TransientWorkspace {
     /// Builds the workspace for `circuit`: computes the system layout,
-    /// resolves the solver backend and, on the sparse backend, collects the
-    /// circuit's Jacobian sparsity pattern from the devices'
-    /// [`Device::stamp_pattern`](crate::device::Device::stamp_pattern) declarations.
+    /// resolves the solver backend and, on the sparse backend, derives the
+    /// circuit's Jacobian sparsity pattern from one recording assembly at
+    /// the zero iterate (see [`Device::stamp`](crate::device::Device::stamp)).
     ///
     /// # Errors
     ///
@@ -1122,34 +1122,15 @@ impl TransientWorkspace {
         let n = layout.n;
         let backend = options.backend.resolve(n);
         let jacobian = if backend == SolverBackend::Sparse {
-            let mut entries: Vec<(usize, usize)> = Vec::new();
-            let mut dense_fallback = false;
-            for (device, &extra_base) in circuit.devices().iter().zip(layout.extra_bases.iter()) {
-                let mut ctx = PatternContext::new(
-                    layout.node_unknowns,
-                    extra_base,
-                    &mut entries,
-                    &mut dense_fallback,
-                );
-                device.stamp_pattern(&mut ctx);
-            }
             let mut triplets = TripletMatrix::new(n, n);
-            if dense_fallback {
-                for r in 0..n {
-                    for c in 0..n {
-                        triplets.push(r, c, 0.0);
-                    }
-                }
-            } else {
-                for &(r, c) in &entries {
-                    triplets.push(r, c, 0.0);
-                }
-                // The diagonal is always part of the pattern: it keeps the
-                // factorisation's pivot structure stable even where no device
-                // stamps the diagonal directly.
-                for i in 0..n {
-                    triplets.push(i, i, 0.0);
-                }
+            for (r, c) in recorded_stamps(circuit, &layout) {
+                triplets.push(r, c, 0.0);
+            }
+            // The diagonal is always part of the pattern: it keeps the
+            // factorisation's pivot structure stable even where no device
+            // stamps the diagonal directly.
+            for i in 0..n {
+                triplets.push(i, i, 0.0);
             }
             JacobianStorage::Sparse {
                 matrix: triplets.to_csr(),
@@ -1266,7 +1247,7 @@ impl TransientWorkspace {
     }
 
     /// Returns `true` if the workspace's Jacobian storage can absorb every
-    /// stamp `circuit` declares. Always true on the dense backend; on the
+    /// stamp `circuit` writes. Always true on the dense backend; on the
     /// sparse backend this catches a rewired circuit that kept the same
     /// layout but changed topology (its stamps would otherwise panic against
     /// the stale pattern).
@@ -1274,28 +1255,15 @@ impl TransientWorkspace {
         let JacobianStorage::Sparse { matrix, .. } = &self.jacobian else {
             return true;
         };
-        let n = self.layout.n;
-        let mut entries: Vec<(usize, usize)> = Vec::new();
-        let mut dense_fallback = false;
-        for (device, &extra_base) in circuit.devices().iter().zip(self.layout.extra_bases.iter()) {
-            let mut ctx = PatternContext::new(
-                self.layout.node_unknowns,
-                extra_base,
-                &mut entries,
-                &mut dense_fallback,
-            );
-            device.stamp_pattern(&mut ctx);
-        }
-        if dense_fallback {
-            return matrix.nnz() == n * n;
-        }
-        entries.iter().all(|&(r, c)| matrix.contains(r, c))
+        recorded_stamps(circuit, &self.layout)
+            .iter()
+            .all(|&(r, c)| matrix.contains(r, c))
     }
 
     /// Returns `true` when this workspace can be reused for `circuit` under
     /// `options` without rebuilding: the layout matches, the resolved solver
     /// backend is the same and (on the sparse backend) the stored sparsity
-    /// pattern covers every stamp the circuit declares. This is exactly the
+    /// pattern covers every stamp the circuit writes. This is exactly the
     /// precondition [`TransientAnalysis::run_with`] enforces, exposed so
     /// sweep/optimisation loops can decide between reuse and rebuild without
     /// provoking an error.
@@ -1364,143 +1332,167 @@ impl TransientWorkspace {
         self.hist_times.push(t);
         self.hist_states.extend_from_slice(&self.x);
     }
+
+    /// Assembles the residual and Jacobian at `point` for the Newton
+    /// candidate `candidate`, on this workspace's buffers.
+    pub(crate) fn assemble_candidate(&mut self, circuit: &Circuit, point: StampPoint) {
+        assemble(
+            circuit,
+            &self.layout,
+            point,
+            &self.candidate,
+            &self.states,
+            &mut self.new_states,
+            &mut self.residual,
+            self.jacobian.view(),
+            None,
+        );
+    }
+
+    /// As [`TransientWorkspace::assemble_candidate`], for the solution `x`.
+    pub(crate) fn assemble_solution(&mut self, circuit: &Circuit, point: StampPoint) {
+        assemble(
+            circuit,
+            &self.layout,
+            point,
+            &self.x,
+            &self.states,
+            &mut self.new_states,
+            &mut self.residual,
+            self.jacobian.view(),
+            None,
+        );
+    }
+
+    /// The Jacobian positions the sparse backend stores, in row-major
+    /// order: every position one assembly at the zero iterate writes, plus
+    /// the diagonal. `None` on the dense backend.
+    pub fn sparsity_pattern(&self) -> Option<Vec<(usize, usize)>> {
+        match &self.jacobian {
+            JacobianStorage::Sparse { matrix, .. } => {
+                Some(matrix.entries().map(|(r, c, _)| (r, c)).collect())
+            }
+            JacobianStorage::Dense { .. } => None,
+        }
+    }
 }
 
-/// Assembles the residual and Jacobian for one Newton iterate by stamping
-/// every device.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_system(
-    circuit: &Circuit,
-    layout: &SystemLayout,
-    method: IntegrationMethod,
-    time: f64,
-    dt: f64,
-    first: bool,
-    x: &[f64],
-    states: &[f64],
-    new_states: &mut [f64],
-    residual: &mut [f64],
-    jacobian: &mut JacobianStorage,
-) {
-    assemble_system_masked(
-        circuit, layout, method, time, dt, first, x, states, new_states, residual, jacobian, None,
-    );
-}
-
-/// As [`assemble_system`], optionally recording which state slots each
-/// device's `ddt` calls manage into `ddt_mask` (length
-/// `layout.total_states`) — the layout probe behind the shooting engine's
-/// period restarts.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_system_masked(
-    circuit: &Circuit,
-    layout: &SystemLayout,
-    method: IntegrationMethod,
-    time: f64,
-    dt: f64,
-    first: bool,
-    x: &[f64],
-    states: &[f64],
-    new_states: &mut [f64],
-    residual: &mut [f64],
-    jacobian: &mut JacobianStorage,
-    ddt_mask: Option<&mut [u8]>,
-) {
-    assemble_system_full(
-        circuit, layout, method, time, dt, first, x, states, new_states, residual, jacobian,
-        ddt_mask, None,
-    );
-}
-
-/// As [`assemble_system`], with SPICE-style junction-voltage limiting
-/// active in the junction-device stamps (the [`RecoveryPolicy`] cascade's
-/// second leg). Never used on the default path.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_system_limited(
-    circuit: &Circuit,
-    layout: &SystemLayout,
-    method: IntegrationMethod,
-    time: f64,
-    dt: f64,
-    first: bool,
-    x: &[f64],
-    states: &[f64],
-    new_states: &mut [f64],
-    residual: &mut [f64],
-    jacobian: &mut JacobianStorage,
-    junction_limit: Option<f64>,
-) {
-    assemble_system_full(
+/// The positions one assembly of `circuit` writes at the zero iterate, in
+/// write order: the sparse backend's pattern (apart from the diagonal it
+/// always adds). The stamp contract of
+/// [`Device::stamp`](crate::device::Device::stamp) makes them every position
+/// any later assembly writes, so the time point and step it records at are
+/// arbitrary.
+fn recorded_stamps(circuit: &Circuit, layout: &SystemLayout) -> Vec<(usize, usize)> {
+    let x = vec![0.0; layout.n];
+    let states = vec![0.0; layout.total_states];
+    let mut new_states = states.clone();
+    let mut residual = x.clone();
+    let mut stamps = Vec::new();
+    assemble(
         circuit,
         layout,
-        method,
-        time,
-        dt,
-        first,
-        x,
-        states,
-        new_states,
-        residual,
-        jacobian,
+        StampPoint::new(0.0, 1.0, IntegrationMethod::BackwardEuler, true),
+        &x,
+        &states,
+        &mut new_states,
+        &mut residual,
+        JacobianView::Record(&mut stamps),
         None,
-        junction_limit,
     );
+    stamps
 }
 
-/// The one stamping loop every assembly variant funnels through.
-#[allow(clippy::too_many_arguments)]
-fn assemble_system_full(
-    circuit: &Circuit,
-    layout: &SystemLayout,
-    method: IntegrationMethod,
-    time: f64,
-    dt: f64,
-    first: bool,
-    x: &[f64],
-    states: &[f64],
-    new_states: &mut [f64],
-    residual: &mut [f64],
-    jacobian: &mut JacobianStorage,
-    mut ddt_mask: Option<&mut [u8]>,
-    junction_limit: Option<f64>,
-) {
-    for r in residual.iter_mut() {
-        *r = 0.0;
-    }
-    jacobian.fill_zero();
-    for (((device, &extra_base), &state_base), &count) in circuit
-        .devices()
-        .iter()
-        .zip(layout.extra_bases.iter())
-        .zip(layout.state_bases.iter())
-        .zip(layout.state_counts.iter())
-    {
-        let dev_states = &states[state_base..state_base + count];
-        let dev_new_states = &mut new_states[state_base..state_base + count];
-        let view = match jacobian {
-            JacobianStorage::Dense { matrix, .. } => JacobianView::Dense(matrix),
-            JacobianStorage::Sparse { matrix, slots, .. } => JacobianView::Sparse { matrix, slots },
-        };
-        let mut ctx = StampContext::new(
-            time,
-            dt,
-            method,
-            x,
-            dev_states,
-            dev_new_states,
-            residual,
-            view,
-            layout.node_unknowns,
-            extra_base,
-            first,
-        )
-        .with_junction_limit(junction_limit);
-        if count > 0 {
-            if let Some(mask) = ddt_mask.as_deref_mut() {
-                ctx = ctx.with_ddt_mask(&mut mask[state_base..state_base + count]);
-            }
+/// A circuit's residual and Jacobian assembled once at a chosen point,
+/// outside any analysis: what a Newton iteration there works with. It is
+/// the primitive for checking a [`Device`](crate::device::Device)'s
+/// analytic Jacobian: compare [`Linearisation::jacobian`] with finite
+/// differences of [`Linearisation::residual`], and
+/// [`Linearisation::stamps`] with the sparse backend's
+/// [`TransientWorkspace::sparsity_pattern`].
+///
+/// # Example
+///
+/// ```
+/// use harvester_mna::circuit::Circuit;
+/// use harvester_mna::device::StampPoint;
+/// use harvester_mna::devices::Resistor;
+/// use harvester_mna::transient::{IntegrationMethod, Linearisation};
+///
+/// # fn main() -> Result<(), harvester_mna::MnaError> {
+/// let mut circuit = Circuit::new();
+/// let a = circuit.node("a");
+/// circuit.add(Resistor::new("R", a, Circuit::GROUND, 100.0));
+/// let point = StampPoint::new(0.0, 1e-6, IntegrationMethod::BackwardEuler, false);
+/// let lin = Linearisation::at(&circuit, point, &[2.0], &[])?;
+/// assert_eq!(lin.residual, [0.02]);
+/// assert_eq!(lin.jacobian[(0, 0)], 0.01);
+/// assert_eq!(lin.stamps, [(0, 0)]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct Linearisation {
+    /// The residual `f(x)`: one KCL row per non-ground node, then the
+    /// devices' equations, in circuit order.
+    pub residual: Vec<f64>,
+    /// The stamped Jacobian `∂f/∂x`.
+    pub jacobian: Matrix,
+    /// Every Jacobian position the devices wrote, in write order.
+    pub stamps: Vec<(usize, usize)>,
+}
+
+impl Linearisation {
+    /// Assembles `circuit` at `point` for the iterate `x` (node voltages,
+    /// then the devices' extra unknowns) with the previous converged device
+    /// states `states` (each device's slots in circuit order).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MnaError::InvalidNetlist`] for a circuit no analysis could
+    /// run, and [`MnaError::InvalidOptions`] if `x` or `states` does not
+    /// match the circuit's layout.
+    pub fn at(
+        circuit: &Circuit,
+        point: StampPoint,
+        x: &[f64],
+        states: &[f64],
+    ) -> Result<Self, MnaError> {
+        let layout = SystemLayout::for_circuit(circuit)?;
+        if x.len() != layout.n || states.len() != layout.total_states {
+            return Err(MnaError::InvalidOptions(format!(
+                "the circuit has {} unknowns and {} state slots, not {} and {}",
+                layout.n,
+                layout.total_states,
+                x.len(),
+                states.len()
+            )));
         }
-        device.stamp(&mut ctx);
+        let mut new_states = states.to_vec();
+        let mut residual = vec![0.0; layout.n];
+        let mut jacobian = Matrix::zeros(layout.n, layout.n);
+        let mut stamps = Vec::new();
+        for view in [
+            JacobianView::Dense(&mut jacobian),
+            JacobianView::Record(&mut stamps),
+        ] {
+            assemble(
+                circuit,
+                &layout,
+                point,
+                x,
+                states,
+                &mut new_states,
+                &mut residual,
+                view,
+                None,
+            );
+        }
+        Ok(Linearisation {
+            residual,
+            jacobian,
+            stamps,
+        })
     }
 }
 
@@ -1677,21 +1669,10 @@ impl TransientAnalysis {
             && (h - ws.factored_h).abs() <= JACOBIAN_REUSE_H_RTOL * h;
         let mut prev_delta_norm = f64::INFINITY;
         let mut stale_iterations = 0usize;
+        let point = StampPoint::new(t_next, h, opts.method, first_step);
 
         for _ in 0..opts.max_newton_iterations {
-            assemble_system(
-                circuit,
-                &ws.layout,
-                opts.method,
-                t_next,
-                h,
-                first_step,
-                &ws.candidate,
-                &ws.states,
-                &mut ws.new_states,
-                &mut ws.residual,
-                &mut ws.jacobian,
-            );
+            ws.assemble_candidate(circuit, point);
             if ws
                 .fault
                 .as_mut()
@@ -1782,20 +1763,14 @@ impl TransientAnalysis {
         // re-measured at the final candidate (the iterate that would be
         // committed), not at the stale pre-update iterate.
         if !converged {
-            assemble_system(
-                circuit,
-                &ws.layout,
-                opts.method,
-                t_next,
-                h,
-                first_step,
-                &ws.candidate,
-                &ws.states,
-                &mut ws.new_states,
-                &mut ws.residual,
-                &mut ws.jacobian,
-            );
+            ws.assemble_candidate(circuit, point);
             last_residual_norm = norm_inf(&ws.residual);
+            if ws.residual.iter().any(|r| r.is_nan()) {
+                // Element-wise, as in `recovery_newton`: the max-fold norm
+                // skips NaN entries, so a poisoned residual would otherwise
+                // read as balanced.
+                last_residual_norm = f64::NAN;
+            }
             if last_residual_norm <= opts.residual_tolerance {
                 converged = true;
             }
@@ -1804,19 +1779,7 @@ impl TransientAnalysis {
         if converged {
             // Refresh the residual, Jacobian and candidate states at the
             // accepted solution so the committed history is consistent.
-            assemble_system(
-                circuit,
-                &ws.layout,
-                opts.method,
-                t_next,
-                h,
-                first_step,
-                &ws.candidate,
-                &ws.states,
-                &mut ws.new_states,
-                &mut ws.residual,
-                &mut ws.jacobian,
-            );
+            ws.assemble_candidate(circuit, point);
         }
 
         StepAttempt {
@@ -2311,10 +2274,11 @@ impl TransientAnalysis {
             return Err(bare);
         }
 
+        let point = StampPoint::new(t_next, h, opts.method, first_step);
         let mut strategies = vec![RecoveryStrategy::StepHalving];
         if policy.gmin_ramp {
             strategies.push(RecoveryStrategy::GminRamp);
-            if self.recovery_gmin_ramp(circuit, ws, t_next, h, first_step, stats) {
+            if self.recovery_gmin_ramp(circuit, ws, point, stats) {
                 stats.recovery_retries += 1;
                 ws.factored_h = f64::NAN;
                 return Ok(());
@@ -2326,8 +2290,12 @@ impl TransientAnalysis {
             // The limited solve tames the exponential excursions enough to
             // land near the solution; a clean polish from there guarantees
             // the committed point solves the *unlimited* system.
-            if self.recovery_newton(circuit, ws, t_next, h, first_step, stats, 0.0, Some(limit))
-                && self.recovery_newton(circuit, ws, t_next, h, first_step, stats, 0.0, None)
+            let limited = StampPoint {
+                junction_limit: Some(limit),
+                ..point
+            };
+            if self.recovery_newton(circuit, ws, limited, stats, 0.0)
+                && self.recovery_newton(circuit, ws, point, stats, 0.0)
             {
                 stats.recovery_retries += 1;
                 ws.factored_h = f64::NAN;
@@ -2340,19 +2308,7 @@ impl TransientAnalysis {
         }
         // Post-mortem: re-measure the residual at the last iterate and map
         // the worst-balanced equations back to netlist names.
-        assemble_system(
-            circuit,
-            &ws.layout,
-            opts.method,
-            t_next,
-            h,
-            first_step,
-            &ws.candidate,
-            &ws.states,
-            &mut ws.new_states,
-            &mut ws.residual,
-            &mut ws.jacobian,
-        );
+        ws.assemble_candidate(circuit, point);
         let residual = norm_inf(&ws.residual);
         let mut ranked: Vec<(usize, f64)> =
             ws.residual.iter().map(|r| r.abs()).enumerate().collect();
@@ -2384,9 +2340,7 @@ impl TransientAnalysis {
         &self,
         circuit: &Circuit,
         ws: &mut TransientWorkspace,
-        t_next: f64,
-        h: f64,
-        first_step: bool,
+        point: StampPoint,
         stats: &mut RunStatistics,
     ) -> bool {
         let policy = self.options.recovery;
@@ -2394,50 +2348,33 @@ impl TransientAnalysis {
         ws.candidate.copy_from_slice(&ws.x);
         let mut gmin = policy.gmin_start;
         for _ in 0..policy.gmin_stages {
-            if !self.recovery_newton(circuit, ws, t_next, h, first_step, stats, gmin, None) {
+            if !self.recovery_newton(circuit, ws, point, stats, gmin) {
                 return false;
             }
             gmin /= 10.0;
         }
-        self.recovery_newton(circuit, ws, t_next, h, first_step, stats, 0.0, None)
+        self.recovery_newton(circuit, ws, point, stats, 0.0)
     }
 
     /// One plain Newton solve of the (possibly gmin- or limiting-modified)
-    /// step system, operating on `ws.candidate` in place — the transient
-    /// sibling of the static `newton_static` in
+    /// step system at `point`, operating on `ws.candidate` in place — the
+    /// transient sibling of the static `newton_static` in
     /// [`analysis`](crate::analysis). Always factors fresh (no
     /// modified-Newton bypass: a recovery is a convergence emergency) and
     /// leaves `(candidate, new_states, residual, jacobian)` assembled at the
     /// final iterate.
-    #[allow(clippy::too_many_arguments)]
     fn recovery_newton(
         &self,
         circuit: &Circuit,
         ws: &mut TransientWorkspace,
-        t_next: f64,
-        h: f64,
-        first_step: bool,
+        point: StampPoint,
         stats: &mut RunStatistics,
         gmin: f64,
-        junction_limit: Option<f64>,
     ) -> bool {
         let opts = &self.options;
         let mut converged = false;
         for _ in 0..opts.max_newton_iterations {
-            assemble_system_limited(
-                circuit,
-                &ws.layout,
-                opts.method,
-                t_next,
-                h,
-                first_step,
-                &ws.candidate,
-                &ws.states,
-                &mut ws.new_states,
-                &mut ws.residual,
-                &mut ws.jacobian,
-                junction_limit,
-            );
+            ws.assemble_candidate(circuit, point);
             if gmin > 0.0 {
                 for i in 0..ws.layout.node_unknowns {
                     ws.residual[i] += gmin * ws.candidate[i];
@@ -2483,18 +2420,12 @@ impl TransientAnalysis {
             // iterate, against the *unmodified* system, so a successful
             // final stage leaves the workspace in exactly the state a
             // converged `attempt_step` would (the commit contract).
-            assemble_system(
+            ws.assemble_candidate(
                 circuit,
-                &ws.layout,
-                opts.method,
-                t_next,
-                h,
-                first_step,
-                &ws.candidate,
-                &ws.states,
-                &mut ws.new_states,
-                &mut ws.residual,
-                &mut ws.jacobian,
+                StampPoint {
+                    junction_limit: None,
+                    ..point
+                },
             );
         }
         converged
@@ -2733,6 +2664,7 @@ impl TransientResult {
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
+    use crate::device::StampContext;
     use crate::devices::{Capacitor, Resistor, VoltageSource};
     use crate::waveform::Waveform;
 
@@ -3065,7 +2997,7 @@ mod tests {
 
             // A genuinely singular matrix (columns 1 and 2 empty) fails part
             // way through the elimination; its factors must not be usable.
-            ws.jacobian.fill_zero();
+            ws.jacobian.view().clear();
             ws.jacobian.add_diagonal(0, 1.0);
             assert!(!ws.jacobian.factor(&mut stats, None), "{backend:?}");
             assert!(
@@ -3150,6 +3082,62 @@ mod tests {
         })
         .run(&c);
         assert!(matches!(rejected, Err(MnaError::StepFailed { .. })));
+    }
+
+    #[test]
+    fn a_nan_residual_is_never_accepted_as_balanced() {
+        /// Draws no current until 5 µs, then a NaN one.
+        struct TurnsNan {
+            node: NodeId,
+        }
+        impl crate::device::Device for TurnsNan {
+            fn name(&self) -> &str {
+                "nan"
+            }
+            fn stamp(&self, ctx: &mut StampContext<'_>) {
+                let current = if ctx.time() > 5e-6 { f64::NAN } else { 0.0 };
+                ctx.add_current(self.node, current);
+            }
+        }
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let mid = c.node("mid");
+        c.add(VoltageSource::new(
+            "V",
+            vin,
+            Circuit::GROUND,
+            Waveform::dc(1.0),
+        ));
+        c.add(Resistor::new("R1", vin, mid, 1e3));
+        c.add(Resistor::new("R2", mid, Circuit::GROUND, 1e3));
+        c.add(TurnsNan { node: mid });
+        for (backend, step_control) in [
+            (SolverBackend::Dense, StepControl::Fixed),
+            (SolverBackend::Sparse, StepControl::Fixed),
+            (SolverBackend::Dense, StepControl::adaptive()),
+        ] {
+            let outcome = TransientAnalysis::new(TransientOptions {
+                t_stop: 2e-5,
+                dt: 1e-6,
+                backend,
+                step_control,
+                ..TransientOptions::default()
+            })
+            .run(&c);
+            match outcome {
+                Err(MnaError::StepFailed { time, residual, .. }) => {
+                    assert!(
+                        time > 5e-6,
+                        "{backend:?}/{step_control:?}: failed at {time}"
+                    );
+                    assert!(
+                        !residual.is_finite(),
+                        "{backend:?}/{step_control:?}: reported residual {residual}"
+                    );
+                }
+                other => panic!("{backend:?}/{step_control:?}: expected StepFailed, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -3418,8 +3406,8 @@ mod tests {
     }
 
     #[test]
-    fn default_stamp_pattern_falls_back_to_a_dense_pattern() {
-        /// A device that does not override `stamp_pattern`.
+    fn the_sparse_pattern_is_derived_from_the_stamps() {
+        /// A device known only by its stamps.
         struct OpaqueConductor {
             a: NodeId,
             b: NodeId,
@@ -3443,32 +3431,35 @@ mod tests {
         ));
         c.add(OpaqueConductor { a: vin, b: out });
         c.add(Resistor::new("R", out, Circuit::GROUND, 100.0));
-        let result = TransientAnalysis::new(TransientOptions {
+        let options = TransientOptions {
             t_stop: 1e-5,
             dt: 1e-6,
             backend: SolverBackend::Sparse,
             ..TransientOptions::default()
-        })
-        .run(&c)
-        .unwrap();
+        };
+        // Unknowns: v(in), v(out), V.i. Only the source's branch current
+        // and v(out) never meet in one stamp.
+        let ws = TransientWorkspace::for_circuit(&c, &options).unwrap();
+        let pattern = sparse_jacobian(&ws);
+        assert_eq!(pattern.nnz(), 7);
+        assert!(!pattern.contains(1, 2) && !pattern.contains(2, 1));
+        let result = TransientAnalysis::new(options).run(&c).unwrap();
         // Voltage divider: 100 Ω over (100 Ω + 100 Ω).
         assert!((result.final_voltage(out) - 0.5).abs() < 1e-9);
     }
 
     /// Assembles `circuit` at the iterate `x` into `ws`'s Jacobian.
     fn assemble_at(circuit: &Circuit, ws: &mut TransientWorkspace, x: &[f64]) {
-        assemble_system(
+        assemble(
             circuit,
             &ws.layout,
-            IntegrationMethod::BackwardEuler,
-            0.0,
-            1e-3,
-            false,
+            StampPoint::new(0.0, 1e-3, IntegrationMethod::BackwardEuler, false),
             x,
             &ws.states,
             &mut ws.new_states,
             &mut ws.residual,
-            &mut ws.jacobian,
+            ws.jacobian.view(),
+            None,
         );
     }
 
@@ -3521,9 +3512,6 @@ mod tests {
             for (row, col, value) in self.stamps(v) {
                 ctx.add_current_derivative(row, crate::device::Unknown::Node(col), value);
             }
-        }
-        fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-            ctx.conductance(self.a, self.b);
         }
     }
 
@@ -3619,8 +3607,9 @@ mod tests {
 
     #[test]
     fn a_stamp_outside_the_pattern_panics_on_any_assembly() {
-        /// Declares only its diagonal but stamps `(a, b)` between two
-        /// diagonal writes once `v(a)` exceeds 0.5 V.
+        /// Stamps only its diagonal at the zero iterate, where the pattern
+        /// is recorded, but stamps `(a, b)` between two diagonal writes once
+        /// `v(a)` exceeds 0.5 V: a breach of the stamp contract.
         struct Stray {
             a: NodeId,
             b: NodeId,
@@ -3636,9 +3625,6 @@ mod tests {
                     ctx.add_current_derivative(self.a, Node(self.b), -1.0);
                 }
                 ctx.add_current_derivative(self.a, Node(self.a), 1.0);
-            }
-            fn stamp_pattern(&self, ctx: &mut PatternContext<'_>) {
-                ctx.current_derivative(self.a, crate::device::Unknown::Node(self.a));
             }
         }
         let mut c = Circuit::new();

@@ -29,10 +29,10 @@
 //!   submissions are single-flighted; failed, partial, cancelled and
 //!   timed-out results are never cached.
 //!
-//! Callers go through the [`transport::Transport`] trait;
-//! [`transport::InProcessClient`] is the in-process implementation. See
-//! `docs/service.md` for the lifecycle diagram, the retry/escalation
-//! matrix and the cache-key derivation.
+//! Callers submit, poll, cancel and wait on jobs through
+//! [`service::SimulationService`] itself. See `docs/service.md` for the
+//! lifecycle diagram, the retry/escalation matrix and the cache-key
+//! derivation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,10 +41,8 @@ pub mod cache;
 pub mod job;
 pub mod panic_inject;
 pub mod service;
-pub mod transport;
 
 pub use cache::CacheKey;
 pub use job::{AttemptFailure, AttemptRecord, JobId, JobReport, JobSpec, JobState};
 pub use panic_inject::{silence_injected_panics, PanicInjector, PANIC_MARKER};
 pub use service::{ServiceConfig, ServiceStats, SimulationService};
-pub use transport::{InProcessClient, Transport};

@@ -18,8 +18,8 @@
 //!   the running job's [`CancelToken`] (the engine notices at its next
 //!   step/card boundary and returns the trace-so-far) or expires
 //!   still-queued jobs directly.
-//! * **callers** — submit/status/cancel/wait through the
-//!   [`Transport`](crate::transport::Transport) front.
+//! * **callers** — submit, status, cancel and wait on the service's own
+//!   methods.
 //!
 //! All mutex acquisitions recover from poisoning (`PoisonError::into_inner`):
 //! the whole point of panic isolation is that one bad job must not wedge
