@@ -52,25 +52,10 @@ impl BenchRecord {
 /// wall-clock seconds — the shared shape of the solver, transient and PSS
 /// artefacts, so baseline comparisons see the same metric names everywhere.
 pub fn statistics_record(name: impl Into<String>, stats: &RunStatistics, wall: f64) -> BenchRecord {
-    BenchRecord::new(name)
-        .metric("wall_seconds", wall)
-        .metric("accepted_steps", stats.accepted_steps as f64)
-        .metric("rejected_steps", stats.rejected_steps as f64)
-        .metric("newton_iterations", stats.newton_iterations as f64)
-        .metric("linear_solves", stats.linear_solves as f64)
-        .metric("full_factorizations", stats.full_factorizations as f64)
-        .metric(
-            "repivot_factorizations",
-            stats.repivot_factorizations as f64,
-        )
-        .metric("lte_rejections", stats.lte_rejections as f64)
-        .metric("predicted_steps", stats.predicted_steps as f64)
-        .metric("shooting_iterations", stats.shooting_iterations as f64)
-        .metric("integrated_cycles", stats.integrated_cycles as f64)
-        .metric("gmres_fallbacks", stats.gmres_fallbacks as f64)
-        .metric("brute_force_fallbacks", stats.brute_force_fallbacks as f64)
-        .metric("homotopy_escalations", stats.homotopy_escalations as f64)
-        .metric("recovery_retries", stats.recovery_retries as f64)
+    stats.counters().into_iter().fold(
+        BenchRecord::new(name).metric("wall_seconds", wall),
+        |record, (counter, value)| record.metric(counter, value as f64),
+    )
 }
 
 /// Absolute path of `file` anchored at the workspace root, whatever cargo
@@ -212,32 +197,19 @@ mod tests {
 
     #[test]
     fn statistics_record_carries_every_counter() {
-        let stats = RunStatistics {
-            accepted_steps: 1,
-            rejected_steps: 2,
-            newton_iterations: 3,
-            linear_solves: 4,
-            full_factorizations: 5,
-            repivot_factorizations: 6,
-            lte_rejections: 7,
-            predicted_steps: 8,
-            shooting_iterations: 9,
-            integrated_cycles: 10,
-            gmres_fallbacks: 11,
-            brute_force_fallbacks: 12,
-            homotopy_escalations: 13,
-            recovery_retries: 14,
-        };
+        let mut stats = RunStatistics::default();
+        for (k, (_, value)) in stats.counters_mut().into_iter().enumerate() {
+            *value = k + 1;
+        }
         let record = statistics_record("r", &stats, 0.5);
+        let keys: Vec<&str> = record.metrics.iter().map(|(k, _)| k.as_str()).collect();
+        let mut expected = vec!["wall_seconds"];
+        expected.extend(stats.counters().map(|(name, _)| name));
+        assert_eq!(keys, expected);
         assert_eq!(record.get("wall_seconds"), Some(0.5));
-        assert_eq!(record.get("accepted_steps"), Some(1.0));
-        assert_eq!(record.get("repivot_factorizations"), Some(6.0));
-        assert_eq!(record.get("shooting_iterations"), Some(9.0));
-        assert_eq!(record.get("integrated_cycles"), Some(10.0));
-        assert_eq!(record.get("gmres_fallbacks"), Some(11.0));
-        assert_eq!(record.get("brute_force_fallbacks"), Some(12.0));
-        assert_eq!(record.get("homotopy_escalations"), Some(13.0));
-        assert_eq!(record.get("recovery_retries"), Some(14.0));
+        for (name, value) in stats.counters() {
+            assert_eq!(record.get(name), Some(value as f64), "{name}");
+        }
         assert_eq!(record.get("nope"), None);
     }
 

@@ -43,7 +43,7 @@ use harvester_numerics::stats::mean;
 /// *periodic* regime of the clamped circuit. [`SteadyState::BruteForce`]
 /// gets there by marching [`EnvelopeOptions::settle_cycles`] excitation
 /// cycles until the start-up transient has died out (the pre-shooting
-/// behaviour, bit-identical to earlier releases);
+/// behaviour);
 /// [`SteadyState::Shooting`] solves the two-point boundary-value problem
 /// `x(T) = x(0)` directly with the shooting-Newton engine
 /// ([`harvester_mna::shooting::SteadyStateAnalysis`]) and measures the
@@ -128,8 +128,9 @@ pub struct EnvelopeOptions {
     /// is insensitive to pointwise trace differences far below the averaging
     /// window. Under adaptive stepping the engine records on the uniform
     /// `detail_dt` grid (dense interpolation), so the averaging semantics
-    /// match fixed stepping sample-for-sample; set [`StepControl::Fixed`] to
-    /// reproduce pre-adaptive results bit-for-bit. The shooting path
+    /// match fixed stepping sample-for-sample; [`StepControl::Fixed`] lands
+    /// on and records exactly the `k·detail_dt` grid, halving inside a grid
+    /// interval only when Newton fails. The shooting path
     /// integrates its periods on a fixed `detail_dt` grid (the sensitivity
     /// chain and the exact period landing both require it) and therefore
     /// ignores this knob except through the brute-force fallback.
@@ -316,7 +317,7 @@ impl EnvelopeWorkspace {
     }
 
     /// Installs a [`CancelToken`] every measurement through this workspace
-    /// threads into the marching loops (the per-worker cancellation hook of
+    /// threads into the marching loop (the per-worker cancellation hook of
     /// the service layer's warm workspace pools). Keep a clone to fire it;
     /// a cancelled measurement returns
     /// [`MnaError::Cancelled`] with the
@@ -559,7 +560,7 @@ impl EnvelopeSimulator {
     }
 
     /// Brute-force grid-point measurement: settle, then average — the
-    /// pre-shooting path, bit-identical to earlier releases.
+    /// pre-shooting path.
     fn measure_settled(
         &self,
         clamp_voltage: f64,

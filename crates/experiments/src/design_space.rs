@@ -154,8 +154,8 @@ pub struct FitnessBudget {
     /// [`StepControl::adaptive_averaging`]: the optimisation loop's dominant cost is
     /// exactly the smooth-between-corners transient workload LTE control
     /// accelerates, and the cycle-averaged fitness is insensitive to the
-    /// sub-tolerance trace differences. Set [`StepControl::Fixed`] to
-    /// reproduce pre-adaptive optimisation runs bit-for-bit.
+    /// sub-tolerance trace differences. [`StepControl::Fixed`] steps on the
+    /// uniform `detail_dt` grid instead (the shooting periods always do).
     pub step_control: StepControl,
     /// How the population-level loops (GA generations, the design-space
     /// sweep, the CPU-split batches) shard their candidate evaluations over

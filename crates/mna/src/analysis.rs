@@ -867,7 +867,7 @@ impl AnalysisEngine {
     }
 
     /// Installs a [`CancelToken`] checked at every card boundary and polled
-    /// by the marching loops between steps. Keep a clone to fire it;
+    /// by the marching loop between steps. Keep a clone to fire it;
     /// [`AnalysisEngine::run_budgeted`] answers a fired token with a
     /// truncation of reason [`CANCELLED_REASON`], and a cancelled transient
     /// card returns its trace-so-far with

@@ -72,8 +72,9 @@
 use crate::circuit::Circuit;
 use crate::device::{assemble, StampPoint, DDT_VALUE_SLOT};
 use crate::transient::{
-    CachedFactors, IntegrationMethod, JacobianStorage, RunStatistics, StepControl,
-    TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
+    CachedFactors, IntegrationMethod, JacobianStorage, RecoveryPolicy, RunStatistics,
+    SimulationBudget, StepControl, TransientAnalysis, TransientOptions, TransientResult,
+    TransientWorkspace,
 };
 use crate::MnaError;
 use harvester_numerics::fault::FaultInjector;
@@ -105,10 +106,14 @@ pub struct SteadyStateOptions {
     /// Transient settings of the in-period integration: `dt` is the nominal
     /// step (rounded so an integer number of steps spans the period
     /// exactly), and `method`, `backend` and the Newton tolerances apply as
-    /// usual. `t_stop`, `record_interval` and `step_control` are managed by
-    /// the shooting engine (periods are integrated on a fixed step — the
-    /// sensitivity chain and the exact period landing both want the uniform
-    /// grid).
+    /// usual. `t_stop`, `record_interval`, `step_control`, `recovery` and
+    /// `budget` are managed by the shooting engine: warm-up and periods
+    /// march through the transient engine's loop under fixed stepping, on
+    /// the grid `t_k = t₀ + k·dt` computed by index, so every period lands
+    /// exactly on its end and a Newton failure halves only inside its grid
+    /// interval (the sensitivity chain and the exact period landing both
+    /// want the uniform grid). The engine consults neither the recovery
+    /// policy nor the budget.
     pub transient: TransientOptions,
     /// Continuation: start from the workspace's current solution and device
     /// states instead of resetting to the circuit's initial conditions. The
@@ -320,6 +325,65 @@ impl PeriodCache {
         true
     }
 
+    /// Banks one step of the period march: the hook it hands every accepted
+    /// step, once committed. The Jacobian is still as the step's Newton
+    /// solve left it, assembled at its last iterate (within one converged
+    /// update of the accepted solution) at `point`; it is factored once for
+    /// the sensitivity solves, then the dynamic stamp matrix `W` is
+    /// extracted from assemblies at `h` and `2h`. No solves happen here:
+    /// the chain is replayed lazily, one back-substitution per step per
+    /// Krylov matvec.
+    fn bank_step(
+        &mut self,
+        circuit: &Circuit,
+        ws: &mut TransientWorkspace,
+        point: StampPoint,
+        stats: &mut RunStatistics,
+    ) -> Result<(), MnaError> {
+        let singular = || {
+            MnaError::Numerics(NumericsError::SingularMatrix {
+                column: 0,
+                pivot: 0.0,
+            })
+        };
+        if !ws.jacobian.factor(stats, ws.fault.as_mut()) {
+            return Err(singular());
+        }
+        // These factors are fresh at the step's (h, first) pair: bank the
+        // bypass metadata so the next step's modified Newton reuses them
+        // instead of factoring its own.
+        ws.factored_h = point.dt;
+        ws.factored_first = point.first_step;
+        // The W matrices are always extracted at trapezoidal gains
+        // (`W = 2·B·E`, from assemblies at `h` and `2h` whose static parts
+        // cancel). A backward-Euler start-up step consumes
+        // `(1/h)·B·E = W/(2h)` and commits a memory-free derivative
+        // `q = (v − p)/h`, which is exactly the trapezoidal-memory-free
+        // recursion at an effective step of `2h`. Its in-place Jacobian
+        // carries *BE* gains, so both extraction assemblies must be redone
+        // at trapezoidal gains (`first = false`) instead of reusing it. The
+        // assemblies scribble over `new_states`, which the march has
+        // already committed.
+        let h = point.dt;
+        let trapezoidal = point.method == IntegrationMethod::Trapezoidal;
+        let be_startup = point.first_step && trapezoidal;
+        self.clear_w(&ws.jacobian);
+        if be_startup {
+            ws.assemble_solution(circuit, StampPoint::new(point.time, h, point.method, false));
+        }
+        self.accumulate_w(&ws.jacobian, 2.0 * h);
+        ws.assemble_solution(
+            circuit,
+            StampPoint::new(point.time, 2.0 * h, point.method, false),
+        );
+        self.accumulate_w(&ws.jacobian, -2.0 * h);
+        let h_eff = if be_startup { 2.0 * h } else { h };
+        if !self.push_step(&ws.jacobian, h_eff, trapezoidal && !point.first_step) {
+            return Err(singular());
+        }
+        Ok(())
+    }
+
     /// Computes `out = M·v` by propagating `v` through the banked period —
     /// one back-substitution per step. Returns the number of linear solves
     /// performed, or `None` when a banked factorisation failed to
@@ -499,10 +563,6 @@ impl SteadyStateAnalysis {
         incompatible_device(circuit, self.options.period).is_none()
     }
 
-    fn validate(&self) -> Result<(), MnaError> {
-        self.options.validate()
-    }
-
     /// Runs the analysis with a freshly built workspace.
     ///
     /// # Errors
@@ -516,7 +576,7 @@ impl SteadyStateAnalysis {
     /// result comes back with `converged == false` and its work counters
     /// intact, so callers account the attempt before falling back.
     pub fn run(&self, circuit: &Circuit) -> Result<SteadyStateResult, MnaError> {
-        self.validate()?;
+        self.options.validate()?;
         let transient = self.effective_transient();
         let mut workspace = TransientWorkspace::for_circuit(circuit, &transient)?;
         let mut cold = self.clone();
@@ -538,7 +598,7 @@ impl SteadyStateAnalysis {
         circuit: &Circuit,
         ws: &mut TransientWorkspace,
     ) -> Result<SteadyStateResult, MnaError> {
-        self.validate()?;
+        self.options.validate()?;
         let opts = &self.options;
         if let Some(conflict) = incompatible_device(circuit, opts.period) {
             return Err(MnaError::InvalidOptions(conflict));
@@ -553,42 +613,33 @@ impl SteadyStateAnalysis {
                     .to_string(),
             ));
         }
-        if self.options.warm_start {
-            // Continuation: keep the caller's solution and device states,
-            // clearing only the recording buffers (the committed `ddt`
-            // histories are phase-consistent by the option's contract).
-            ws.times.clear();
-            ws.history.clear();
-        } else {
+        // Continuation keeps the caller's solution and device states: the
+        // committed `ddt` histories are phase-consistent by the option's
+        // contract.
+        if !self.options.warm_start {
             ws.reset(circuit);
         }
         let mut stats = RunStatistics::default();
         let n = ws.unknown_count();
         let warmup = opts.warmup_cycles.ceil() as usize;
-        let mut first_step = true;
 
         // Warm-up: plain fixed-step marching into the Newton basin. Nothing
-        // is recorded and no sensitivity is propagated.
-        for k in 0..warmup * steps {
-            let t_from = k as f64 * dt;
-            let t_to = (k + 1) as f64 * dt;
-            self.advance_interval(
-                circuit,
-                &analysis,
-                ws,
-                t_from,
-                t_to,
-                &mut first_step,
-                &mut stats,
-                None,
-            )?;
+        // is recorded and no sensitivity is propagated. A shooting sweep's
+        // partially converged orbit is not a useful artefact, so — unlike a
+        // `.tran` run, which returns its trace-so-far — a cancelled march is
+        // an error here.
+        let t_anchor = (warmup * steps) as f64 * dt;
+        if analysis
+            .march(circuit, ws, 0.0..t_anchor, false, &mut stats, None)?
+            .cancelled
+        {
+            return Err(MnaError::Cancelled);
         }
         stats.integrated_cycles += warmup;
 
         // Every shooting iteration re-integrates the same absolute window
         // [t_a, t_a + T] (the sources are T-periodic, so the map is the same
         // each time and the uniform grid never drifts).
-        let t_anchor = (warmup * steps) as f64 * dt;
         let mut solver = ClosureSolver::new(n);
         let ddt_mask = self.ddt_value_mask(circuit, ws, t_anchor, dt);
 
@@ -751,8 +802,8 @@ impl SteadyStateAnalysis {
     /// injects a derivative-inconsistency transient into the orbit it is
     /// trying to close, and the one-period map becomes a function of x₀
     /// alone. The sensitivity chain accounts for the BE step exactly (see
-    /// `advance_interval`); the O(h²) local error of one BE step per period
-    /// is far below the closure tolerance.
+    /// [`PeriodCache::bank_step`]); the O(h²) local error of one BE step per
+    /// period is far below the closure tolerance.
     fn integrate_period(
         &self,
         circuit: &Circuit,
@@ -768,22 +819,15 @@ impl SteadyStateAnalysis {
         ws.times.push(t_anchor);
         ws.history.extend_from_slice(&ws.x);
         self.seed_sensitivity(circuit, ws, cache, t_anchor, dt);
-        let mut period_first = true;
-        for k in 0..steps {
-            let t_from = t_anchor + k as f64 * dt;
-            let t_to = t_anchor + (k + 1) as f64 * dt;
-            self.advance_interval(
-                circuit,
-                analysis,
-                ws,
-                t_from,
-                t_to,
-                &mut period_first,
-                stats,
-                Some(&mut *cache),
-            )?;
-            ws.times.push(t_to);
-            ws.history.extend_from_slice(&ws.x);
+        let mut bank = |ws: &mut TransientWorkspace, point, stats: &mut RunStatistics| {
+            cache.bank_step(circuit, ws, point, stats)
+        };
+        let span = t_anchor..t_anchor + steps as f64 * dt;
+        if analysis
+            .march(circuit, ws, span, true, stats, Some(&mut bank))?
+            .cancelled
+        {
+            return Err(MnaError::Cancelled);
         }
         Ok(())
     }
@@ -797,15 +841,18 @@ impl SteadyStateAnalysis {
         (steps, period / steps as f64)
     }
 
-    /// The transient options the in-period integrations actually run under.
+    /// The transient options the in-period integrations actually run under:
+    /// fixed stepping on the period grid (`steps` intervals of `dt` per
+    /// period, `t_k = t_a + k·dt` by index, so every period lands exactly
+    /// on its end), every grid point recorded.
     ///
-    /// Note that the shooting engine's in-period marching consults neither
-    /// the [`SimulationBudget`](crate::transient::SimulationBudget) nor the
-    /// [`RecoveryPolicy`](crate::transient::RecoveryPolicy) of these options:
-    /// its work is already bounded by `max_iterations` periods on a fixed
-    /// grid, and a failed in-period step degrades to a reported stall
-    /// (`converged == false`) that callers answer with brute-force settling
-    /// — a coarser but strictly stronger recovery than any per-step cascade.
+    /// The recovery policy and the budget are pinned off
+    /// ([`RecoveryPolicy::none`], [`SimulationBudget::UNLIMITED`]): the
+    /// shooting engine consults neither. Its work is already bounded by
+    /// `max_iterations` periods on a fixed grid, and a failed in-period step
+    /// degrades to a reported stall (`converged == false`) that callers
+    /// answer with brute-force settling — a coarser but strictly stronger
+    /// recovery than any per-step cascade.
     pub(crate) fn effective_transient(&self) -> TransientOptions {
         let (steps, dt) = self.period_grid();
         let cycles = self.options.warmup_cycles.ceil() + self.options.max_iterations as f64 + 2.0;
@@ -815,129 +862,10 @@ impl SteadyStateAnalysis {
             record_interval: None,
             step_control: StepControl::Fixed,
             min_dt: self.options.transient.min_dt.min(dt),
+            recovery: RecoveryPolicy::none(),
+            budget: SimulationBudget::UNLIMITED,
             ..self.options.transient
         }
-    }
-
-    /// Marches the committed solution from `t_from` to `t_to` on the fixed
-    /// grid, halving within the interval on Newton failure (the same
-    /// recovery as the fixed-step transient loop). With `sensitivity`, every
-    /// committed sub-step also feeds the sensitivity chain: the converged
-    /// step Jacobian is factored once, the dynamic stamp matrix `W` is
-    /// extracted from assemblies at `h` and `2h`, and both are banked for
-    /// the matvecs of the closure solve.
-    #[allow(clippy::too_many_arguments)]
-    fn advance_interval(
-        &self,
-        circuit: &Circuit,
-        analysis: &TransientAnalysis,
-        ws: &mut TransientWorkspace,
-        t_from: f64,
-        t_to: f64,
-        first_step: &mut bool,
-        stats: &mut RunStatistics,
-        mut sensitivity: Option<&mut PeriodCache>,
-    ) -> Result<(), MnaError> {
-        let opts = analysis.options();
-        let nominal = t_to - t_from;
-        let mut t = t_from;
-        let mut h = nominal;
-        while t < t_to - 1e-9 * nominal {
-            // A shooting sweep's partially converged orbit is not a useful
-            // artefact, so — unlike the transient march, which returns its
-            // trace-so-far — cancellation here is an error. Polled at the
-            // same step-boundary granularity as the transient loops
-            // (covering warm-up, the period march and Newton re-launches).
-            if ws.cancel.as_ref().is_some_and(|c| c.poll()) {
-                return Err(MnaError::Cancelled);
-            }
-            let remaining = t_to - t;
-            let step = if remaining < 1.5 * h { remaining } else { h };
-            let t_next = if step == remaining { t_to } else { t + step };
-            ws.candidate.copy_from_slice(&ws.x);
-            let was_first = *first_step;
-            let attempt = analysis.attempt_step(circuit, ws, t_next, step, was_first, stats);
-            if !attempt.converged {
-                stats.rejected_steps += 1;
-                h = step * 0.5;
-                if h < opts.min_dt {
-                    return Err(MnaError::StepFailed {
-                        time: t_next,
-                        dt: h,
-                        residual: attempt.residual,
-                    });
-                }
-                continue;
-            }
-            if let Some(cache) = sensitivity.as_deref_mut() {
-                // `attempt_step` leaves the Jacobian assembled at its last
-                // Newton iterate (within one converged update of the
-                // accepted solution) with step size `step`; factor it for
-                // the sensitivity solves and capture its `2h`-scaled copy
-                // before the second assembly overwrites the storage.
-                if !ws.jacobian.factor(stats, ws.fault.as_mut()) {
-                    return Err(MnaError::Numerics(
-                        harvester_numerics::NumericsError::SingularMatrix {
-                            column: 0,
-                            pivot: 0.0,
-                        },
-                    ));
-                }
-                // These factors are fresh at (step, was_first): bank the
-                // bypass metadata so the next step's modified Newton reuses
-                // them instead of factoring its own.
-                ws.factored_h = step;
-                ws.factored_first = was_first;
-                // Commit before the extraction assemblies: they scribble
-                // over `new_states`, which must be banked first (the
-                // Jacobian itself does not depend on the states).
-                ws.states.copy_from_slice(&ws.new_states);
-                ws.x.copy_from_slice(&ws.candidate);
-                // The W matrices are always extracted at trapezoidal gains
-                // (`W = 2·B·E`, from assemblies at `h` and `2h` whose static
-                // parts cancel). A backward-Euler start-up step consumes
-                // `(1/h)·B·E = W/(2h)` and commits a memory-free derivative
-                // `q = (v − p)/h`, which is exactly the trapezoidal-memory-
-                // free recursion at an effective step of `2h`. Its in-place
-                // Jacobian carries *BE* gains, so both extraction
-                // assemblies must be redone at trapezoidal gains
-                // (`first = false`) instead of reusing it.
-                let trapezoidal = opts.method == IntegrationMethod::Trapezoidal;
-                let be_startup = was_first && trapezoidal;
-                cache.clear_w(&ws.jacobian);
-                if be_startup {
-                    ws.assemble_solution(
-                        circuit,
-                        StampPoint::new(t_next, step, opts.method, false),
-                    );
-                }
-                cache.accumulate_w(&ws.jacobian, 2.0 * step);
-                ws.assemble_solution(
-                    circuit,
-                    StampPoint::new(t_next, 2.0 * step, opts.method, false),
-                );
-                cache.accumulate_w(&ws.jacobian, -2.0 * step);
-                let h_eff = if be_startup { 2.0 * step } else { step };
-                // No solves here: the chain is replayed lazily, one
-                // back-substitution per step per Krylov matvec.
-                if !cache.push_step(&ws.jacobian, h_eff, trapezoidal && !was_first) {
-                    return Err(MnaError::Numerics(NumericsError::SingularMatrix {
-                        column: 0,
-                        pivot: 0.0,
-                    }));
-                }
-            } else {
-                ws.states.copy_from_slice(&ws.new_states);
-                ws.x.copy_from_slice(&ws.candidate);
-            }
-            t = t_next;
-            *first_step = false;
-            stats.accepted_steps += 1;
-            if h < nominal {
-                h = (h * 2.0).min(nominal);
-            }
-        }
-        Ok(())
     }
 
     /// Extracts the dynamic stamp matrix at the current committed state and

@@ -8,6 +8,28 @@
 //! nominal step after successful steps — the same recovery strategy analogue
 //! HDL simulators use.
 //!
+//! # Time stepping
+//!
+//! One marching loop serves every time integration: `.tran` runs under
+//! either [`StepControl`], and the shooting engine's warm-up and periods
+//! ([`crate::shooting`]). [`StepControl`] pins or frees its step
+//! controller:
+//!
+//! * **Fixed stepping** lands on the uniform grid `t_k = k·dt`, computed by
+//!   index rather than accumulated, for `k < K = max(1, round(t_stop/dt))`,
+//!   and on `t_stop` itself at `k = K` (the last step absorbs a remainder
+//!   under 1.5·`dt`). A Newton failure halves the step *inside* the current
+//!   grid interval, and accepted sub-steps regrow it ×2 up to that
+//!   interval's end, so the grid never shifts. Only grid landings are
+//!   recorded: a trace is uniformly sampled by construction, whatever
+//!   Newton went through.
+//! * **Adaptive stepping** sizes steps by local-truncation-error control and
+//!   lands exactly on every source breakpoint.
+//!
+//! With [`TransientOptions::record_interval`] set, samples follow the
+//! indexed grid `j·interval` under both: a fixed run records the grid
+//! landing at which each sample falls due, an adaptive run interpolates it.
+//!
 //! # Solver backends
 //!
 //! The linear solves inside the Newton loop run on one of two backends
@@ -43,6 +65,7 @@ use harvester_numerics::fault::{Fault, FaultInjector};
 use harvester_numerics::linalg::{norm_inf, LuFactors, Matrix};
 use harvester_numerics::sparse::{SparseLu, SparseMatrix, TripletMatrix};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Numerical integration method used for time discretisation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,16 +140,15 @@ impl SolverBackend {
 ///
 /// # Fixed stepping
 ///
-/// [`StepControl::Fixed`] (the default) marches at the nominal
-/// [`TransientOptions::dt`], halving only when Newton fails to converge and
-/// growing back towards — never past — the nominal step. This is the
-/// pre-adaptive behaviour, kept bit-identical for reproducibility — with
-/// one deliberate repair: the final accepted state is now always recorded,
-/// where an accumulated-rounding corner case could previously omit the last
-/// sample under `record_interval` (every recorded sample is unchanged; a
-/// trace may gain that one trailing sample). Workloads that require a
-/// uniform sample grid by construction (e.g. THD analysis over an FFT-style
-/// window) should stay on fixed stepping.
+/// [`StepControl::Fixed`] (the default) is the marching loop's pinned
+/// controller (see the [module docs](self#time-stepping)): it lands on the
+/// indexed grid `t_k = k·dt` of the nominal [`TransientOptions::dt`] and
+/// finally on `t_stop`, halving the step only when Newton fails and only
+/// inside the current grid interval, so a failure never shifts a later
+/// sample off the grid. The predictor is pinned at order 0 (no LTE
+/// control), source breakpoints are not stepped onto, and only grid
+/// landings are recorded: the trace is uniformly sampled by construction,
+/// as THD analysis over an FFT-style window (Fig. 7) needs.
 ///
 /// # Adaptive stepping
 ///
@@ -160,8 +182,9 @@ impl SolverBackend {
 /// samples keeps its meaning even though the internal steps are non-uniform.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum StepControl {
-    /// March at the nominal `dt`; halve only on Newton failure (the
-    /// pre-adaptive engine, bit-compatible with earlier releases).
+    /// Land on every point of the uniform `k·dt` grid; halve only on Newton
+    /// failure, inside the current grid interval, and record grid landings
+    /// only.
     #[default]
     Fixed,
     /// Predictor–corrector LTE-controlled stepping between
@@ -265,9 +288,9 @@ impl StepControl {
 ///    to netlist node/device names, strategies attempted) instead of the
 ///    bare [`MnaError::StepFailed`].
 ///
-/// The default policy is **fully disabled**: default-policy runs take
-/// exactly the code path (and produce bit-identical traces to) earlier
-/// releases.
+/// The default policy is **fully disabled**: a failed step that exhausts
+/// halving fails with the bare [`MnaError::StepFailed`], and no recovery
+/// leg ever touches a trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Enable the transient gmin-ramp recovery leg.
@@ -298,7 +321,7 @@ impl RecoveryPolicy {
     pub const DEFAULT_JUNCTION_LIMIT: f64 = 0.8;
 
     /// The fully disabled policy (the default): bare `StepFailed` on
-    /// exhausted step halving, bit-identical to earlier releases.
+    /// exhausted step halving.
     pub fn none() -> Self {
         RecoveryPolicy {
             gmin_ramp: false,
@@ -348,7 +371,7 @@ impl Default for RecoveryPolicy {
 /// A hard ceiling on the work one analysis run (one analysis-plan card) may
 /// perform. The default is [`SimulationBudget::UNLIMITED`].
 ///
-/// The marching loops check the budget between steps: a run that reaches a
+/// The marching loop checks the budget between steps: a run that reaches a
 /// limit stops marching, keeps everything recorded so far and returns a
 /// result flagged [`TransientResult::truncated`] instead of running
 /// unbounded (a limit can be overshot by at most the work of the step in
@@ -365,8 +388,7 @@ pub struct SimulationBudget {
 }
 
 impl SimulationBudget {
-    /// No limits at all — the default, and the behaviour of earlier
-    /// releases.
+    /// No limits at all — the default.
     pub const UNLIMITED: SimulationBudget = SimulationBudget {
         max_newton_iterations: None,
         max_factorizations: None,
@@ -456,15 +478,20 @@ pub struct TransientOptions {
     /// Smallest step the automatic step-halving recovery may use; the
     /// analysis fails with [`MnaError::StepFailed`] below this.
     pub min_dt: f64,
-    /// Optional minimum spacing between recorded samples. `None` records
-    /// every accepted step; for long runs a coarser recording interval keeps
-    /// the result memory bounded.
+    /// Optional sample spacing (positive and finite) of the recorded trace:
+    /// samples fall due on the indexed grid `j·interval`. `None` records
+    /// every grid landing under [`StepControl::Fixed`] and every accepted
+    /// step under [`StepControl::Adaptive`]. With an interval set, a fixed
+    /// run records the grid landing at which each sample falls due (an
+    /// interval that is a multiple of `dt` keeps every sample on both
+    /// grids) and an adaptive run interpolates each sample densely. For
+    /// long runs a coarser interval keeps the result memory bounded.
     pub record_interval: Option<f64>,
     /// Linear-solver backend for the Newton systems.
     pub backend: SolverBackend,
-    /// Time-step control policy: fixed nominal-`dt` marching (the default,
-    /// bit-compatible with earlier releases) or LTE-controlled adaptive
-    /// stepping ([`StepControl::Adaptive`]).
+    /// Time-step control policy: fixed stepping on the uniform `k·dt` grid
+    /// (the default; a Newton failure never moves a sample off it) or
+    /// LTE-controlled adaptive stepping ([`StepControl::Adaptive`]).
     pub step_control: StepControl,
     /// Modified-Newton Jacobian bypass (the default): reuse the factored
     /// Jacobian across Newton iterations — and across nearby accepted steps
@@ -476,13 +503,11 @@ pub struct TransientOptions {
     /// the Newton tolerances while
     /// [`RunStatistics::full_factorizations`] decouples from
     /// [`RunStatistics::newton_iterations`]. Set to `false` to refactor on
-    /// every iteration (the classical full-Newton behaviour of earlier
-    /// releases, bit-compatible with them).
+    /// every iteration (classical full Newton).
     pub reuse_jacobian: bool,
     /// Convergence-recovery escalation once step halving is exhausted.
-    /// Disabled by default ([`RecoveryPolicy::none`]), which keeps the
-    /// failure path — and every successful trace — bit-identical to earlier
-    /// releases.
+    /// Disabled by default ([`RecoveryPolicy::none`]): a step that exhausts
+    /// halving fails with the bare [`MnaError::StepFailed`].
     pub recovery: RecoveryPolicy,
     /// Hard work ceiling of this run. Unlimited by default
     /// ([`SimulationBudget::UNLIMITED`]); with limits set, the run stops at
@@ -529,6 +554,9 @@ impl TransientOptions {
         }
         crate::options::finite("dt", self.dt)?;
         crate::options::finite("t_stop", self.t_stop)?;
+        if let Some(interval) = self.record_interval {
+            crate::options::positive_finite("record_interval", interval)?;
+        }
         if self.min_dt <= 0.0 || self.min_dt > self.dt {
             return Err(crate::options::invalid(
                 "min_dt must be positive and no larger than dt",
@@ -567,125 +595,147 @@ impl TransientOptions {
     }
 }
 
-/// Counters describing the work a transient run performed; used by the
-/// CPU-time experiments that reproduce the paper's "GA accounts for < 3 % of
-/// the CPU time" breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunStatistics {
-    /// Accepted time steps.
-    pub accepted_steps: usize,
-    /// Steps rejected because **Newton failed to converge** (halved and
-    /// retried). Steps that Newton solved but the LTE controller refused are
-    /// counted separately in [`RunStatistics::lte_rejections`]; the two
-    /// counters never overlap, so their sum is the total number of retried
-    /// steps.
-    pub rejected_steps: usize,
-    /// Total Newton iterations across all steps.
-    pub newton_iterations: usize,
-    /// Total linear solves (back-substitutions against a factorisation):
-    /// one per Newton iteration, plus the shooting engine's replays of its
-    /// banked period chain (one back-substitution per in-period step): one
-    /// replay per GMRES matvec, and `n` replays per LU fallback of the
-    /// closure update.
-    pub linear_solves: usize,
-    /// Numeric factorisations that rebuilt the factors wholesale: every
-    /// dense LU (dense factors have no symbolic reuse) and, on the sparse
-    /// backend, the first factorisation of a workspace or after a failed one
-    /// dropped the factors (later ones reuse its pivot order and fill
-    /// pattern via the O(nnz) refactorisation, which is counted nowhere —
-    /// it is bookkeeping-free by design). Stale-pivot *recoveries* are
-    /// counted separately in [`RunStatistics::repivot_factorizations`].
-    ///
-    /// # Counter contract
-    ///
-    /// With the modified-Newton Jacobian bypass
-    /// ([`TransientOptions::reuse_jacobian`], the default) a factorisation
-    /// happens only on the first iteration of an incompatible step or after
-    /// a convergence-rate refactor, never once per iteration, so for a plain
-    /// transient run
-    ///
-    /// ```text
-    /// full_factorizations + repivot_factorizations ≤ newton_iterations
-    /// ```
-    ///
-    /// holds on every backend (each factorisation is provoked by exactly one
-    /// Newton iteration). Periodic-steady-state runs add **one factorisation
-    /// per accepted in-period step** on top (the sensitivity chain factors
-    /// the converged step Jacobian outside any Newton iteration), so the
-    /// bound there is `newton_iterations + accepted_steps`.
-    pub full_factorizations: usize,
-    /// Sparse factorisations that had usable factors but whose stored pivot
-    /// order went numerically stale, forcing a re-pivoting factorisation
-    /// (the [`SparseLu::update`](harvester_numerics::sparse::SparseLu::update)
-    /// recovery path). Split from
-    /// [`RunStatistics::full_factorizations`] because the two mean different
-    /// things in perf triage: a climbing cold-start count points at workspace
-    /// reuse being defeated, a climbing re-pivot count at numerically
-    /// volatile matrices. Always zero on the dense backend.
-    pub repivot_factorizations: usize,
-    /// Steps that converged in Newton but were rejected (and retried
-    /// smaller) because the estimated local truncation error exceeded the
-    /// [`StepControl::Adaptive`] tolerances. Always zero under
-    /// [`StepControl::Fixed`]. See [`RunStatistics::rejected_steps`] for the
-    /// Newton-failure counter this is split from.
-    pub lte_rejections: usize,
-    /// Accepted steps whose Newton iteration was warm-started from a
-    /// polynomial predictor of order ≥ 1 (i.e. at least two accepted states
-    /// of history were available). Always zero under [`StepControl::Fixed`].
-    pub predicted_steps: usize,
-    /// Shooting-Newton closure updates applied by the periodic steady-state
-    /// engine ([`crate::shooting::SteadyStateAnalysis`]). Zero for plain
-    /// transients.
-    pub shooting_iterations: usize,
-    /// Full excitation periods integrated in pursuit of a periodic steady
-    /// state: warm-up plus one per shooting iteration for the PSS engine,
-    /// and `settle + measure` cycles per measurement for brute-force
-    /// envelope settling (accounted by the envelope simulator). This is the
-    /// headline work metric of the shooting engine — the same cycle-averaged
-    /// measurement at a fraction of the integrated cycles.
-    pub integrated_cycles: usize,
-    /// Shooting closure solves whose GMRES iteration stagnated or exhausted
-    /// its matvec budget and fell back to forming the monodromy matrix (`n`
-    /// banked-chain propagations) and solving by LU. A healthy damped
-    /// circuit keeps this low; a climbing count says the closure spectrum
-    /// is not clustering and the Krylov budget is mis-sized for the
-    /// workload.
-    pub gmres_fallbacks: usize,
-    /// Envelope measurements that fell back from the shooting engine to
-    /// brute-force settling because the orbit would not close (accounted by
-    /// the envelope simulator). Each one trades a handful of integrated
-    /// cycles for dozens.
-    pub brute_force_fallbacks: usize,
-    /// Operating-point homotopy escalations: +1 each time the Direct solve
-    /// hands over to gmin stepping, and +1 again when gmin stepping hands
-    /// over to source stepping. Zero for an operating point that converges
-    /// directly.
-    pub homotopy_escalations: usize,
-    /// Failing transient steps rescued by the [`RecoveryPolicy`] cascade
-    /// (gmin ramp or junction limiting) after step halving was exhausted.
-    /// Always zero under the default (disabled) policy.
-    pub recovery_retries: usize,
+/// Declares [`RunStatistics`] from one list of documented `usize`
+/// counters: the struct, [`RunStatistics::merge`] and the name/value
+/// accessors [`RunStatistics::counters`] and [`RunStatistics::counters_mut`]
+/// all expand from it, so a new counter is one entry.
+macro_rules! run_statistics {
+    (
+        $(#[$meta:meta])*
+        pub struct RunStatistics {
+            $($(#[$doc:meta])* $field:ident,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct RunStatistics {
+            $($(#[$doc])* pub $field: usize,)*
+        }
+
+        impl RunStatistics {
+            /// Number of counters.
+            pub const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+            /// Accumulates another run's counters into this one — used to
+            /// aggregate the work of a multi-transient experiment (e.g. the
+            /// envelope simulator's per-grid-voltage runs) into a single
+            /// budget line.
+            pub fn merge(&mut self, other: &RunStatistics) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Every counter as a `(field name, value)` pair, in declaration
+            /// order — the counter columns of the `BENCH_*.json` artefacts.
+            pub fn counters(&self) -> [(&'static str, usize); Self::COUNTERS] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            /// As [`RunStatistics::counters`], with every value writable.
+            pub fn counters_mut(&mut self) -> [(&'static str, &mut usize); Self::COUNTERS] {
+                [$((stringify!($field), &mut self.$field)),*]
+            }
+        }
+    };
 }
 
-impl RunStatistics {
-    /// Accumulates another run's counters into this one — used to aggregate
-    /// the work of a multi-transient experiment (e.g. the envelope
-    /// simulator's per-grid-voltage runs) into a single budget line.
-    pub fn merge(&mut self, other: &RunStatistics) {
-        self.accepted_steps += other.accepted_steps;
-        self.rejected_steps += other.rejected_steps;
-        self.newton_iterations += other.newton_iterations;
-        self.linear_solves += other.linear_solves;
-        self.full_factorizations += other.full_factorizations;
-        self.repivot_factorizations += other.repivot_factorizations;
-        self.lte_rejections += other.lte_rejections;
-        self.predicted_steps += other.predicted_steps;
-        self.shooting_iterations += other.shooting_iterations;
-        self.integrated_cycles += other.integrated_cycles;
-        self.gmres_fallbacks += other.gmres_fallbacks;
-        self.brute_force_fallbacks += other.brute_force_fallbacks;
-        self.homotopy_escalations += other.homotopy_escalations;
-        self.recovery_retries += other.recovery_retries;
+run_statistics! {
+    /// Counters describing the work a transient run performed; used by the
+    /// CPU-time experiments that reproduce the paper's "GA accounts for < 3 % of
+    /// the CPU time" breakdown.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct RunStatistics {
+        /// Accepted time steps.
+        accepted_steps,
+        /// Steps rejected because **Newton failed to converge** (halved and
+        /// retried). Steps that Newton solved but the LTE controller refused are
+        /// counted separately in [`RunStatistics::lte_rejections`]; the two
+        /// counters never overlap, so their sum is the total number of retried
+        /// steps.
+        rejected_steps,
+        /// Total Newton iterations across all steps.
+        newton_iterations,
+        /// Total linear solves (back-substitutions against a factorisation):
+        /// one per Newton iteration, plus the shooting engine's replays of its
+        /// banked period chain (one back-substitution per in-period step): one
+        /// replay per GMRES matvec, and `n` replays per LU fallback of the
+        /// closure update.
+        linear_solves,
+        /// Numeric factorisations that rebuilt the factors wholesale: every
+        /// dense LU (dense factors have no symbolic reuse) and, on the sparse
+        /// backend, the first factorisation of a workspace or after a failed one
+        /// dropped the factors (later ones reuse its pivot order and fill
+        /// pattern via the O(nnz) refactorisation, which is counted nowhere —
+        /// it is bookkeeping-free by design). Stale-pivot *recoveries* are
+        /// counted separately in [`RunStatistics::repivot_factorizations`].
+        ///
+        /// # Counter contract
+        ///
+        /// With the modified-Newton Jacobian bypass
+        /// ([`TransientOptions::reuse_jacobian`], the default) a factorisation
+        /// happens only on the first iteration of an incompatible step or after
+        /// a convergence-rate refactor, never once per iteration, so for a plain
+        /// transient run
+        ///
+        /// ```text
+        /// full_factorizations + repivot_factorizations ≤ newton_iterations
+        /// ```
+        ///
+        /// holds on every backend (each factorisation is provoked by exactly one
+        /// Newton iteration). Periodic-steady-state runs add **one factorisation
+        /// per accepted in-period step** on top (the sensitivity chain factors
+        /// the converged step Jacobian outside any Newton iteration), so the
+        /// bound there is `newton_iterations + accepted_steps`.
+        full_factorizations,
+        /// Sparse factorisations that had usable factors but whose stored pivot
+        /// order went numerically stale, forcing a re-pivoting factorisation
+        /// (the [`SparseLu::update`](harvester_numerics::sparse::SparseLu::update)
+        /// recovery path). Split from
+        /// [`RunStatistics::full_factorizations`] because the two mean different
+        /// things in perf triage: a climbing cold-start count points at workspace
+        /// reuse being defeated, a climbing re-pivot count at numerically
+        /// volatile matrices. Always zero on the dense backend.
+        repivot_factorizations,
+        /// Steps that converged in Newton but were rejected (and retried
+        /// smaller) because the estimated local truncation error exceeded the
+        /// [`StepControl::Adaptive`] tolerances. Always zero under
+        /// [`StepControl::Fixed`]. See [`RunStatistics::rejected_steps`] for the
+        /// Newton-failure counter this is split from.
+        lte_rejections,
+        /// Accepted steps whose Newton iteration was warm-started from a
+        /// polynomial predictor of order ≥ 1 (i.e. at least two accepted states
+        /// of history were available). Always zero under [`StepControl::Fixed`].
+        predicted_steps,
+        /// Shooting-Newton closure updates applied by the periodic steady-state
+        /// engine ([`crate::shooting::SteadyStateAnalysis`]). Zero for plain
+        /// transients.
+        shooting_iterations,
+        /// Full excitation periods integrated in pursuit of a periodic steady
+        /// state: warm-up plus one per shooting iteration for the PSS engine,
+        /// and `settle + measure` cycles per measurement for brute-force
+        /// envelope settling (accounted by the envelope simulator). This is the
+        /// headline work metric of the shooting engine — the same cycle-averaged
+        /// measurement at a fraction of the integrated cycles.
+        integrated_cycles,
+        /// Shooting closure solves whose GMRES iteration stagnated or exhausted
+        /// its matvec budget and fell back to forming the monodromy matrix (`n`
+        /// banked-chain propagations) and solving by LU. A healthy damped
+        /// circuit keeps this low; a climbing count says the closure spectrum
+        /// is not clustering and the Krylov budget is mis-sized for the
+        /// workload.
+        gmres_fallbacks,
+        /// Envelope measurements that fell back from the shooting engine to
+        /// brute-force settling because the orbit would not close (accounted by
+        /// the envelope simulator). Each one trades a handful of integrated
+        /// cycles for dozens.
+        brute_force_fallbacks,
+        /// Operating-point homotopy escalations: +1 each time the Direct solve
+        /// hands over to gmin stepping, and +1 again when gmin stepping hands
+        /// over to source stepping. Zero for an operating point that converges
+        /// directly.
+        homotopy_escalations,
+        /// Failing transient steps rescued by the [`RecoveryPolicy`] cascade
+        /// (gmin ramp or junction limiting) after step halving was exhausted.
+        /// Always zero under the default (disabled) policy.
+        recovery_retries,
     }
 }
 
@@ -1189,8 +1239,8 @@ impl TransientWorkspace {
         self.fault.as_ref()
     }
 
-    /// Installs a [`CancelToken`] the marching loops poll between steps
-    /// (and the shooting sweep between sub-intervals). Keep a clone of the
+    /// Installs a [`CancelToken`] the marching loop polls between steps
+    /// (transient runs and shooting sweeps alike). Keep a clone of the
     /// token to fire it; remove it with
     /// [`TransientWorkspace::take_cancel_token`] — it stays installed
     /// across runs on this workspace otherwise.
@@ -1218,6 +1268,20 @@ impl TransientWorkspace {
     /// Size of the global system (node voltages + extra unknowns).
     pub fn unknown_count(&self) -> usize {
         self.layout.n
+    }
+
+    /// The committed solution — after a run, its final accepted point: node
+    /// voltages, then the devices' extra unknowns (the `x` of
+    /// [`Linearisation::at`]).
+    pub fn solution(&self) -> &[f64] {
+        &self.x
+    }
+
+    /// The committed device states that go with
+    /// [`TransientWorkspace::solution`] (the `states` of
+    /// [`Linearisation::at`]).
+    pub fn states(&self) -> &[f64] {
+        &self.states
     }
 
     /// Returns `true` if `circuit` produces exactly the layout this
@@ -1290,7 +1354,7 @@ impl TransientWorkspace {
         self.factored_h = f64::NAN;
     }
 
-    /// Resets the solution, device states and history for a fresh run. The
+    /// Resets the solution and device states for a fresh run. The
     /// numeric factors stay allocated (the sparse backend refactors into
     /// them), but they are marked bypass-ineligible: a fresh run's first
     /// Newton iteration always factors its own Jacobian, so results do not
@@ -1312,11 +1376,6 @@ impl TransientWorkspace {
             }
         }
         self.new_states.copy_from_slice(&self.states);
-        self.times.clear();
-        self.history.clear();
-        self.hist_times.clear();
-        self.hist_states.clear();
-        self.breakpoints.clear();
     }
 
     /// Pushes the current solution `x` into the predictor ring as the
@@ -1331,6 +1390,109 @@ impl TransientWorkspace {
         }
         self.hist_times.push(t);
         self.hist_states.extend_from_slice(&self.x);
+    }
+
+    /// Empties the predictor ring and seeds it with the current solution at
+    /// `t`: the start of a run, and the restart after a breakpoint or a
+    /// recovered step.
+    fn restart_predictor(&mut self, t: f64) {
+        self.hist_times.clear();
+        self.hist_states.clear();
+        self.hist_push(t);
+    }
+
+    /// Merges, sorts and deduplicates the source breakpoints of `circuit`
+    /// inside `(0, t_stop)` into `self.breakpoints`.
+    fn collect_breakpoints(&mut self, circuit: &Circuit, t_stop: f64) {
+        let mut raw = Vec::new();
+        for device in circuit.devices() {
+            device.breakpoints(t_stop, &mut raw);
+        }
+        raw.retain(|b| b.is_finite() && *b > 0.0 && *b < t_stop);
+        raw.sort_by(f64::total_cmp);
+        let merge_eps = 1e-12 * t_stop;
+        self.breakpoints.clear();
+        for b in raw {
+            if self
+                .breakpoints
+                .last()
+                .map_or(true, |&last| b - last > merge_eps)
+            {
+                self.breakpoints.push(b);
+            }
+        }
+    }
+
+    /// The weighted predictor–corrector error of the step just solved,
+    /// `max_i |candidate_i − predicted_i|·c / (reltol·max(|candidate_i|, |x_i|) + abstol)`
+    /// with `c` the corrector's error constant: ~1 is on target. A NaN reads
+    /// as infinite.
+    fn lte_ratio(&self, method: IntegrationMethod, reltol: f64, abstol: f64) -> f64 {
+        let lte_fraction = match method {
+            IntegrationMethod::BackwardEuler => 1.0 / 3.0,
+            IntegrationMethod::Trapezoidal => 1.0 / 12.0,
+        };
+        let mut err_ratio = 0.0f64;
+        for i in 0..self.layout.n {
+            let sol = self.candidate[i];
+            let weight = reltol * sol.abs().max(self.x[i].abs()) + abstol;
+            let err = (sol - self.predicted[i]).abs() * lte_fraction;
+            err_ratio = err_ratio.max(err / weight);
+        }
+        if err_ratio.is_nan() {
+            f64::INFINITY
+        } else {
+            err_ratio
+        }
+    }
+
+    /// Records the samples `due` of the `j·interval` grid, which fall inside
+    /// the accepted step from `t` (state in `x`) to `t_next` (state in
+    /// `candidate`), by dense interpolation.
+    ///
+    /// The interpolant has the integrator's own order — a quadratic through
+    /// the previous ring entry and the step's two endpoints — so recording
+    /// stays second-order accurate even when accepted steps grow far beyond
+    /// the grid. The ring never spans a breakpoint (it is restarted there),
+    /// so the three support points are always smooth neighbours.
+    fn record_dense(&mut self, t: f64, t_next: f64, interval: f64, due: Range<u64>) {
+        let n = self.layout.n;
+        let first_sample = self.times.len();
+        self.times
+            .extend(due.map(|j| (j as f64 * interval).min(t_next)));
+        let samples = self.times.len() - first_sample;
+        if samples == 0 {
+            return;
+        }
+        let row_base = self.history.len();
+        self.history.resize(row_base + samples * n, 0.0);
+        let ring_len = self.hist_times.len();
+        if ring_len >= 2 {
+            // The Newton coefficients depend only on the step's three
+            // support points, so they are computed once per unknown and
+            // merely re-evaluated (one Horner pass) per grid point.
+            let ts = [self.hist_times[ring_len - 2], t, t_next];
+            let base = (ring_len - 2) * n;
+            let mut coeffs = [0.0f64; 3];
+            for i in 0..n {
+                let ys = [self.hist_states[base + i], self.x[i], self.candidate[i]];
+                divided_differences(&ts, &ys, &mut coeffs);
+                for k in 0..samples {
+                    let g = self.times[first_sample + k];
+                    self.history[row_base + k * n + i] = newton_eval(&ts, &coeffs, g);
+                }
+            }
+        } else {
+            let span = t_next - t;
+            for k in 0..samples {
+                let g = self.times[first_sample + k];
+                let theta = ((g - t) / span).clamp(0.0, 1.0);
+                for i in 0..n {
+                    self.history[row_base + k * n + i] =
+                        self.x[i] + theta * (self.candidate[i] - self.x[i]);
+                }
+            }
+        }
     }
 
     /// Assembles the residual and Jacobian at `point` for the Newton
@@ -1536,10 +1698,6 @@ impl TransientAnalysis {
         &self.options
     }
 
-    fn validate_options(&self) -> Result<(), MnaError> {
-        self.options.validate()
-    }
-
     /// Runs the transient analysis on `circuit`.
     ///
     /// # Errors
@@ -1549,7 +1707,7 @@ impl TransientAnalysis {
     /// [`MnaError::StepFailed`] if Newton fails to converge even at the
     /// minimum step size.
     pub fn run(&self, circuit: &Circuit) -> Result<TransientResult, MnaError> {
-        self.validate_options()?;
+        self.options.validate()?;
         let mut workspace = TransientWorkspace::for_circuit(circuit, &self.options)?;
         self.run_with(circuit, &mut workspace)
     }
@@ -1586,7 +1744,7 @@ impl TransientAnalysis {
         workspace: &mut TransientWorkspace,
         warm: bool,
     ) -> Result<TransientResult, MnaError> {
-        self.validate_options()?;
+        self.options.validate()?;
         let opts = &self.options;
         let ws = workspace;
         if !ws.matches(circuit) {
@@ -1612,27 +1770,15 @@ impl TransientAnalysis {
             ws.factored_first = false;
             ws.candidate.copy_from_slice(&ws.x);
             ws.new_states.copy_from_slice(&ws.states);
-            ws.times.clear();
-            ws.history.clear();
-            ws.hist_times.clear();
-            ws.hist_states.clear();
-            ws.breakpoints.clear();
         } else {
             ws.reset(circuit);
         }
         let mut stats = RunStatistics::default();
-
+        ws.times.clear();
+        ws.history.clear();
         ws.times.push(0.0);
         ws.history.extend_from_slice(&ws.x);
-
-        let stop = match opts.step_control {
-            StepControl::Fixed => self.march_fixed(circuit, ws, &mut stats)?,
-            StepControl::Adaptive {
-                reltol,
-                abstol,
-                max_dt,
-            } => self.march_adaptive(circuit, ws, &mut stats, reltol, abstol, max_dt)?,
-        };
+        let stop = self.march(circuit, ws, 0.0..opts.t_stop, true, &mut stats, None)?;
 
         Ok(TransientResult::from_recorded(ws, circuit, stats, stop))
     }
@@ -1650,7 +1796,7 @@ impl TransientAnalysis {
     /// factors' — and refactored only when the update norms stop contracting
     /// (the residual is always assembled exactly, so stale factors change the
     /// iteration path but never the fixed point it converges to).
-    pub(crate) fn attempt_step(
+    fn attempt_step(
         &self,
         circuit: &Circuit,
         ws: &mut TransientWorkspace,
@@ -1789,170 +1935,65 @@ impl TransientAnalysis {
         }
     }
 
-    /// The pre-adaptive marching loop: nominal `dt`, halving only on Newton
-    /// failure — structurally identical to earlier releases. With
-    /// [`TransientOptions::reuse_jacobian`] disabled the produced trace is
-    /// bit-identical to them too; the default modified-Newton bypass keeps
-    /// the same marching decisions but walks a different (cheaper) iteration
-    /// path to each step's solution, so traces agree to the Newton
-    /// tolerances rather than bit-for-bit.
-    fn march_fixed(
+    /// The one marching loop behind every time integration (see the
+    /// [module docs](self#time-stepping)): it marches the committed solution
+    /// across `span` under the options' [`StepControl`] and hands every
+    /// accepted step to `on_step`, if given. With `record`, it appends the
+    /// trace to `ws.times`/`ws.history` (the caller records the start
+    /// sample), always ending with the final accepted state; the shooting
+    /// warm-up records nothing.
+    pub(crate) fn march(
         &self,
         circuit: &Circuit,
         ws: &mut TransientWorkspace,
+        span: Range<f64>,
+        record: bool,
         stats: &mut RunStatistics,
+        mut on_step: Option<&mut StepHook<'_>>,
     ) -> Result<MarchStop, MnaError> {
         let opts = &self.options;
-        let mut last_recorded = 0.0f64;
-        let mut t = 0.0f64;
-        let mut current_dt = opts.dt;
-        let mut first_step = true;
+        let (t0, t_stop) = (span.start, span.end);
         let mut stop = MarchStop::default();
         // The dt trajectory at the current time point, tracked only for the
         // recovery layer's failure report (never allocated under the default
         // disabled policy).
         let mut attempted_dts: Vec<f64> = Vec::new();
-
-        while t < opts.t_stop - 1e-9 * opts.dt {
-            if ws.cancel.as_ref().is_some_and(|c| c.poll()) {
-                stop.truncated = true;
-                stop.cancelled = true;
-                break;
-            }
-            if !opts.budget.is_unlimited() && opts.budget.exhausted_by(stats).is_some() {
-                stop.truncated = true;
-                break;
-            }
-            // Absorb the final fractional step into the previous one instead
-            // of taking a femtosecond "sliver" step created by accumulated
-            // floating-point error: companion conductances scale as 1/dt, so
-            // a sliver step is numerically hopeless for large capacitances.
-            let remaining = opts.t_stop - t;
-            let h = if remaining < 1.5 * current_dt {
-                remaining
-            } else {
-                current_dt
-            };
-            let t_next = t + h;
-            ws.candidate.copy_from_slice(&ws.x);
-            let attempt = self.attempt_step(circuit, ws, t_next, h, first_step, stats);
-
-            let mut accepted = attempt.converged;
-            if !accepted {
-                stats.rejected_steps += 1;
-                if opts.recovery.is_enabled() {
-                    attempted_dts.push(h);
-                }
-                current_dt *= 0.5;
-                if current_dt < opts.min_dt {
-                    self.recover_failed_step(
-                        circuit,
-                        ws,
-                        t_next,
-                        h,
-                        current_dt,
-                        first_step,
-                        stats,
-                        &attempted_dts,
-                        attempt.residual,
-                    )?;
-                    accepted = true;
-                }
-            }
-
-            if accepted {
-                ws.states.copy_from_slice(&ws.new_states);
-                ws.x.copy_from_slice(&ws.candidate);
-                t = t_next;
-                first_step = false;
-                stats.accepted_steps += 1;
-                attempted_dts.clear();
-                let should_record = match opts.record_interval {
-                    None => true,
-                    Some(interval) => {
-                        t - last_recorded >= interval - 1e-15 || t >= opts.t_stop - 1e-15
-                    }
-                };
-                if should_record {
-                    ws.times.push(t);
-                    ws.history.extend_from_slice(&ws.x);
-                    last_recorded = t;
-                }
-                if current_dt < opts.dt {
-                    current_dt = (current_dt * 2.0).min(opts.dt);
-                }
-            }
-        }
-
-        // The absolute-epsilon check above can miss t_stop by accumulated
-        // rounding once steps are non-uniform (halving recovery, absorbed
-        // final step): the last accepted state is always part of the result.
-        if *ws.times.last().expect("initial sample always present") != t {
-            ws.times.push(t);
-            ws.history.extend_from_slice(&ws.x);
-        }
-        Ok(stop)
-    }
-
-    /// The LTE-controlled marching loop of [`StepControl::Adaptive`]: a
-    /// divided-difference predictor warm-starts Newton and supplies the
-    /// per-unknown truncation-error estimate; the step grows and shrinks
-    /// between `min_dt` and `max_dt`, landing exactly on every source
-    /// breakpoint; output is densely interpolated onto the
-    /// `record_interval` grid.
-    fn march_adaptive(
-        &self,
-        circuit: &Circuit,
-        ws: &mut TransientWorkspace,
-        stats: &mut RunStatistics,
-        reltol: f64,
-        abstol: f64,
-        max_dt: f64,
-    ) -> Result<MarchStop, MnaError> {
-        let opts = &self.options;
-        let n = ws.layout.n;
-        let mut stop = MarchStop::default();
-        let mut attempted_dts: Vec<f64> = Vec::new();
-
-        // Merge, sort and deduplicate the circuit's source breakpoints once
-        // per run.
-        let mut raw = Vec::new();
-        for device in circuit.devices() {
-            device.breakpoints(opts.t_stop, &mut raw);
-        }
-        raw.retain(|b| b.is_finite() && *b > 0.0 && *b < opts.t_stop);
-        raw.sort_by(f64::total_cmp);
-        let merge_eps = 1e-12 * opts.t_stop;
-        ws.breakpoints.clear();
-        for b in raw {
-            if ws
-                .breakpoints
-                .last()
-                .map_or(true, |&last| b - last > merge_eps)
-            {
-                ws.breakpoints.push(b);
-            }
-        }
-
+        let lte = match opts.step_control {
+            StepControl::Fixed => None,
+            StepControl::Adaptive {
+                reltol,
+                abstol,
+                max_dt,
+            } => Some((reltol, abstol, max_dt)),
+        };
         // The predictor order is capped at the corrector's order so the
         // predictor–corrector gap is a genuine estimate of the corrector's
-        // truncation error.
+        // truncation error. Fixed stepping pins it at 0, which also leaves
+        // the LTE control off.
         let method_order = match opts.method {
             IntegrationMethod::BackwardEuler => 1,
             IntegrationMethod::Trapezoidal => 2,
         };
-
-        ws.hist_push(0.0);
-        let record_interval = opts.record_interval;
-        // Next uniform-grid sample as a multiple of the interval (indexed,
-        // not accumulated, so the grid does not drift over long runs).
+        let max_order = if lte.is_some() { method_order } else { 0 };
+        // Fixed stepping lands on `t₀ + k·dt` for `k < steps`, then on t_stop.
+        let steps = ((t_stop - t0) / opts.dt).round().max(1.0) as usize;
+        let mut landings = 0usize;
+        // The next step to try; an infinite one takes the next grid interval
+        // whole.
+        let mut h = match lte {
+            Some((_, _, max_dt)) => {
+                ws.collect_breakpoints(circuit, t_stop);
+                ws.restart_predictor(t0);
+                opts.dt.clamp(opts.min_dt, max_dt)
+            }
+            None => f64::INFINITY,
+        };
+        let mut t = t0;
         let mut record_index = 1u64;
-        let mut t = 0.0f64;
-        let mut h = opts.dt.clamp(opts.min_dt, max_dt);
-        let mut bp_idx = 0usize;
         let mut first_step = true;
-        let mut successive_lte_rejections = 0usize;
         let stop_eps = 1e-9 * opts.dt;
+        let mut bp_idx = 0usize;
+        let mut successive_lte_rejections = 0usize;
         // The accuracy controller may not shrink the step far below the
         // nominal dt: the fixed-step engine resolves every corner at dt, so
         // dt/100 buys two orders of magnitude of extra corner resolution
@@ -1963,7 +2004,7 @@ impl TransientAnalysis {
         let lte_floor = (opts.dt * MIN_ADAPTIVE_STEP_FRACTION).max(opts.min_dt);
         let dip_floor = (opts.dt * DIP_FLOOR_FRACTION).max(opts.min_dt);
 
-        while t < opts.t_stop - stop_eps {
+        while t < t_stop - stop_eps {
             if ws.cancel.as_ref().is_some_and(|c| c.poll()) {
                 stop.truncated = true;
                 stop.cancelled = true;
@@ -1973,32 +2014,46 @@ impl TransientAnalysis {
                 stop.truncated = true;
                 break;
             }
-            // Advance past breakpoints already landed on.
-            while ws
-                .breakpoints
-                .get(bp_idx)
-                .is_some_and(|&b| b <= t + stop_eps)
-            {
-                bp_idx += 1;
-            }
-            let next_bp = ws.breakpoints.get(bp_idx).copied();
-            let boundary = next_bp.unwrap_or(opts.t_stop);
-            let remaining = boundary - t;
-
-            let mut h_step = h.clamp(opts.min_dt, max_dt);
-            let t_next = if remaining <= h_step {
-                // Land exactly on the boundary (breakpoint or stop time).
-                h_step = remaining;
-                boundary
-            } else if remaining < 1.5 * h_step {
-                // Split the remaining distance instead of leaving a
-                // numerically hopeless sliver for the next step.
-                h_step = 0.5 * remaining;
-                t + h_step
+            // The next point a step must land on exactly: the next grid point
+            // under fixed stepping, the next source breakpoint under adaptive.
+            let boundary = if lte.is_none() {
+                if landings + 1 < steps {
+                    t0 + (landings + 1) as f64 * opts.dt
+                } else {
+                    t_stop
+                }
             } else {
-                t + h_step
+                // Advance past breakpoints already landed on.
+                while ws
+                    .breakpoints
+                    .get(bp_idx)
+                    .is_some_and(|&b| b <= t + stop_eps)
+                {
+                    bp_idx += 1;
+                }
+                ws.breakpoints.get(bp_idx).copied().unwrap_or(t_stop)
             };
-            let landed_on_breakpoint = next_bp.is_some() && t_next == boundary;
+            let remaining = boundary - t;
+            let (h_step, t_next) = match lte {
+                // Absorb a remainder under 1.5·h into this step instead of
+                // leaving a sliver: companion conductances scale as 1/h, so a
+                // sliver step is numerically hopeless for large capacitances.
+                None if remaining < 1.5 * h => (remaining, boundary),
+                None => (h, t + h),
+                Some((_, _, max_dt)) => {
+                    let h_step = h.clamp(opts.min_dt, max_dt);
+                    if remaining <= h_step {
+                        (remaining, boundary)
+                    } else if remaining < 1.5 * h_step {
+                        // Split the remaining distance instead of leaving a
+                        // numerically hopeless sliver for the next step.
+                        (0.5 * remaining, t + 0.5 * remaining)
+                    } else {
+                        (h_step, t + h_step)
+                    }
+                }
+            };
+            let landing = t_next == boundary;
             if t_next <= t {
                 // h rounded to a zero time advance (possible once Newton
                 // recovery has halved towards min_dt at large t, where
@@ -2014,11 +2069,12 @@ impl TransientAnalysis {
             }
 
             // Warm-start Newton from the divided-difference predictor over
-            // the most recent accepted states.
-            let points = ws.hist_times.len().min(method_order + 1);
-            let order = points - 1;
+            // the most recent accepted states (order 0 under fixed stepping:
+            // the previous solution).
+            let order = ws.hist_times.len().saturating_sub(1).min(max_order);
             if order >= 1 {
-                let start = ws.hist_times.len() - points;
+                let n = ws.layout.n;
+                let start = ws.hist_times.len() - order - 1;
                 extrapolate_rows(
                     &ws.hist_times[start..],
                     &ws.hist_states[start * n..],
@@ -2040,22 +2096,21 @@ impl TransientAnalysis {
                     attempted_dts.push(h_step);
                 }
                 h = h_step * 0.5;
-                if h < opts.min_dt {
-                    self.recover_failed_step(
-                        circuit,
-                        ws,
-                        t_next,
-                        h_step,
-                        h,
-                        first_step,
-                        stats,
-                        &attempted_dts,
-                        attempt.residual,
-                    )?;
-                    recovered = true;
-                } else {
+                if h >= opts.min_dt {
                     continue;
                 }
+                self.recover_failed_step(
+                    circuit,
+                    ws,
+                    t_next,
+                    h_step,
+                    h,
+                    first_step,
+                    stats,
+                    &attempted_dts,
+                    attempt.residual,
+                )?;
+                recovered = true;
             }
             attempted_dts.clear();
 
@@ -2070,22 +2125,12 @@ impl TransientAnalysis {
             // error, and acting on that over-read locks the controller into
             // a restart→reject→restart limit cycle. Under-order start-up
             // steps (at most two per smooth segment) simply hold the step.
-            let mut err_ratio = 0.0f64;
-            if order == method_order {
-                let lte_fraction = match opts.method {
-                    IntegrationMethod::BackwardEuler => 1.0 / 3.0,
-                    IntegrationMethod::Trapezoidal => 1.0 / 12.0,
-                };
-                for i in 0..n {
-                    let sol = ws.candidate[i];
-                    let weight = reltol * sol.abs().max(ws.x[i].abs()) + abstol;
-                    let err = (sol - ws.predicted[i]).abs() * lte_fraction;
-                    err_ratio = err_ratio.max(err / weight);
+            let err_ratio = match lte {
+                Some((reltol, abstol, _)) if order == method_order => {
+                    ws.lte_ratio(opts.method, reltol, abstol)
                 }
-                if err_ratio.is_nan() {
-                    err_ratio = f64::INFINITY;
-                }
-            }
+                _ => 0.0,
+            };
 
             // Rejection policy. A step is re-done only on a *clear* miss
             // (err beyond the [`LTE_REJECT_THRESHOLD`] deadband): a marginal
@@ -2116,61 +2161,23 @@ impl TransientAnalysis {
             }
             successive_lte_rejections = 0;
 
-            // Accept. Dense output first: it interpolates between the
+            // Accept. Record first: dense output interpolates between the
             // previous state (still in ws.x) and the new one (ws.candidate).
-            match record_interval {
-                Some(interval) => {
-                    // Interpolate at the integrator's own order — a quadratic
-                    // through the previous ring entry and the step's two
-                    // endpoints — so recording stays second-order accurate
-                    // even when accepted steps grow far beyond the grid. The
-                    // ring never spans a breakpoint (it is cleared there), so
-                    // the three support points are always smooth neighbours.
-                    let grid_eps = 1e-9 * interval;
-                    let first_sample = ws.times.len();
-                    loop {
-                        let g = record_index as f64 * interval;
-                        if g > t_next + grid_eps || g > opts.t_stop {
-                            break;
-                        }
-                        ws.times.push(g.min(t_next));
-                        record_index += 1;
-                    }
-                    let samples = ws.times.len() - first_sample;
-                    if samples > 0 {
-                        let row_base = ws.history.len();
-                        ws.history.resize(row_base + samples * n, 0.0);
-                        let ring_len = ws.hist_times.len();
-                        if ring_len >= 2 {
-                            // The Newton coefficients depend only on the
-                            // step's three support points, so they are
-                            // computed once per unknown and merely
-                            // re-evaluated (one Horner pass) per grid point.
-                            let ts = [ws.hist_times[ring_len - 2], t, t_next];
-                            let base = (ring_len - 2) * n;
-                            let mut coeffs = [0.0f64; 3];
-                            for i in 0..n {
-                                let ys = [ws.hist_states[base + i], ws.x[i], ws.candidate[i]];
-                                divided_differences(&ts, &ys, &mut coeffs);
-                                for k in 0..samples {
-                                    let g = ws.times[first_sample + k];
-                                    ws.history[row_base + k * n + i] = newton_eval(&ts, &coeffs, g);
-                                }
-                            }
+            // Fixed stepping records grid landings only.
+            if record && (lte.is_some() || landing) {
+                let record_landing = match opts.record_interval {
+                    None => true,
+                    Some(interval) => {
+                        let due = due_samples(&mut record_index, interval, t_next, t_stop);
+                        if lte.is_some() {
+                            ws.record_dense(t, t_next, interval, due);
+                            false
                         } else {
-                            let span = t_next - t;
-                            for k in 0..samples {
-                                let g = ws.times[first_sample + k];
-                                let theta = ((g - t) / span).clamp(0.0, 1.0);
-                                for i in 0..n {
-                                    ws.history[row_base + k * n + i] =
-                                        ws.x[i] + theta * (ws.candidate[i] - ws.x[i]);
-                                }
-                            }
+                            !due.is_empty()
                         }
                     }
-                }
-                None => {
+                };
+                if record_landing {
                     ws.times.push(t_next);
                     ws.history.extend_from_slice(&ws.candidate);
                 }
@@ -2178,34 +2185,41 @@ impl TransientAnalysis {
 
             ws.states.copy_from_slice(&ws.new_states);
             ws.x.copy_from_slice(&ws.candidate);
+            if let Some(hook) = on_step.as_deref_mut() {
+                hook(
+                    ws,
+                    StampPoint::new(t_next, h_step, opts.method, first_step),
+                    stats,
+                )?;
+            }
             t = t_next;
             first_step = false;
             stats.accepted_steps += 1;
             if order >= 1 {
                 stats.predicted_steps += 1;
             }
-            if landed_on_breakpoint {
-                // The source forced a derivative discontinuity here: states
-                // on the far side are not polynomial continuations of states
-                // on the near side, so the predictor restarts from scratch
-                // and the step restarts at the nominal dt, exactly as at
-                // t = 0.
-                ws.hist_times.clear();
-                ws.hist_states.clear();
-                ws.hist_push(t);
-                h = opts.dt.clamp(opts.min_dt, max_dt);
+
+            let Some((_, _, max_dt)) = lte else {
+                // A landing opens the next grid interval, taken whole; inside
+                // a halved interval the step regrows ×2 (once it reaches the
+                // remainder it lands on the interval's end).
+                if landing {
+                    landings += 1;
+                    h = f64::INFINITY;
+                } else {
+                    h *= 2.0;
+                }
                 continue;
-            }
-            if recovered {
-                // A homotopy-recovered solution is no polynomial continuation
-                // of the failed Newton attempts either: restart the predictor
-                // like at a breakpoint, but stay at the (small) step size the
-                // emergency was crossed at rather than jumping back to the
-                // nominal dt.
-                ws.hist_times.clear();
-                ws.hist_states.clear();
-                ws.hist_push(t);
-                h = h_step.clamp(opts.min_dt, max_dt);
+            };
+            if landing || recovered {
+                // The source forced a derivative discontinuity here, or a
+                // homotopy-recovered solution is no polynomial continuation
+                // of the failed Newton attempts: the predictor restarts from
+                // scratch. After a breakpoint the step restarts at the
+                // nominal dt, exactly as at t = 0; after a recovery it stays
+                // at the (small) step size the emergency was crossed at.
+                ws.restart_predictor(t);
+                h = if landing { opts.dt } else { h_step }.clamp(opts.min_dt, max_dt);
                 continue;
             }
             ws.hist_push(t);
@@ -2234,9 +2248,9 @@ impl TransientAnalysis {
             h = (h_step * factor).clamp(dip_floor, max_dt);
         }
 
-        // The final accepted state is always part of the result (the uniform
+        // The final accepted state is always part of the result (the
         // recording grid generally ends short of t_stop).
-        if *ws.times.last().expect("initial sample always present") != t {
+        if record && ws.times.last() != Some(&t) {
             ws.times.push(t);
             ws.history.extend_from_slice(&ws.x);
         }
@@ -2248,8 +2262,7 @@ impl TransientAnalysis {
     /// [`RecoveryPolicy`]. On `Ok(())` the workspace holds a committed-ready
     /// `(candidate, new_states)` pair at `t_next`, exactly like a converged
     /// [`TransientAnalysis::attempt_step`]; the caller commits it. With the
-    /// policy disabled this returns the exact bare [`MnaError::StepFailed`]
-    /// earlier releases raised.
+    /// policy disabled this returns the bare [`MnaError::StepFailed`].
     #[allow(clippy::too_many_arguments)]
     fn recover_failed_step(
         &self,
@@ -2475,8 +2488,30 @@ const MIN_ADAPTIVE_STEP_FRACTION: f64 = 1e-1;
 /// `min_dt`.
 const DIP_FLOOR_FRACTION: f64 = 1e-3;
 
-/// How a marching loop ended early, if it did — plumbing between the march
-/// loops and [`TransientResult::from_recorded`].
+/// Advances `next` past every sample `j·interval` of the recording grid
+/// that falls due once a march reaches `t` (within `1e-9·interval`, but none
+/// past `t_stop`) and returns their indices. Indexed rather than
+/// accumulated, the grid does not drift over long runs.
+fn due_samples(next: &mut u64, interval: f64, t: f64, t_stop: f64) -> Range<u64> {
+    let first = *next;
+    loop {
+        let g = *next as f64 * interval;
+        if g > t + 1e-9 * interval || g > t_stop {
+            return first..*next;
+        }
+        *next += 1;
+    }
+}
+
+/// Per-accepted-step hook of [`TransientAnalysis::march`]. It is called
+/// once the step is committed (`x` and `states` hold the accepted solution,
+/// the Jacobian is as [`TransientAnalysis::attempt_step`] left it) with the
+/// point the step was solved at; an error aborts the march.
+type StepHook<'a> =
+    dyn FnMut(&mut TransientWorkspace, StampPoint, &mut RunStatistics) -> Result<(), MnaError> + 'a;
+
+/// How the marching loop ended early, if it did — plumbing between
+/// [`TransientAnalysis::march`] and its callers.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct MarchStop {
     /// The march stopped before `t_stop` (budget exhausted or cancelled).
@@ -2665,7 +2700,7 @@ mod tests {
     use super::*;
     use crate::circuit::Circuit;
     use crate::device::StampContext;
-    use crate::devices::{Capacitor, Resistor, VoltageSource};
+    use crate::devices::{Capacitor, Diode, Resistor, VoltageSource};
     use crate::waveform::Waveform;
 
     fn rc_circuit() -> (Circuit, NodeId) {
@@ -3370,39 +3405,104 @@ mod tests {
     }
 
     #[test]
+    fn a_newton_failure_keeps_fixed_samples_on_the_dt_grid() {
+        // A 2 V / 1 kHz half-wave rectifier. One injected singular
+        // factorisation fails a step's Newton solve; the retry halves inside
+        // that step's grid interval, so the run keeps the clean run's grid.
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let out = c.node("out");
+        c.add(VoltageSource::new(
+            "V",
+            vin,
+            Circuit::GROUND,
+            Waveform::sine(2.0, 1000.0),
+        ));
+        c.add(Diode::new("D", vin, out));
+        c.add(Capacitor::new("C", out, Circuit::GROUND, 1e-6));
+        c.add(Resistor::new("R", out, Circuit::GROUND, 10e3));
+        let dt = 1e-5;
+        for record_interval in [None, Some(5.0 * dt)] {
+            let options = TransientOptions {
+                t_stop: 2e-3,
+                dt,
+                record_interval,
+                ..TransientOptions::default()
+            };
+            let analysis = TransientAnalysis::new(options);
+            let clean = analysis.run(&c).unwrap();
+            let mut ws = TransientWorkspace::for_circuit(&c, &options).unwrap();
+            let mut injector = FaultInjector::new();
+            injector.arm(Fault::SingularFactorization, 5);
+            ws.install_fault_injector(injector);
+            let faulted = analysis.run_with(&c, &mut ws).unwrap();
+            let injector = ws.fault_injector().unwrap();
+            assert_eq!(injector.fired(Fault::SingularFactorization), 1);
+            assert_eq!(clean.statistics().rejected_steps, 0);
+            assert!(
+                faulted.statistics().rejected_steps > 0,
+                "{record_interval:?}"
+            );
+            assert_eq!(faulted.len(), clean.len(), "{record_interval:?}");
+            assert_eq!(faulted.final_time(), clean.final_time());
+            for &t in faulted.times() {
+                assert_eq!(t, (t / dt).round() * dt, "sample {t} is off the {dt} grid");
+                if let Some(interval) = record_interval {
+                    let j = (t / interval).round();
+                    assert!(
+                        (t - j * interval).abs() <= 1e-9 * interval,
+                        "sample {t} is off the {interval} recording grid"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_record_intervals_are_rejected() {
+        let (c, _) = rc_circuit();
+        for step_control in [StepControl::Fixed, StepControl::adaptive()] {
+            for interval in [0.0, -1e-6, f64::NAN, f64::INFINITY] {
+                let options = TransientOptions {
+                    t_stop: 1e-4,
+                    record_interval: Some(interval),
+                    step_control,
+                    ..TransientOptions::default()
+                };
+                match options.validate() {
+                    Err(MnaError::InvalidOptions(msg)) => {
+                        assert!(msg.contains("record_interval"), "{msg}")
+                    }
+                    other => panic!("{interval}: validate() returned {other:?}"),
+                }
+                assert!(
+                    matches!(
+                        TransientAnalysis::new(options).run(&c),
+                        Err(MnaError::InvalidOptions(_))
+                    ),
+                    "{step_control:?}/{interval}: run() must refuse the interval"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn run_statistics_merge_accumulates_every_counter() {
-        let a = RunStatistics {
-            accepted_steps: 1,
-            rejected_steps: 2,
-            newton_iterations: 3,
-            linear_solves: 4,
-            full_factorizations: 5,
-            repivot_factorizations: 8,
-            lte_rejections: 6,
-            predicted_steps: 7,
-            shooting_iterations: 9,
-            integrated_cycles: 10,
-            gmres_fallbacks: 11,
-            brute_force_fallbacks: 12,
-            homotopy_escalations: 13,
-            recovery_retries: 14,
-        };
+        let mut a = RunStatistics::default();
+        for (k, (_, value)) in a.counters_mut().into_iter().enumerate() {
+            *value = k + 1;
+        }
         let mut b = a;
         b.merge(&a);
-        assert_eq!(b.accepted_steps, 2);
-        assert_eq!(b.rejected_steps, 4);
-        assert_eq!(b.newton_iterations, 6);
-        assert_eq!(b.linear_solves, 8);
-        assert_eq!(b.full_factorizations, 10);
-        assert_eq!(b.repivot_factorizations, 16);
-        assert_eq!(b.lte_rejections, 12);
-        assert_eq!(b.predicted_steps, 14);
-        assert_eq!(b.shooting_iterations, 18);
-        assert_eq!(b.integrated_cycles, 20);
-        assert_eq!(b.gmres_fallbacks, 22);
-        assert_eq!(b.brute_force_fallbacks, 24);
-        assert_eq!(b.homotopy_escalations, 26);
-        assert_eq!(b.recovery_retries, 28);
+        for ((name, merged), (_, single)) in b.counters().into_iter().zip(a.counters()) {
+            assert_eq!(merged, 2 * single, "{name}");
+        }
+        let names = a.counters().map(|(name, _)| name);
+        assert_eq!(names.len(), RunStatistics::COUNTERS);
+        assert_eq!(names[0], "accepted_steps");
+        assert_eq!(names[RunStatistics::COUNTERS - 1], "recovery_retries");
+        assert_eq!(a.accepted_steps, 1);
+        assert_eq!(a.recovery_retries, RunStatistics::COUNTERS);
     }
 
     #[test]

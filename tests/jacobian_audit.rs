@@ -1,12 +1,15 @@
-//! Jacobian audit of every shipped device type.
+//! Jacobian audit of every shipped device, alone and in place.
 //!
-//! Each device is stamped alone into a small circuit through
+//! Each device type is stamped alone into a small circuit through
 //! [`Linearisation::at`], at seeded random operating points, under both
 //! integration methods, on first and later steps, and with junction
-//! limiting off and at two limits. Two properties are checked at every
-//! point:
+//! limiting off and at two limits. Every device of the shipped circuits —
+//! the three `.cir` fixtures, a 16-stage coupled array and the paper's
+//! un-optimised and optimised harvesters — is then audited in place, at
+//! the operating points of a short transient of its circuit. Two properties
+//! are checked at every point:
 //!
-//! * **(a)** every Jacobian position the device writes lies inside the
+//! * **(a)** every Jacobian position the devices write lies inside the
 //!   sparse backend's pattern, which the engine records from one assembly
 //!   at the zero iterate;
 //! * **(b)** central differences of the assembled residual match the
@@ -20,20 +23,27 @@
 //! local SplitMix64 with fixed seeds and a failure names its draw.
 
 use std::collections::HashSet;
+use std::path::Path;
 
+use energy_harvester::experiments::arrays::coupled_array_netlist;
 use energy_harvester::mna::circuit::{Circuit, NodeId};
 use energy_harvester::mna::device::{Device, StampPoint};
 use energy_harvester::mna::devices::{
     Capacitor, CurrentSource, Diode, IdealTransformer, Inductor, Resistor, TimedSwitch,
     VoltageSource,
 };
+use energy_harvester::mna::netlist;
 use energy_harvester::mna::transient::{
-    IntegrationMethod, Linearisation, SolverBackend, TransientOptions, TransientWorkspace,
+    IntegrationMethod, Linearisation, SolverBackend, TransientAnalysis, TransientOptions,
+    TransientWorkspace,
 };
 use energy_harvester::mna::waveform::Waveform;
 use energy_harvester::models::generator::{ElectromechanicalGenerator, IdealSourceGenerator};
 use energy_harvester::models::storage::Supercapacitor;
-use energy_harvester::models::{MicroGeneratorParams, StorageParams, Vibration};
+use energy_harvester::models::system::GENERATOR_NAME;
+use energy_harvester::models::{
+    GeneratorModel, HarvesterConfig, MicroGeneratorParams, StorageParams, Vibration,
+};
 
 /// Random operating points drawn per case and per stamp configuration.
 const POINTS: usize = 40;
@@ -133,19 +143,29 @@ fn two_terminal<D: Device + 'static>(
     }
 }
 
+/// The kinks of a diode's current in its branch voltage: the critical
+/// voltage where the exponential is continued linearly, and the reverse
+/// clamp of the exponent at −80·nVt. A central difference straddling one
+/// does not measure the slope on either side, so points within 1 mV of a
+/// kink are skipped.
+fn diode_kinks(is: f64, n: f64) -> [f64; 2] {
+    let nvt = n * 0.02585;
+    [
+        nvt * (nvt / (is * std::f64::consts::SQRT_2)).ln(),
+        -80.0 * nvt,
+    ]
+}
+
 /// A diode, skipped within 1 mV of a kink in its branch voltage
-/// `v(a) − v(b)`: the critical voltage where the exponential is continued
-/// linearly, the reverse clamp of the exponent at −80·nVt, and ±limit under
-/// junction limiting.
+/// `v(a) − v(b)` (see [`diode_kinks`]), or of ±limit under junction
+/// limiting.
 fn diode_case(name: &'static str, grounded: bool, is: f64, n: f64) -> Case {
     let mut case = two_terminal(name, grounded, |a, b| {
         Diode::with_parameters("D", a, b, is, n)
     });
-    let nvt = n * 0.02585;
-    let vcrit = nvt * (nvt / (is * std::f64::consts::SQRT_2)).ln();
     case.near_breakpoint = Box::new(move |x, limit| {
         let v = x[0] - if grounded { 0.0 } else { x[1] };
-        let mut kinks = vec![vcrit, -80.0 * nvt];
+        let mut kinks = diode_kinks(is, n).to_vec();
         if let Some(limit) = limit {
             kinks.extend([limit, -limit]);
         }
@@ -160,11 +180,6 @@ fn diode_case(name: &'static str, grounded: bool, is: f64, n: f64) -> Case {
 fn generator_case(name: &'static str, analytical: bool) -> Case {
     let params = MicroGeneratorParams::unoptimised();
     let vibration = Vibration::paper_benchtop();
-    let (r, big_r, h) = (
-        params.inner_radius,
-        params.outer_radius,
-        params.magnet_height,
-    );
     let mut circuit = Circuit::new();
     let a = circuit.node("a");
     let b = circuit.node("b");
@@ -179,20 +194,30 @@ fn generator_case(name: &'static str, analytical: bool) -> Case {
     }
     // Unknowns: v(a), v(b), then the generator's i, z, u.
     let z_index = 3;
-    // Where the coupling k(z) changes formula or cubic piece (and where the
-    // inner and outer sections' square roots turn vertical): the model's
-    // own slope is a central difference there, not a derivative.
-    let boundaries = [r, 0.5 * h, h - r, h, h + big_r];
     Case {
         name,
-        ranges: ranges(&circuit, 1.2 * (h + big_r)),
+        ranges: ranges(&circuit, 1.2 * (params.magnet_height + params.outer_radius)),
         rtol: if analytical { COUPLING_RTOL } else { RTOL },
         circuit,
         near_breakpoint: Box::new(move |x, _| {
-            let z = x[z_index].abs();
-            analytical && boundaries.iter().any(|b| (z - b).abs() < 0.1 * r)
+            analytical && near_coupling_boundary(&params, x[z_index])
         }),
     }
+}
+
+/// Whether the analytical generator's displacement `z` lies within `r/10`
+/// of a point where the coupling k(z) changes formula or cubic piece (and
+/// where the inner and outer sections' square roots turn vertical): the
+/// model's own slope is a central difference there, not a derivative.
+fn near_coupling_boundary(params: &MicroGeneratorParams, z: f64) -> bool {
+    let (r, big_r, h) = (
+        params.inner_radius,
+        params.outer_radius,
+        params.magnet_height,
+    );
+    [r, 0.5 * h, h - r, h, h + big_r]
+        .iter()
+        .any(|b| (z.abs() - b).abs() < 0.1 * r)
 }
 
 fn cases() -> Vec<Case> {
@@ -250,20 +275,22 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-/// Checks (a) and (b) at one point.
+/// Checks (a) and (b) for `circuit` at one point, with the relative
+/// tolerance of (b) given per column of the Jacobian.
 fn audit_point(
-    case: &Case,
+    name: &str,
+    circuit: &Circuit,
+    rtol: &[f64],
     pattern: &HashSet<(usize, usize)>,
     point: StampPoint,
     x: &[f64],
     states: &[f64],
 ) {
-    let lin = Linearisation::at(&case.circuit, point, x, states).unwrap();
+    let lin = Linearisation::at(circuit, point, x, states).unwrap();
     for stamp in &lin.stamps {
         assert!(
             pattern.contains(stamp),
-            "{}: stamp {stamp:?} outside the recorded pattern at {point:?}, x = {x:?}",
-            case.name
+            "{name}: stamp {stamp:?} outside the recorded pattern at {point:?}, x = {x:?}"
         );
     }
     let n = x.len();
@@ -273,10 +300,10 @@ fn audit_point(
         plus[j] += delta;
         minus[j] -= delta;
         let step = plus[j] - minus[j];
-        let f_plus = Linearisation::at(&case.circuit, point, &plus, states)
+        let f_plus = Linearisation::at(circuit, point, &plus, states)
             .unwrap()
             .residual;
-        let f_minus = Linearisation::at(&case.circuit, point, &minus, states)
+        let f_minus = Linearisation::at(circuit, point, &minus, states)
             .unwrap()
             .residual;
         for i in 0..n {
@@ -286,30 +313,34 @@ fn audit_point(
                 + (0..n)
                     .map(|k| (lin.jacobian[(i, k)] * x[k]).abs())
                     .sum::<f64>();
-            let tolerance = case.rtol * stamped.abs().max(difference.abs())
+            let tolerance = rtol[j] * stamped.abs().max(difference.abs())
                 + ROUNDING_ULPS * f64::EPSILON * terms / delta;
             let error = (difference - stamped).abs();
             assert!(
                 error <= tolerance,
-                "{}: ∂f[{i}]/∂x[{j}] stamped {stamped:e}, central difference {difference:e} \
-                 (tolerance {tolerance:e}) at {point:?}, x = {x:?}, states = {states:?}",
-                case.name
+                "{name}: ∂f[{i}]/∂x[{j}] stamped {stamped:e}, central difference {difference:e} \
+                 (tolerance {tolerance:e}) at {point:?}, x = {x:?}, states = {states:?}"
             );
         }
     }
 }
 
-#[test]
-fn every_device_stamps_inside_its_pattern_and_matches_its_residual() {
+/// The pattern the sparse backend records for `circuit`.
+fn recorded_pattern(circuit: &Circuit) -> HashSet<(usize, usize)> {
     let sparse = TransientOptions {
         backend: SolverBackend::Sparse,
         ..TransientOptions::default()
     };
+    let workspace = TransientWorkspace::for_circuit(circuit, &sparse).unwrap();
+    workspace.sparsity_pattern().unwrap().into_iter().collect()
+}
+
+#[test]
+fn every_device_stamps_inside_its_pattern_and_matches_its_residual() {
     let mut rng = Rng(0x5EED_1A7E);
     for case in cases() {
-        let workspace = TransientWorkspace::for_circuit(&case.circuit, &sparse).unwrap();
-        let pattern: HashSet<(usize, usize)> =
-            workspace.sparsity_pattern().unwrap().into_iter().collect();
+        let pattern = recorded_pattern(&case.circuit);
+        let rtol = vec![case.rtol; case.ranges.len()];
         let n_states: usize = case.circuit.devices().iter().map(|d| d.state_count()).sum();
         let (mut checked, mut skipped) = (0usize, 0usize);
         for method in [
@@ -337,7 +368,15 @@ fn every_device_stamps_inside_its_pattern_and_matches_its_residual() {
                             skipped += 1;
                             continue;
                         }
-                        audit_point(&case, &pattern, point, &x, &states);
+                        audit_point(
+                            case.name,
+                            &case.circuit,
+                            &rtol,
+                            &pattern,
+                            point,
+                            &x,
+                            &states,
+                        );
                         checked += 1;
                     }
                 }
@@ -348,6 +387,155 @@ fn every_device_stamps_inside_its_pattern_and_matches_its_residual() {
             "{}: only {checked} of {} points checked",
             case.name,
             checked + skipped
+        );
+    }
+}
+
+/// Transient stop times per circuit at which the in-place audit checks the
+/// committed state.
+const IN_PLACE_POINTS: usize = 12;
+
+/// Spacing of the in-place audit points in excitation periods: off any
+/// simple fraction, so the points sample every phase of the excitation, and
+/// wide enough that they reach past the third period, where the harvesters'
+/// diodes (which start from rest) first conduct.
+const IN_PLACE_SPACING: f64 = 0.47;
+
+/// A whole circuit, audited with every device in place.
+struct Whole {
+    name: &'static str,
+    circuit: Circuit,
+    /// The analytical generator's parameters and the index of its
+    /// displacement unknown `z`, if the circuit has one: that column gets
+    /// [`COUPLING_RTOL`].
+    generator: Option<(MicroGeneratorParams, usize)>,
+}
+
+fn fixture(file: &str) -> Circuit {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("examples/netlists")
+        .join(file);
+    netlist::build(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+/// The global index of `device`'s unknown `unknown`: node voltages come
+/// first, then every device's extra unknowns in circuit order.
+fn unknown_index(circuit: &Circuit, device: &str, unknown: &str) -> usize {
+    let mut base = circuit.unknown_node_count();
+    for d in circuit.devices() {
+        if d.name() == device {
+            let offset = d.unknown_names().iter().position(|u| u == unknown);
+            return base + offset.expect("the device has this unknown");
+        }
+        base += d.extra_unknowns();
+    }
+    panic!("no device '{device}'")
+}
+
+fn whole_circuits() -> Vec<Whole> {
+    let mut circuits: Vec<Whole> = [
+        "villard.cir",
+        "transformer_booster.cir",
+        "coupled_array4.cir",
+    ]
+    .into_iter()
+    .map(|file| Whole {
+        name: file,
+        circuit: fixture(file),
+        generator: None,
+    })
+    .collect();
+    circuits.push(Whole {
+        name: "coupled_array_netlist(16)",
+        circuit: netlist::build(&coupled_array_netlist(16)).unwrap(),
+        generator: None,
+    });
+    for (name, config) in [
+        ("unoptimised harvester", HarvesterConfig::unoptimised()),
+        ("optimised harvester", HarvesterConfig::optimised_paper()),
+    ] {
+        assert_eq!(config.model, GeneratorModel::Analytical);
+        let (circuit, _) = config.build();
+        let z = unknown_index(&circuit, GENERATOR_NAME, "z");
+        circuits.push(Whole {
+            name,
+            circuit,
+            generator: Some((config.generator, z)),
+        });
+    }
+    circuits
+}
+
+#[test]
+fn every_device_of_the_shipped_circuits_matches_its_residual_in_place() {
+    for whole in whole_circuits() {
+        let circuit = &whole.circuit;
+        let pattern = recorded_pattern(circuit);
+        let period = circuit
+            .devices()
+            .iter()
+            .filter_map(|d| d.excitation_period())
+            .fold(0.0, f64::max);
+        assert!(period > 0.0, "{}: no periodic source", whole.name);
+        let dt = period / 400.0;
+        let diodes: Vec<_> = circuit
+            .devices()
+            .iter()
+            .filter_map(|d| d.as_any()?.downcast_ref::<Diode>())
+            .map(|d| {
+                let kinks = diode_kinks(d.saturation_current(), d.emission_coefficient());
+                (d.terminals(), kinks)
+            })
+            .collect();
+        let voltage = |x: &[f64], node: NodeId| {
+            if node.is_ground() {
+                0.0
+            } else {
+                x[node.index() - 1]
+            }
+        };
+        let (mut checked, mut skipped) = (0usize, 0usize);
+        for k in 1..=IN_PLACE_POINTS {
+            let t_stop = IN_PLACE_SPACING * period * k as f64;
+            let options = TransientOptions {
+                t_stop,
+                dt,
+                ..TransientOptions::default()
+            };
+            let mut workspace = TransientWorkspace::for_circuit(circuit, &options).unwrap();
+            TransientAnalysis::new(options)
+                .run_with(circuit, &mut workspace)
+                .unwrap();
+            let (x, states) = (workspace.solution(), workspace.states());
+            let mut rtol = vec![RTOL; x.len()];
+            // Skipped, as in the single-device audit: a diode within 1 mV
+            // of a kink, or the generator within r/10 of a coupling-section
+            // boundary, where the difference does not measure the slope.
+            let near_kink = diodes.iter().any(|&((a, b), kinks)| {
+                let v = voltage(x, a) - voltage(x, b);
+                kinks.iter().any(|kink| (v - kink).abs() < 1e-3)
+            });
+            let near_boundary = whole.generator.is_some_and(|(params, z)| {
+                rtol[z] = COUPLING_RTOL;
+                near_coupling_boundary(&params, x[z])
+            });
+            if near_kink || near_boundary {
+                skipped += 1;
+                continue;
+            }
+            for method in [
+                IntegrationMethod::BackwardEuler,
+                IntegrationMethod::Trapezoidal,
+            ] {
+                let point = StampPoint::new(t_stop + dt, dt, method, false);
+                audit_point(whole.name, circuit, &rtol, &pattern, point, x, states);
+            }
+            checked += 1;
+        }
+        assert!(
+            checked >= 9 * (checked + skipped) / 10,
+            "{}: only {checked} of {IN_PLACE_POINTS} points checked",
+            whole.name
         );
     }
 }
