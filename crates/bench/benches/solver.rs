@@ -186,11 +186,12 @@ fn backend_work_comparison(_c: &mut Criterion) {
             let stats = result.statistics();
             println!(
                 "  solver-work/{fixture}_{label}: {:.3}s, {} linear solves, \
-                 {} full + {} re-pivot factorisations",
+                 {} full + {} re-pivot factorisations + {} refactorisations",
                 wall[k],
                 stats.linear_solves,
                 stats.full_factorizations,
-                stats.repivot_factorizations
+                stats.repivot_factorizations,
+                stats.refactorizations
             );
             records.push(
                 report::statistics_record(format!("{fixture}_{label}"), &stats, wall[k])

@@ -42,6 +42,7 @@ const LOWER_IS_BETTER: &[(&str, f64)] = &[
     ("linear_solves", 0.10),
     ("full_factorizations", 0.10),
     ("repivot_factorizations", 0.25),
+    ("refactorizations", 0.10),
     ("lte_rejections", 0.25),
     ("integrated_cycles", 0.10),
     ("shooting_iterations", 0.25),

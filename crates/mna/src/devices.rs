@@ -481,6 +481,13 @@ pub struct Diode {
     emission_coefficient: f64,
     thermal_voltage: f64,
     gmin: f64,
+    /// `n·Vt`, and the constants of the exponential's linearisation above
+    /// the critical voltage: all fixed by `Is`, `n` and `Vt`, so they are
+    /// computed once, at construction.
+    nvt: f64,
+    vcrit: f64,
+    i_crit: f64,
+    g_crit: f64,
 }
 
 impl Diode {
@@ -506,41 +513,39 @@ impl Diode {
     ) -> Self {
         assert!(saturation_current > 0.0, "Is must be positive");
         assert!(emission_coefficient > 0.0, "n must be positive");
+        let thermal_voltage = 0.02585;
+        let nvt = emission_coefficient * thermal_voltage;
+        // Forward voltage above which the exponential is linearised to keep
+        // the Newton iteration bounded, and the current and conductance there.
+        let vcrit = nvt * (nvt / (saturation_current * std::f64::consts::SQRT_2)).ln();
+        let e = (vcrit / nvt).exp();
         Diode {
             name: name.to_string(),
             anode,
             cathode,
             saturation_current,
             emission_coefficient,
-            thermal_voltage: 0.02585,
+            thermal_voltage,
             gmin: 1e-12,
+            nvt,
+            vcrit,
+            i_crit: saturation_current * (e - 1.0),
+            g_crit: saturation_current * e / nvt,
         }
-    }
-
-    /// Forward voltage above which the exponential is linearised to keep the
-    /// Newton iteration bounded.
-    fn critical_voltage(&self) -> f64 {
-        let nvt = self.emission_coefficient * self.thermal_voltage;
-        nvt * (nvt / (self.saturation_current * std::f64::consts::SQRT_2)).ln()
     }
 
     /// Diode current and small-signal conductance at junction voltage `v`.
     pub fn current_and_conductance(&self, v: f64) -> (f64, f64) {
-        let nvt = self.emission_coefficient * self.thermal_voltage;
-        let vcrit = self.critical_voltage();
-        let (i, g) = if v <= vcrit {
+        let (i, g) = if v <= self.vcrit {
             // Clamp the reverse exponent as well to avoid underflow noise.
-            let e = (v / nvt).max(-80.0).exp();
+            let e = (v / self.nvt).max(-80.0).exp();
             (
                 self.saturation_current * (e - 1.0),
-                self.saturation_current * e / nvt,
+                self.saturation_current * e / self.nvt,
             )
         } else {
             // Linear extrapolation of the exponential beyond vcrit.
-            let e = (vcrit / nvt).exp();
-            let i_crit = self.saturation_current * (e - 1.0);
-            let g_crit = self.saturation_current * e / nvt;
-            (i_crit + g_crit * (v - vcrit), g_crit)
+            (self.i_crit + self.g_crit * (v - self.vcrit), self.g_crit)
         };
         (i + self.gmin * v, g + self.gmin)
     }

@@ -204,8 +204,11 @@ const SHOOTING_GMRES_MAX_MATVECS: usize = 96;
 
 /// One banked step of a shooting period: the converged Newton
 /// Jacobian's factorisation and the step's effective size and memory rule.
-/// The point's `W` stamps live in [`PeriodCache::w`] (indexed one past the
-/// step, slot 0 being the period-start seed).
+/// A sparse factorisation is banked as a handle on the symbolic analysis it
+/// was factored under plus its numeric values, refilled in place (see
+/// [`JacobianStorage::export_factors`]). The point's `W` stamps live in
+/// [`PeriodCache::w`] (indexed one past the step, slot 0 being the
+/// period-start seed).
 #[derive(Debug)]
 struct CachedPeriodStep {
     factors: Option<CachedFactors>,
@@ -965,6 +968,7 @@ mod tests {
     use crate::devices::{Capacitor, Diode, Resistor, TimedSwitch, VoltageSource};
     use crate::transient::SolverBackend;
     use crate::waveform::Waveform;
+    use harvester_numerics::fault::Fault;
     use harvester_numerics::stats::mean;
 
     /// The n×n dense `W` extraction the storage-order sweep replaced, kept
@@ -1326,6 +1330,130 @@ mod tests {
         for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
             assert_banked_w_matches_the_dense_extraction(&rectifier().0, backend);
             assert_banked_w_matches_the_dense_extraction(&villard().0, backend);
+        }
+    }
+
+    /// Runs `analysis` on `circuit` in a fresh sparse workspace with
+    /// `injector` installed; returns the result, the workspace (holding the
+    /// orbit's end state) and the injector.
+    fn run_sparse_injected(
+        circuit: &Circuit,
+        analysis: &SteadyStateAnalysis,
+        injector: FaultInjector,
+    ) -> (SteadyStateResult, TransientWorkspace, FaultInjector) {
+        let mut ws =
+            TransientWorkspace::for_circuit(circuit, &analysis.effective_transient()).unwrap();
+        assert_eq!(ws.backend(), SolverBackend::Sparse);
+        ws.install_fault_injector(injector);
+        let pss = analysis.run_with(circuit, &mut ws).unwrap();
+        let injector = ws.take_fault_injector().unwrap();
+        (pss, ws, injector)
+    }
+
+    /// A stale pivot mid-period re-pivots the workspace's factorisation
+    /// under a new symbolic analysis while the period is being banked. The
+    /// steps banked before it keep the analysis they were factored under and
+    /// the later ones take the new one, so the banked chain still applies
+    /// the period's monodromy and the closure Newton is not disturbed.
+    #[test]
+    fn a_repivot_inside_a_banked_period_keeps_every_step_on_its_own_analysis() {
+        // After one warm-up cycle the Villard orbit is still open, so its
+        // closure Newton replays banked chains. The rectifier's closes with
+        // its first period (the diode resets the output at every peak); its
+        // chain is replayed by the direct check below only.
+        for (label, (circuit, out), min_iterations) in
+            [("rectifier", rectifier(), 0), ("villard", villard(), 1)]
+        {
+            let mut opts = options(1e-3, 1e-5);
+            opts.warmup_cycles = 1.0;
+            opts.transient.backend = SolverBackend::Sparse;
+            let analysis = SteadyStateAnalysis::new(opts);
+            let (steps, dt) = analysis.period_grid();
+            let (clean, mut ws, _) = run_sparse_injected(&circuit, &analysis, FaultInjector::new());
+            assert!(clean.converged, "{label}: {}", clean.closure_error);
+            assert!(clean.iterations >= min_iterations, "{label}");
+
+            // The same run stopped once its first period is integrated
+            // (every closure meets an `f64::MAX` tolerance) counts the
+            // stale-pivot consultations up to the end of that period. Firing
+            // half a period's steps earlier lands inside the first banked
+            // period, whose chain the first closure solve replays.
+            let mut first_period = opts;
+            first_period.tolerance = f64::MAX;
+            let (_, _, probe) = run_sparse_injected(
+                &circuit,
+                &SteadyStateAnalysis::new(first_period),
+                FaultInjector::new(),
+            );
+            let mut injector = FaultInjector::new();
+            injector.arm(
+                Fault::StalePivot,
+                probe.consultations(Fault::StalePivot) - steps / 2,
+            );
+            let (faulted, faulted_ws, injector) =
+                run_sparse_injected(&circuit, &analysis, injector);
+            assert_eq!(injector.fired(Fault::StalePivot), 1, "{label}");
+            assert_eq!(faulted.statistics().repivot_factorizations, 1, "{label}");
+            assert!(faulted.converged, "{label}: {}", faulted.closure_error);
+            assert_eq!(faulted.iterations, clean.iterations, "{label}");
+            let tolerance = opts.tolerance;
+            assert!(
+                weighted_closure_error(&ws.x, &faulted_ws.x) <= tolerance,
+                "{label}: the orbits' end states differ"
+            );
+            for (a, b) in clean
+                .result
+                .voltage(out)
+                .iter()
+                .zip(faulted.result.voltage(out))
+            {
+                assert!(
+                    (a - b).abs() <= tolerance * (1.0 + a.abs().max(b.abs())),
+                    "{label}: orbit {a} vs {b}"
+                );
+            }
+
+            // Bank one period from the converged orbit twice, once cleanly
+            // and once with the re-pivot half-way through: both chains must
+            // apply the same monodromy matrix.
+            let t_anchor = *clean.result.times().last().unwrap();
+            let transient = TransientAnalysis::new(analysis.effective_transient());
+            let mask = analysis.ddt_value_mask(&circuit, &mut ws, t_anchor, dt);
+            let (x0, states0) = (ws.x.clone(), ws.states.clone());
+            let n = x0.len();
+            let bank_period = |ws: &mut TransientWorkspace| -> PeriodCache {
+                ws.x.copy_from_slice(&x0);
+                ws.states.copy_from_slice(&states0);
+                analysis.refresh_value_states(&circuit, ws, &mask, t_anchor, dt);
+                let mut cache = PeriodCache::new(n);
+                let mut stats = RunStatistics::default();
+                analysis
+                    .integrate_period(&circuit, &transient, ws, t_anchor, &mut stats, &mut cache)
+                    .unwrap();
+                assert_eq!(cache.used_steps, steps);
+                cache
+            };
+            let mut clean_chain = bank_period(&mut ws);
+            let mut injector = FaultInjector::new();
+            injector.arm(Fault::StalePivot, steps / 2);
+            ws.install_fault_injector(injector);
+            let mut faulted_chain = bank_period(&mut ws);
+            assert_eq!(ws.fault_injector().unwrap().fired(Fault::StalePivot), 1);
+            for j in 0..n {
+                let mut basis = vec![0.0; n];
+                basis[j] = 1.0;
+                let (mut a, mut b) = (vec![0.0; n], vec![0.0; n]);
+                assert_eq!(clean_chain.apply_monodromy(&basis, &mut a), Some(steps));
+                assert_eq!(faulted_chain.apply_monodromy(&basis, &mut b), Some(steps));
+                for i in 0..n {
+                    assert!(
+                        (a[i] - b[i]).abs() < 1e-9,
+                        "{label} M[{i}][{j}]: clean chain {} vs re-pivoted chain {}",
+                        a[i],
+                        b[i]
+                    );
+                }
+            }
         }
     }
 

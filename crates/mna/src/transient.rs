@@ -39,8 +39,9 @@
 //!   the small systems (tens of unknowns) a single harvester produces.
 //! * [`SolverBackend::Sparse`] — CSR assembly into the fixed MNA sparsity
 //!   pattern, factored with a sparse LU whose symbolic analysis (pivot
-//!   order, fill pattern, scatter map) is computed **once per circuit** and
-//!   reused across every Newton iteration and time step. The pattern is
+//!   order, fill pattern, scatter map, elimination program) is computed
+//!   **once per circuit** and reused across every Newton iteration and time
+//!   step (counted in [`RunStatistics::refactorizations`]). The pattern is
 //!   derived from the devices' own stamps: one assembly at the zero iterate
 //!   records every position written (see
 //!   [`Device::stamp`](crate::device::Device::stamp) for the contract that
@@ -84,10 +85,10 @@ pub enum IntegrationMethod {
 /// The MNA Jacobian of a circuit has a **fixed sparsity pattern**: every
 /// Newton iteration stamps the same positions, only the values change. The
 /// sparse backend exploits this by computing the symbolic factorisation
-/// (pivot order + fill pattern) once per circuit and then refactoring
-/// numerically in `O(nnz)` per iteration, while the dense backend redoes an
-/// `O(n³)` factorisation each time — unbeatable for small `n`, hopeless for
-/// large `n`.
+/// (pivot order + fill pattern + elimination program) once per circuit and
+/// then refactoring numerically in `O(nnz)` per iteration, while the dense
+/// backend redoes an `O(n³)` factorisation each time — unbeatable for small
+/// `n`, hopeless for large `n`.
 ///
 /// # Example
 ///
@@ -381,7 +382,10 @@ impl Default for RecoveryPolicy {
 pub struct SimulationBudget {
     /// Largest total Newton iteration count, or `None` for no limit.
     pub max_newton_iterations: Option<usize>,
-    /// Largest total factorisation count (full + repivot), or `None`.
+    /// Largest total numeric factorisation count
+    /// ([`RunStatistics::factorizations`]: full, re-pivoting and sparse
+    /// refactorisations alike, so it bounds the same work on either
+    /// backend), or `None`.
     pub max_factorizations: Option<usize>,
     /// Largest accepted-step count, or `None`.
     pub max_accepted_steps: Option<usize>,
@@ -411,7 +415,7 @@ impl SimulationBudget {
         }
         if self
             .max_factorizations
-            .is_some_and(|m| stats.full_factorizations + stats.repivot_factorizations >= m)
+            .is_some_and(|m| stats.factorizations() >= m)
         {
             return Some("factorizations");
         }
@@ -432,9 +436,9 @@ impl SimulationBudget {
             max_newton_iterations: self
                 .max_newton_iterations
                 .map(|m| m.saturating_sub(stats.newton_iterations)),
-            max_factorizations: self.max_factorizations.map(|m| {
-                m.saturating_sub(stats.full_factorizations + stats.repivot_factorizations)
-            }),
+            max_factorizations: self
+                .max_factorizations
+                .map(|m| m.saturating_sub(stats.factorizations())),
             max_accepted_steps: self
                 .max_accepted_steps
                 .map(|m| m.saturating_sub(stats.accepted_steps)),
@@ -662,10 +666,12 @@ run_statistics! {
         /// Numeric factorisations that rebuilt the factors wholesale: every
         /// dense LU (dense factors have no symbolic reuse) and, on the sparse
         /// backend, the first factorisation of a workspace or after a failed one
-        /// dropped the factors (later ones reuse its pivot order and fill
-        /// pattern via the O(nnz) refactorisation, which is counted nowhere —
-        /// it is bookkeeping-free by design). Stale-pivot *recoveries* are
-        /// counted separately in [`RunStatistics::repivot_factorizations`].
+        /// dropped the factors. Later sparse factorisations reuse its pivot
+        /// order and fill pattern and are counted in
+        /// [`RunStatistics::refactorizations`]; stale-pivot *recoveries* are
+        /// counted in [`RunStatistics::repivot_factorizations`]. The three
+        /// together ([`RunStatistics::factorizations`]) count every numeric
+        /// factorisation on either backend.
         ///
         /// # Counter contract
         ///
@@ -676,14 +682,17 @@ run_statistics! {
         /// transient run
         ///
         /// ```text
-        /// full_factorizations + repivot_factorizations ≤ newton_iterations
+        /// full_factorizations + repivot_factorizations + refactorizations
+        ///     ≤ newton_iterations
         /// ```
         ///
         /// holds on every backend (each factorisation is provoked by exactly one
-        /// Newton iteration). Periodic-steady-state runs add **one factorisation
-        /// per accepted in-period step** on top (the sensitivity chain factors
-        /// the converged step Jacobian outside any Newton iteration), so the
-        /// bound there is `newton_iterations + accepted_steps`.
+        /// Newton iteration), and the total is the same on both backends when
+        /// their Newton iterations are. Periodic-steady-state runs add **one
+        /// factorisation per accepted in-period step** on top (the sensitivity
+        /// chain factors the converged step Jacobian outside any Newton
+        /// iteration), so the bound there is `newton_iterations +
+        /// accepted_steps`.
         full_factorizations,
         /// Sparse factorisations that had usable factors but whose stored pivot
         /// order went numerically stale, forcing a re-pivoting factorisation
@@ -694,6 +703,13 @@ run_statistics! {
         /// reuse being defeated, a climbing re-pivot count at numerically
         /// volatile matrices. Always zero on the dense backend.
         repivot_factorizations,
+        /// Sparse numeric refactorisations: factorisations that reused the
+        /// stored symbolic analysis (pivot order, fill pattern and elimination
+        /// program) of an earlier one and only recomputed the values
+        /// ([`SparseLu::refactor`](harvester_numerics::sparse::SparseLu::refactor)).
+        /// Always zero on the dense backend, whose every factorisation counts
+        /// in [`RunStatistics::full_factorizations`].
+        refactorizations,
         /// Steps that converged in Newton but were rejected (and retried
         /// smaller) because the estimated local truncation error exceeded the
         /// [`StepControl::Adaptive`] tolerances. Always zero under
@@ -736,6 +752,15 @@ run_statistics! {
         /// (gmin ramp or junction limiting) after step halving was exhausted.
         /// Always zero under the default (disabled) policy.
         recovery_retries,
+    }
+}
+
+impl RunStatistics {
+    /// Every numeric factorisation, on either backend: full, re-pivoting and
+    /// pattern-reusing ones together — what
+    /// [`SimulationBudget::max_factorizations`] limits.
+    pub fn factorizations(&self) -> usize {
+        self.full_factorizations + self.repivot_factorizations + self.refactorizations
     }
 }
 
@@ -906,8 +931,11 @@ impl JacobianStorage {
                     // `SparseLu::update` performs after a failed refactor)
                     // if the stored pivot order went numerically stale.
                     let stale = fault.is_some_and(|inj| inj.should_fire(Fault::StalePivot));
-                    (!stale && f.refactor(matrix).is_ok())
-                        || match SparseLu::new(matrix) {
+                    if !stale && f.refactor(matrix).is_ok() {
+                        stats.refactorizations += 1;
+                        true
+                    } else {
+                        match SparseLu::new(matrix) {
                             Ok(fresh) => {
                                 stats.repivot_factorizations += 1;
                                 *f = fresh;
@@ -915,6 +943,7 @@ impl JacobianStorage {
                             }
                             Err(_) => false,
                         }
+                    }
                 }
                 None => match SparseLu::new(matrix) {
                     Ok(f) => {
@@ -970,12 +999,17 @@ impl JacobianStorage {
         }
     }
 
-    /// Copies the cached factorisation into a caller-owned slot, reusing the
-    /// slot's allocations when it already holds factors of the same shape —
-    /// the capture primitive behind the matrix-free shooting engine, which
-    /// banks one factorisation per accepted in-period step and replays them
-    /// during the Krylov matvecs. Returns `false` when no factors are
-    /// cached (i.e. [`JacobianStorage::factor`] has not succeeded yet).
+    /// Copies the cached factorisation into a caller-owned slot — the
+    /// capture primitive behind the matrix-free shooting engine, which banks
+    /// one factorisation per accepted in-period step and replays them during
+    /// the Krylov matvecs. A slot that already holds factors of the same
+    /// backend is refilled in place (`clone_from`), so once warm, banking
+    /// allocates nothing: dense factors copy their `n²` values, permutation
+    /// and scales into the slot's buffers; sparse factors copy only their
+    /// numeric values and share the symbolic analysis they were factored
+    /// under, which a later re-pivot replaces in the workspace without
+    /// touching the steps banked before it. Returns `false` when no factors
+    /// are cached (i.e. [`JacobianStorage::factor`] has not succeeded yet).
     pub(crate) fn export_factors(&self, slot: &mut Option<CachedFactors>) -> bool {
         match self {
             JacobianStorage::Dense {
@@ -2811,9 +2845,7 @@ mod tests {
             stats.full_factorizations,
             stats.linear_solves
         );
-        assert!(
-            stats.full_factorizations + stats.repivot_factorizations <= stats.newton_iterations
-        );
+        assert!(stats.factorizations() <= stats.newton_iterations);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Regression tests for the modified-Newton Jacobian bypass: the factor
-//! counters must honour the documented contract
-//! (`full_factorizations + repivot_factorizations <= newton_iterations`
-//! for plain transients, plus one per accepted step for shooting runs),
+//! counters must honour the documented contract (`full_factorizations +
+//! repivot_factorizations + refactorizations <= newton_iterations` for plain
+//! transients, plus one per accepted step for shooting runs),
 //! the bypass must actually decouple factorisations from iterations, and
 //! it must not move the converged trace beyond the Newton tolerances.
 
@@ -50,16 +50,27 @@ fn run(circuit: &Circuit, options: TransientOptions) -> TransientResult {
 #[test]
 fn factor_counters_never_exceed_newton_iterations() {
     let (circuit, _) = rectifier();
+    let mut totals = Vec::new();
     for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
         let stats = run(&circuit, options(backend, true)).statistics();
         assert!(
-            stats.full_factorizations + stats.repivot_factorizations <= stats.newton_iterations,
-            "{backend:?}: counter contract violated: {} full + {} repivot > {} iterations",
+            stats.full_factorizations + stats.repivot_factorizations + stats.refactorizations
+                <= stats.newton_iterations,
+            "{backend:?}: counter contract violated: {} full + {} repivot + {} refactor > {} \
+             iterations",
             stats.full_factorizations,
             stats.repivot_factorizations,
+            stats.refactorizations,
             stats.newton_iterations
         );
+        totals.push((stats.newton_iterations, stats.factorizations()));
     }
+    // The sparse backend counts its pattern-reusing refactorisations, so
+    // the same Newton work costs the same factorisation count on both.
+    assert_eq!(
+        totals[0], totals[1],
+        "dense vs sparse (newton, factorizations)"
+    );
 }
 
 #[test]
@@ -120,11 +131,13 @@ fn shooting_runs_honour_the_extended_counter_contract() {
     // The sensitivity chain factors each accepted in-period step's Jacobian
     // outside any Newton iteration, hence the `+ accepted_steps` headroom.
     assert!(
-        stats.full_factorizations + stats.repivot_factorizations
+        stats.full_factorizations + stats.repivot_factorizations + stats.refactorizations
             <= stats.newton_iterations + stats.accepted_steps,
-        "shooting counter contract violated: {} full + {} repivot > {} iterations + {} steps",
+        "shooting counter contract violated: {} full + {} repivot + {} refactor > {} \
+         iterations + {} steps",
         stats.full_factorizations,
         stats.repivot_factorizations,
+        stats.refactorizations,
         stats.newton_iterations,
         stats.accepted_steps
     );

@@ -190,7 +190,7 @@ enum Backend {
         c_entries: Vec<(usize, usize, f64)>,
         /// The `2n×2n` real-equivalent matrix over the fixed union pattern.
         matrix: SparseMatrix,
-        lu: Box<SparseLu>,
+        lu: SparseLu,
     },
 }
 
@@ -264,7 +264,7 @@ impl HarmonicSolver {
         }
         let mut matrix = triplets.to_csr();
         fill_real_equivalent(&mut matrix, n, &g_entries, &c_entries, 1.0);
-        let lu = Box::new(SparseLu::new(&matrix)?);
+        let lu = SparseLu::new(&matrix)?;
         Ok(HarmonicSolver {
             n,
             backend: Backend::Sparse {

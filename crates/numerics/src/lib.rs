@@ -9,7 +9,8 @@
 //!   nodal analysis of a single harvester).
 //! * [`sparse`] — COO → CSR sparse matrices and a fill-pattern-reusing sparse
 //!   LU ([`sparse::SparseLu`]): the symbolic analysis (pivot order, fill
-//!   pattern, scatter map) is computed once and reused across the thousands of
+//!   pattern, scatter map, elimination program) is computed once, shared by
+//!   every factorisation built on it, and reused across the thousands of
 //!   numerically-different but structurally-identical Jacobians a transient
 //!   analysis produces.
 //! * [`gmres`] — restarted GMRES with an allocation-reusing workspace, the

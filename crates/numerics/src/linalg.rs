@@ -19,11 +19,29 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// assert_eq!(m[(1, 1)], 1.0);
 /// assert_eq!(m[(0, 1)], 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into this matrix, reusing its buffer whenever it is
+    /// large enough.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -391,7 +409,7 @@ fn factorize_in_place(factors: &mut LuFactors) -> Result<(), NumericsError> {
 ///
 /// Stores the combined L (unit lower triangular) and U factors plus the row
 /// permutation, so repeated right-hand sides can be solved cheaply.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LuFactors {
     lu: Matrix,
     perm: Vec<usize>,
@@ -400,6 +418,26 @@ pub struct LuFactors {
     /// reference); kept as a reusable scratch so `lu_into` stays
     /// allocation-free across repeated factorisations.
     col_scale: Vec<f64>,
+}
+
+impl Clone for LuFactors {
+    fn clone(&self) -> Self {
+        LuFactors {
+            lu: self.lu.clone(),
+            perm: self.perm.clone(),
+            sign: self.sign,
+            col_scale: self.col_scale.clone(),
+        }
+    }
+
+    /// Copies `source` into these factors, reusing each buffer whenever it
+    /// is large enough: banking same-shape factors allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.lu.clone_from(&source.lu);
+        self.perm.clone_from(&source.perm);
+        self.sign = source.sign;
+        self.col_scale.clone_from(&source.col_scale);
+    }
 }
 
 impl LuFactors {
@@ -654,6 +692,34 @@ mod tests {
         assert_eq!(x, vec![1.0, 2.0, 3.0]);
         assert!(Matrix::zeros(2, 3).lu_into(&mut factors).is_err());
         assert!(factors.solve_into(&[1.0], &mut x).is_err());
+    }
+
+    #[test]
+    fn clone_from_reuses_same_shape_buffers() {
+        let a = Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[3.0, 1.0, 0.0], &[1.0, 0.0, 4.0]]);
+        let b = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 6.0, 2.0], &[0.0, 2.0, 7.0]]);
+        let source = a.lu().unwrap();
+        let mut bank = b.lu().unwrap();
+        let buffers = |f: &LuFactors| {
+            (
+                f.lu.as_slice().as_ptr(),
+                f.perm.as_ptr(),
+                f.col_scale.as_ptr(),
+            )
+        };
+        let before = buffers(&bank);
+        bank.clone_from(&source);
+        assert_eq!(buffers(&bank), before, "clone_from must reuse the buffers");
+        assert_eq!(bank.lu, source.lu);
+        assert_eq!(bank.perm, source.perm);
+        assert_eq!(bank.sign, source.sign);
+        assert_eq!(bank.col_scale, source.col_scale);
+
+        let mut m = b.clone();
+        let buffer = m.as_slice().as_ptr();
+        m.clone_from(&a);
+        assert_eq!(m.as_slice().as_ptr(), buffer);
+        assert_eq!(m, a);
     }
 
     /// The element-indexed elimination the row-slice kernel replaced, kept

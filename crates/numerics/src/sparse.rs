@@ -6,20 +6,30 @@
 //! same `(row, col)` positions, only the values change. [`SparseLu`] exploits
 //! this the same way production circuit simulators (KLU, Sparse 1.3) do:
 //!
-//! 1. The **first** factorisation performs partial pivoting and records the
-//!    row permutation, the merged L/U fill pattern and a scatter map from the
-//!    matrix's CSR entries into the factor storage.
-//! 2. Every **subsequent** factorisation ([`SparseLu::refactor`]) reuses that
-//!    symbolic analysis: values are scattered into the fixed pattern and
-//!    eliminated along the stored pivot order with no searching, no
-//!    allocation and no pattern bookkeeping.
+//! 1. The **first** factorisation ([`SparseLu::new`]) performs partial
+//!    pivoting and builds the *symbolic analysis*: the row permutation, the
+//!    merged L/U fill pattern, a scatter map from the matrix's CSR entries
+//!    into the factor storage, and an **elimination program** — the factor
+//!    slot each update of the elimination writes, in elimination order.
+//! 2. Every **subsequent** factorisation ([`SparseLu::refactor`]) scatters
+//!    the new values into the fixed pattern and runs that program along the
+//!    stored pivot order: no allocation, no pattern bookkeeping and no search
+//!    for update targets, as in KLU's refactor (Davis & Palamadai Natarajan,
+//!    ACM TOMS 37(3), 2010).
+//!
+//! The analysis never changes once built, so factorisations share it: a
+//! [`SparseLu`] is a handle on its analysis plus one vector of numeric factor
+//! values, and cloning one (or `clone_from` into an existing one) copies the
+//! values only.
 //!
 //! If a reused pivot order goes numerically stale (a stored pivot becomes
 //! tiny), [`SparseLu::update`] falls back to a fresh fully-pivoted
-//! factorisation transparently.
+//! factorisation transparently. That builds a new analysis; factorisations
+//! cloned before it keep the old one.
 
 use crate::linalg::Matrix;
 use crate::NumericsError;
+use std::sync::Arc;
 
 /// Relative pivot-breakdown threshold, matching the dense LU in
 /// [`crate::linalg`].
@@ -405,14 +415,76 @@ impl SparseMatrix {
     }
 }
 
+/// The symbolic analysis of a [`SparseLu`]: everything its factorisations
+/// share because it depends on the sparsity pattern and the pivot order but
+/// not on the values. Built once by [`SparseLu::new`] and never changed.
+#[derive(Debug)]
+struct Symbolic {
+    n: usize,
+    /// `perm[i]` = original row stored as factor row `i`.
+    perm: Vec<usize>,
+    /// Combined L/U rows: `cols[row_start[i]..row_start[i + 1]]` ascending.
+    row_start: Vec<usize>,
+    cols: Vec<usize>,
+    /// Flat index of the diagonal entry of each factor row.
+    diag: Vec<usize>,
+    /// Maps each CSR entry of the factored matrix to its factor slot.
+    scatter: Vec<usize>,
+    /// The CSR structure this analysis was built from; `refactor` verifies
+    /// a supplied matrix against it before reusing the analysis.
+    pattern_row_ptr: Vec<usize>,
+    pattern_cols: Vec<usize>,
+    /// The elimination program: the target of every update, in elimination
+    /// order. Factor row `i` subtracts, for each of its L columns `j` in
+    /// ascending order, the multiplier times row `j`'s U entries
+    /// (`diag[j] + 1..row_start[j + 1]`); for each of those updates, rows
+    /// in order, this holds the target's offset from `row_start[i]`, so its
+    /// length is the elimination's update count.
+    program: Vec<usize>,
+}
+
+impl Symbolic {
+    /// Records the target of every update of the up-looking elimination over
+    /// the fill pattern (see [`Symbolic::program`]), walking each target row
+    /// forward in step with the sorted U entries. The pattern [`SparseLu::new`]
+    /// builds is closed under this elimination: every update lands on an
+    /// existing slot, which is checked here, once per analysis.
+    fn elimination_program(row_start: &[usize], cols: &[usize], diag: &[usize]) -> Vec<usize> {
+        let mut program = Vec::new();
+        for (i, &d) in diag.iter().enumerate() {
+            let (lo, hi) = (row_start[i], row_start[i + 1]);
+            for pos in lo..d {
+                let j = cols[pos];
+                let mut t = pos + 1;
+                for &c in &cols[diag[j] + 1..row_start[j + 1]] {
+                    while t < hi && cols[t] < c {
+                        t += 1;
+                    }
+                    assert!(
+                        t < hi && cols[t] == c,
+                        "fill pattern is not closed under elimination: factor row {i} \
+                         lacks column {c}"
+                    );
+                    program.push(t - lo);
+                }
+            }
+        }
+        program
+    }
+}
+
 /// Sparse LU factors with a reusable symbolic analysis.
 ///
 /// Created by [`SparseMatrix::lu`]. The first factorisation records the row
-/// permutation (partial pivoting), the merged L/U fill pattern and a scatter
-/// map; [`SparseLu::refactor`] then refactors a **same-pattern** matrix in
-/// `O(nnz(L+U))` with no allocation, and [`SparseLu::update`] adds an
-/// automatic fallback to a fresh pivoted factorisation if the stored pivot
-/// order has gone numerically stale.
+/// permutation (partial pivoting), the merged L/U fill pattern, a scatter
+/// map and the elimination program; [`SparseLu::refactor`] then refactors a
+/// **same-pattern** matrix in `O(nnz(L+U))` with no allocation, and
+/// [`SparseLu::update`] adds an automatic fallback to a fresh pivoted
+/// factorisation if the stored pivot order has gone numerically stale.
+///
+/// The analysis is shared, not copied: [`Clone`] hands the copy the same
+/// analysis and copies the numeric values, and `clone_from` into a
+/// factorisation of the same analysis also reuses its values buffer.
 ///
 /// # Example
 ///
@@ -436,26 +508,34 @@ impl SparseMatrix {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SparseLu {
-    n: usize,
-    /// `perm[i]` = original row stored as factor row `i`.
-    perm: Vec<usize>,
-    /// Combined L/U rows: `cols[row_start[i]..row_start[i + 1]]` ascending.
-    row_start: Vec<usize>,
-    cols: Vec<usize>,
+    symbolic: Arc<Symbolic>,
+    /// Combined L/U values, one per slot of the analysis' factor pattern.
     vals: Vec<f64>,
-    /// Flat index of the diagonal entry of each factor row.
-    diag: Vec<usize>,
-    /// Maps each CSR entry of the factored matrix to its slot in `vals`.
-    scatter: Vec<usize>,
-    /// The CSR structure this factorisation was built from; `refactor`
-    /// verifies a supplied matrix against it before reusing the analysis.
-    pattern_row_ptr: Vec<usize>,
-    pattern_cols: Vec<usize>,
     /// Reusable per-column entry-scale scratch (pivot-breakdown reference),
-    /// refilled by `refactor` so the O(nnz) hot path stays allocation-free.
+    /// refilled by `refactor` so the hot path stays allocation-free. Not
+    /// part of the factors: clones start without it.
     col_scale: Vec<f64>,
+}
+
+impl Clone for SparseLu {
+    fn clone(&self) -> Self {
+        SparseLu {
+            symbolic: Arc::clone(&self.symbolic),
+            vals: self.vals.clone(),
+            col_scale: Vec::new(),
+        }
+    }
+
+    /// Takes `source`'s analysis and copies its values into this
+    /// factorisation's buffer, which is reused whenever it is large enough.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.symbolic, &source.symbolic) {
+            self.symbolic = Arc::clone(&source.symbolic);
+        }
+        self.vals.clone_from(&source.vals);
+    }
 }
 
 impl SparseLu {
@@ -566,34 +646,42 @@ impl SparseLu {
             }
         }
 
+        let program = Symbolic::elimination_program(&row_start, &cols, &diag);
         Ok(SparseLu {
-            n,
-            perm,
-            row_start,
-            cols,
+            symbolic: Arc::new(Symbolic {
+                n,
+                perm,
+                row_start,
+                cols,
+                diag,
+                scatter,
+                pattern_row_ptr: a.row_ptr.clone(),
+                pattern_cols: a.col_idx.clone(),
+                program,
+            }),
             vals,
-            diag,
-            scatter,
-            pattern_row_ptr: a.row_ptr.clone(),
-            pattern_cols: a.col_idx.clone(),
             col_scale,
         })
     }
 
     /// Dimension of the factored system.
     pub fn dimension(&self) -> usize {
-        self.n
+        self.symbolic.n
     }
 
     /// Number of stored factor entries (L + U combined) — a measure of
     /// fill-in.
     pub fn factor_nnz(&self) -> usize {
-        self.cols.len()
+        self.vals.len()
     }
 
     /// Refactors a matrix with the **same sparsity pattern** as the one this
     /// factorisation was created from, reusing the stored pivot order and
-    /// fill pattern. No allocation, no searching: `O(nnz(L+U))` work.
+    /// fill pattern: the values are scattered into the factor slots and the
+    /// analysis' elimination program runs over them, every update writing
+    /// the slot the program names for it. No allocation and no search for
+    /// update targets: `O(nnz(L+U))` work, plus the `O(nnz(A))` check that
+    /// `a`'s pattern is the factored one.
     ///
     /// # Errors
     ///
@@ -604,17 +692,14 @@ impl SparseLu {
     /// became numerically tiny (the caller can recover with
     /// [`SparseLu::update`] or a fresh [`SparseLu::new`]).
     pub fn refactor(&mut self, a: &SparseMatrix) -> Result<(), NumericsError> {
-        if a.rows != self.n || a.cols != self.n || a.nnz() != self.pattern_cols.len() {
+        let s = &*self.symbolic;
+        if a.rows != s.n || a.cols != s.n || a.nnz() != s.pattern_cols.len() {
             return Err(NumericsError::DimensionMismatch {
-                expected: format!(
-                    "{0}x{0} matrix with {1} entries",
-                    self.n,
-                    self.pattern_cols.len()
-                ),
+                expected: format!("{0}x{0} matrix with {1} entries", s.n, s.pattern_cols.len()),
                 found: format!("{}x{} matrix with {} entries", a.rows, a.cols, a.nnz()),
             });
         }
-        if a.row_ptr != self.pattern_row_ptr || a.col_idx != self.pattern_cols {
+        if a.row_ptr != s.pattern_row_ptr || a.col_idx != s.pattern_cols {
             return Err(NumericsError::InvalidArgument(
                 "sparsity pattern does not match the factored pattern; \
                  use SparseLu::new for a structurally different matrix"
@@ -622,61 +707,59 @@ impl SparseLu {
             ));
         }
         refill_column_scales(a, &mut self.col_scale);
+        let col_scale = &self.col_scale;
 
-        for v in &mut self.vals {
-            *v = 0.0;
-        }
-        for (k, &v) in a.values.iter().enumerate() {
-            self.vals[self.scatter[k]] += v;
+        let vals = &mut self.vals;
+        vals.fill(0.0);
+        for (&v, &slot) in a.values.iter().zip(&s.scatter) {
+            vals[slot] += v;
         }
 
-        // Numeric elimination over the fixed pattern (up-looking, IKJ): the
-        // pattern recorded by `new` is closed under this update order, so
-        // every target position exists.
-        for i in 0..self.n {
-            let row_end = self.row_start[i + 1];
-            for pos in self.row_start[i]..self.diag[i] {
-                let j = self.cols[pos];
-                let pivot = self.vals[self.diag[j]];
-                if pivot.abs() <= PIVOT_RTOL * self.col_scale[j] {
+        // Numeric elimination over the fixed pattern (up-looking, IKJ): row
+        // i's L entries take their multipliers against the finished rows
+        // above it, and each multiplier's updates are the next run of the
+        // program. A zero multiplier skips its run.
+        let mut program = s.program.as_slice();
+        for i in 0..s.n {
+            let lo = s.row_start[i];
+            let (done, row) = vals.split_at_mut(lo);
+            for pos in lo..s.diag[i] {
+                let j = s.cols[pos];
+                let pivot = done[s.diag[j]];
+                if pivot.abs() <= PIVOT_RTOL * col_scale[j] {
                     return Err(NumericsError::SingularMatrix {
                         column: j,
                         pivot: pivot.abs(),
                     });
                 }
-                let factor = self.vals[pos] / pivot;
-                self.vals[pos] = factor;
+                let factor = row[pos - lo] / pivot;
+                row[pos - lo] = factor;
+                let upper = &done[s.diag[j] + 1..s.row_start[j + 1]];
+                let (targets, rest) = program.split_at(upper.len());
+                program = rest;
                 if factor == 0.0 {
                     continue;
                 }
-                let mut t = pos + 1;
-                for q in (self.diag[j] + 1)..self.row_start[j + 1] {
-                    let c = self.cols[q];
-                    while t < row_end && self.cols[t] < c {
-                        t += 1;
-                    }
-                    if t >= row_end || self.cols[t] != c {
-                        return Err(NumericsError::InvalidArgument(format!(
-                            "sparsity pattern of the supplied matrix does not match the \
-                             factored pattern (missing fill at ({i}, {c}))"
-                        )));
-                    }
-                    self.vals[t] -= factor * self.vals[q];
+                for (&t, &u) in targets.iter().zip(upper) {
+                    row[t] -= factor * u;
                 }
             }
-            let d = self.vals[self.diag[i]];
-            if d.abs() <= PIVOT_RTOL * self.col_scale[i] {
+            let d = row[s.diag[i] - lo];
+            if d.abs() <= PIVOT_RTOL * col_scale[i] {
                 return Err(NumericsError::SingularMatrix {
                     column: i,
                     pivot: d.abs(),
                 });
             }
         }
+        debug_assert!(program.is_empty(), "the program runs to its end");
         Ok(())
     }
 
     /// Refactors `a`, falling back to a fresh fully-pivoted factorisation if
-    /// the stored pivot order has gone numerically stale.
+    /// the stored pivot order has gone numerically stale. The fallback
+    /// builds a new symbolic analysis; factorisations cloned from this one
+    /// before keep the analysis they were factored under.
     ///
     /// # Errors
     ///
@@ -712,7 +795,8 @@ impl SparseLu {
     /// Returns [`NumericsError::DimensionMismatch`] if `b` has the wrong
     /// length.
     pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), NumericsError> {
-        let n = self.n;
+        let s = &*self.symbolic;
+        let n = s.n;
         if b.len() != n {
             return Err(NumericsError::DimensionMismatch {
                 expected: format!("vector of length {n}"),
@@ -720,22 +804,22 @@ impl SparseLu {
             });
         }
         x.clear();
-        x.extend(self.perm.iter().map(|&p| b[p]));
+        x.extend(s.perm.iter().map(|&p| b[p]));
         // Forward substitution (L is unit lower triangular).
         for i in 0..n {
             let mut acc = x[i];
-            for pos in self.row_start[i]..self.diag[i] {
-                acc -= self.vals[pos] * x[self.cols[pos]];
+            for pos in s.row_start[i]..s.diag[i] {
+                acc -= self.vals[pos] * x[s.cols[pos]];
             }
             x[i] = acc;
         }
         // Backward substitution.
         for i in (0..n).rev() {
             let mut acc = x[i];
-            for pos in (self.diag[i] + 1)..self.row_start[i + 1] {
-                acc -= self.vals[pos] * x[self.cols[pos]];
+            for pos in (s.diag[i] + 1)..s.row_start[i + 1] {
+                acc -= self.vals[pos] * x[s.cols[pos]];
             }
-            x[i] = acc / self.vals[self.diag[i]];
+            x[i] = acc / self.vals[s.diag[i]];
         }
         Ok(())
     }
@@ -1071,5 +1155,283 @@ mod tests {
             assert!((s - d).abs() < 1e-10, "sparse {s} vs dense {d}");
         }
         assert!((sparse.inf_norm() - dense.inf_norm()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clone_from_shares_the_analysis_and_keeps_the_values_buffer() {
+        let pattern = [(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)];
+        let mut a = SparseMatrix::from_triplets(2, 2, &pattern);
+        let mut lu = a.lu().unwrap();
+        let mut bank = lu.clone();
+        assert!(Arc::ptr_eq(&bank.symbolic, &lu.symbolic));
+        assert!(bank.col_scale.is_empty(), "a clone copies the values only");
+
+        // New values under the same analysis: the bank takes them into the
+        // buffer it already has.
+        a.fill_zero();
+        for &(r, c, v) in &pattern {
+            a.add_at(r, c, 2.0 * v - 0.5);
+        }
+        lu.refactor(&a).unwrap();
+        let buffer = bank.vals.as_ptr();
+        bank.clone_from(&lu);
+        assert!(Arc::ptr_eq(&bank.symbolic, &lu.symbolic));
+        assert_eq!(bank.vals.as_ptr(), buffer);
+        assert_eq!(bits(&bank.vals), bits(&lu.vals));
+        let banked = bank.solve(&[1.0, 2.0]).unwrap();
+
+        // A stale pivot makes `update` re-pivot under a new analysis; the
+        // bank keeps solving against the one it was factored under until it
+        // takes the new factors.
+        a.fill_zero();
+        a.add_at(0, 0, 1e-30);
+        a.add_at(0, 1, 1.0);
+        a.add_at(1, 0, 1.0);
+        a.add_at(1, 1, 1.0);
+        let old = Arc::clone(&lu.symbolic);
+        lu.update(&a).unwrap();
+        assert!(!Arc::ptr_eq(&lu.symbolic, &old));
+        assert!(Arc::ptr_eq(&bank.symbolic, &old));
+        assert_eq!(bank.solve(&[1.0, 2.0]).unwrap(), banked);
+        bank.clone_from(&lu);
+        assert!(Arc::ptr_eq(&bank.symbolic, &lu.symbolic));
+        assert_eq!(bits(&bank.vals), bits(&lu.vals));
+        assert_eq!(
+            bank.solve(&[1.0, 2.0]).unwrap(),
+            lu.solve(&[1.0, 2.0]).unwrap()
+        );
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The refactorisation the elimination program replaced, kept as its
+    /// reference: every update finds its target by walking row `i` forward
+    /// to the updating column (a merge search over the row).
+    fn merge_search_refactor(lu: &mut SparseLu, a: &SparseMatrix) -> Result<(), NumericsError> {
+        let s = Arc::clone(&lu.symbolic);
+        refill_column_scales(a, &mut lu.col_scale);
+        for v in &mut lu.vals {
+            *v = 0.0;
+        }
+        for (k, &v) in a.values.iter().enumerate() {
+            lu.vals[s.scatter[k]] += v;
+        }
+        for i in 0..s.n {
+            let row_end = s.row_start[i + 1];
+            for pos in s.row_start[i]..s.diag[i] {
+                let j = s.cols[pos];
+                let pivot = lu.vals[s.diag[j]];
+                if pivot.abs() <= PIVOT_RTOL * lu.col_scale[j] {
+                    return Err(NumericsError::SingularMatrix {
+                        column: j,
+                        pivot: pivot.abs(),
+                    });
+                }
+                let factor = lu.vals[pos] / pivot;
+                lu.vals[pos] = factor;
+                if factor == 0.0 {
+                    continue;
+                }
+                let mut t = pos + 1;
+                for q in (s.diag[j] + 1)..s.row_start[j + 1] {
+                    let c = s.cols[q];
+                    while t < row_end && s.cols[t] < c {
+                        t += 1;
+                    }
+                    assert!(t < row_end && s.cols[t] == c, "missing fill at ({i}, {c})");
+                    lu.vals[t] -= factor * lu.vals[q];
+                }
+            }
+            let d = lu.vals[s.diag[i]];
+            if d.abs() <= PIVOT_RTOL * lu.col_scale[i] {
+                return Err(NumericsError::SingularMatrix {
+                    column: i,
+                    pivot: d.abs(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// SplitMix64: the seeded stream behind the generated patterns.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// What an entry of a generated MNA pattern stamps.
+    #[derive(Clone, Copy)]
+    enum Slot {
+        /// A node's self-conductance.
+        NodeDiagonal,
+        /// A branch row's own unknown: usually an exact zero (a voltage
+        /// source), otherwise an inductor-like value.
+        BranchDiagonal,
+        /// A conductance between two nodes.
+        Coupling,
+        /// A branch current's ±1 incidence on a node.
+        Incidence,
+    }
+
+    /// One seeded MNA-shaped pattern of dimension `n`: node rows with a
+    /// self-conductance diagonal and symmetric node couplings, and branch
+    /// rows coupled symmetrically to one or two nodes whose diagonal is
+    /// usually an exact zero, so the first factorisation has to pivot.
+    /// `values` draws the values over the fixed pattern; about one coupling
+    /// in six is an exact zero, which gives exact-zero multipliers.
+    struct MnaSystem {
+        n: usize,
+        pattern: Vec<(usize, usize, Slot)>,
+    }
+
+    impl MnaSystem {
+        fn new(rng: &mut SplitMix, n: usize) -> Self {
+            let branches = if n > 2 { rng.below(n / 3 + 1) } else { 0 };
+            let nodes = n - branches;
+            let fill = 0.04 + 0.2 * rng.unit();
+            let mut pattern = Vec::new();
+            for r in 0..n {
+                let slot = if r < nodes {
+                    Slot::NodeDiagonal
+                } else {
+                    Slot::BranchDiagonal
+                };
+                pattern.push((r, r, slot));
+            }
+            for r in 0..nodes {
+                for c in r + 1..nodes {
+                    if rng.unit() < fill {
+                        pattern.push((r, c, Slot::Coupling));
+                        pattern.push((c, r, Slot::Coupling));
+                    }
+                }
+            }
+            // Each branch has a node of its own (parallel voltage sources
+            // would be singular), and possibly a second one.
+            for k in nodes..n {
+                let own = k - nodes;
+                pattern.push((k, own, Slot::Incidence));
+                pattern.push((own, k, Slot::Incidence));
+                let other = rng.below(nodes);
+                if other != own && rng.unit() < 0.5 {
+                    pattern.push((k, other, Slot::Incidence));
+                    pattern.push((other, k, Slot::Incidence));
+                }
+            }
+            MnaSystem { n, pattern }
+        }
+
+        fn values(&self, rng: &mut SplitMix) -> SparseMatrix {
+            let mut row_sums = vec![0.0; self.n];
+            let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
+            for &(r, c, slot) in &self.pattern {
+                let v = match slot {
+                    Slot::NodeDiagonal => 0.0, // set below
+                    Slot::BranchDiagonal if rng.unit() < 0.7 => 0.0,
+                    Slot::BranchDiagonal => rng.unit() - 0.25,
+                    Slot::Coupling if rng.unit() < 0.17 => 0.0,
+                    Slot::Coupling => 2.0 * rng.unit() - 1.0,
+                    Slot::Incidence if rng.unit() < 0.5 => -1.0,
+                    Slot::Incidence => 1.0,
+                };
+                if let Slot::Coupling = slot {
+                    row_sums[r] += v.abs();
+                }
+                triplets.push((r, c, v));
+            }
+            // Node diagonals between a third of and twice their row's
+            // coupling sum: sometimes dominant, often not.
+            for (t, &(r, _, slot)) in triplets.iter_mut().zip(&self.pattern) {
+                if let Slot::NodeDiagonal = slot {
+                    t.2 = (0.3 + 1.7 * rng.unit()) * row_sums[r] + 1e-3;
+                }
+            }
+            SparseMatrix::from_triplets(self.n, self.n, &triplets)
+        }
+    }
+
+    /// Zero multipliers in the factors whose pivot row has U entries to
+    /// skip: the case where the program cursor must still advance.
+    fn skipped_updates(lu: &SparseLu) -> usize {
+        let s = &lu.symbolic;
+        (0..s.n)
+            .flat_map(|i| s.row_start[i]..s.diag[i])
+            .filter(|&pos| {
+                let j = s.cols[pos];
+                lu.vals[pos] == 0.0 && s.diag[j] + 1 < s.row_start[j + 1]
+            })
+            .count()
+    }
+
+    #[test]
+    fn the_elimination_program_matches_the_merge_search_refactor_bit_for_bit() {
+        let mut rng = SplitMix(0x5eed_1e55);
+        let (mut cases, mut refactored, mut singular) = (0, 0, 0);
+        let (mut pivoted, mut with_skips) = (0, 0);
+        for case in 0..1280 {
+            let n = 1 + case % 64;
+            let system = MnaSystem::new(&mut rng, n);
+            let Ok(lu) = system.values(&mut rng).lu() else {
+                continue;
+            };
+            cases += 1;
+            if lu.symbolic.perm.iter().enumerate().any(|(i, &p)| i != p) {
+                pivoted += 1;
+            }
+            // Several value sets per analysis: refactors that succeed and
+            // refactors whose stored pivot order has gone stale.
+            for _ in 0..3 {
+                let a = system.values(&mut rng);
+                let mut program = lu.clone();
+                let mut reference = lu.clone();
+                let got = program.refactor(&a);
+                let want = merge_search_refactor(&mut reference, &a);
+                match (&got, &want) {
+                    (Ok(()), Ok(())) => {
+                        refactored += 1;
+                        if skipped_updates(&program) > 0 {
+                            with_skips += 1;
+                        }
+                    }
+                    (
+                        Err(NumericsError::SingularMatrix { column, pivot }),
+                        Err(NumericsError::SingularMatrix {
+                            column: c,
+                            pivot: p,
+                        }),
+                    ) => {
+                        assert_eq!((column, pivot.to_bits()), (c, p.to_bits()), "case {case}");
+                        singular += 1;
+                    }
+                    _ => panic!("case {case}: program {got:?} vs merge search {want:?}"),
+                }
+                assert_eq!(bits(&program.vals), bits(&reference.vals), "case {case}");
+            }
+        }
+        assert!(cases >= 1000, "only {cases} factorable cases");
+        assert!(pivoted >= 500, "only {pivoted} analyses pivoted");
+        assert!(refactored >= 1000, "only {refactored} refactors succeeded");
+        assert!(singular >= 500, "only {singular} stale pivots");
+        assert!(
+            with_skips >= 1000,
+            "only {with_skips} refactors skipped a zero multiplier"
+        );
     }
 }

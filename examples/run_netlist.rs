@@ -128,7 +128,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = results.statistics();
     println!(
         "plan totals: {} Newton iteration(s), {} LU factorisation(s)",
-        stats.newton_iterations, stats.full_factorizations
+        stats.newton_iterations,
+        stats.factorizations()
     );
     Ok(())
 }

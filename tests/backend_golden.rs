@@ -3,7 +3,11 @@
 //! identical step counts on the paper's transformer-booster and
 //! Villard-multiplier systems.
 
-use energy_harvester::mna::transient::{SolverBackend, TransientAnalysis, TransientOptions};
+use energy_harvester::experiments::arrays::coupled_array_netlist;
+use energy_harvester::mna::netlist;
+use energy_harvester::mna::transient::{
+    SimulationBudget, SolverBackend, TransientAnalysis, TransientOptions,
+};
 use energy_harvester::models::{GeneratorModel, HarvesterConfig};
 
 const TRACE_TOLERANCE: f64 = 1e-8;
@@ -33,6 +37,18 @@ fn compare_backends_on(config: HarvesterConfig, t_stop: f64, dt: f64) {
         sparse.statistics().rejected_steps
     );
     assert_eq!(dense.len(), sparse.len());
+    // Every numeric factorisation is counted on both backends (the sparse
+    // one's pattern-reusing refactorisations included), so the same Newton
+    // work costs the same factorisation total.
+    let (d, s) = (dense.statistics(), sparse.statistics());
+    if d.newton_iterations == s.newton_iterations {
+        assert_eq!(
+            d.full_factorizations + d.repivot_factorizations + d.refactorizations,
+            s.full_factorizations + s.repivot_factorizations + s.refactorizations,
+            "dense vs sparse factorisation totals at {} Newton iterations",
+            d.newton_iterations
+        );
+    }
 
     for node in [nodes.generator_output, nodes.storage] {
         let vd = dense.voltage(node);
@@ -102,4 +118,49 @@ fn mechanical_probes_agree_across_backends() {
             );
         }
     }
+}
+
+/// A factorisation budget bounds the same work on both backends: the sparse
+/// backend's refactorisations count against it like dense factorisations.
+#[test]
+fn a_factorization_budget_truncates_both_backends() {
+    let circuit = netlist::build(&coupled_array_netlist(16)).expect("the 16-stage array builds");
+    let budget = SimulationBudget {
+        max_factorizations: Some(10),
+        ..SimulationBudget::UNLIMITED
+    };
+    let run = |backend| {
+        TransientAnalysis::new(TransientOptions {
+            t_stop: 2e-3,
+            dt: 2e-5,
+            backend,
+            budget,
+            ..TransientOptions::default()
+        })
+        .run(&circuit)
+        .expect("a budgeted run returns its truncated trace")
+    };
+    let dense = run(SolverBackend::Dense);
+    let sparse = run(SolverBackend::Sparse);
+    for (label, result) in [("dense", &dense), ("sparse", &sparse)] {
+        let stats = result.statistics();
+        assert!(
+            result.truncated(),
+            "{label}: the budget must stop the march"
+        );
+        assert_eq!(
+            budget.exhausted_by(&stats),
+            Some("factorizations"),
+            "{label}: {stats:?}"
+        );
+        assert!(
+            stats.accepted_steps < 10,
+            "{label}: {} steps",
+            stats.accepted_steps
+        );
+    }
+    assert_eq!(
+        dense.statistics().accepted_steps,
+        sparse.statistics().accepted_steps
+    );
 }
