@@ -2,8 +2,12 @@
 //!
 //! Compares freshly produced `BENCH_*.json` artefacts against the committed
 //! snapshots under `bench/baselines/` and **exits non-zero** when any shared
-//! metric regressed beyond tolerance, so CI can gate merges on the perf
-//! trajectory. Two escape hatches keep the gate honest instead of annoying:
+//! metric regressed beyond tolerance, or any work counter of
+//! [`RunStatistics`] changed at all, so CI can gate merges on the perf
+//! trajectory. The counters are deterministic, so each one — fallback
+//! counters and zero baselines included — must match its snapshot exactly;
+//! a change that moves one re-records the baselines in the same commit.
+//! Two escape hatches keep the gate honest instead of annoying:
 //!
 //! * `--tolerance <fraction>` widens every per-metric slack to at least the
 //!   given fraction (default `0.25`, i.e. a 25 % regression fails the gate;
@@ -25,29 +29,17 @@
 //!
 //! (defaults: `bench/baselines` and the current directory).
 
-use harvester_bench::report::{parse_bench_json, ParsedBench};
+use harvester_bench::report::{parse_bench_json, BenchRecord, ParsedBench};
+use harvester_mna::transient::RunStatistics;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
 /// Metrics where a larger fresh value means a regression, with the relative
 /// slack allowed before the gate trips. Wall clock gets a generous margin
-/// (different machines); deterministic work counters a tight one. The
-/// `--tolerance` floor is applied on top (`max(slack, tolerance)`).
-const LOWER_IS_BETTER: &[(&str, f64)] = &[
-    ("wall_seconds", 0.50),
-    ("accepted_steps", 0.10),
-    ("rejected_steps", 0.25),
-    ("newton_iterations", 0.10),
-    ("linear_solves", 0.10),
-    ("full_factorizations", 0.10),
-    ("repivot_factorizations", 0.25),
-    ("refactorizations", 0.10),
-    ("lte_rejections", 0.25),
-    ("integrated_cycles", 0.10),
-    ("shooting_iterations", 0.25),
-    ("worst_deviation_amperes", 1.0),
-];
+/// (different machines). The `--tolerance` floor is applied on top
+/// (`max(slack, tolerance)`).
+const LOWER_IS_BETTER: &[(&str, f64)] = &[("wall_seconds", 0.50), ("worst_deviation_amperes", 1.0)];
 
 /// Metrics where a smaller fresh value means a regression.
 const HIGHER_IS_BETTER: &[(&str, f64)] = &[
@@ -174,6 +166,67 @@ fn parse_args() -> Result<Options, String> {
     Ok(options)
 }
 
+/// Compares one fresh record against its baseline under `tolerance`,
+/// appending a summary line per regression, and returns the number of
+/// comparisons and of regressions. Every [`RunStatistics`] counter the two
+/// share must match exactly; the other tracked metrics may drift within
+/// their slack.
+fn compare_record(
+    artefact: &str,
+    base: &BenchRecord,
+    fresh: &BenchRecord,
+    tolerance: f64,
+    summary: &mut String,
+) -> (usize, usize) {
+    let mut compared = 0usize;
+    let mut regressions = 0usize;
+    let mut report = |metric: &str, b: f64, f: f64, verdict: String| {
+        regressions += 1;
+        let _ = writeln!(
+            summary,
+            "- `{artefact}` `{}` **{metric}** {b:.4} -> {f:.4}: {verdict}",
+            base.name
+        );
+    };
+    for (counter, _) in RunStatistics::default().counters() {
+        if let (Some(b), Some(f)) = (base.get(counter), fresh.get(counter)) {
+            compared += 1;
+            if f != b {
+                report(counter, b, f, "work counter changed".to_string());
+            }
+        }
+    }
+    for &(metric, slack) in LOWER_IS_BETTER {
+        let slack = slack.max(tolerance);
+        if let (Some(b), Some(f)) = (base.get(metric), fresh.get(metric)) {
+            compared += 1;
+            if b > 0.0 && f > b * (1.0 + slack) {
+                let verdict = format!(
+                    "regressed +{:.0}% (slack {:.0}%)",
+                    100.0 * (f / b - 1.0),
+                    100.0 * slack
+                );
+                report(metric, b, f, verdict);
+            }
+        }
+    }
+    for &(metric, slack) in HIGHER_IS_BETTER {
+        let slack = slack.max(tolerance);
+        if let (Some(b), Some(f)) = (base.get(metric), fresh.get(metric)) {
+            compared += 1;
+            if b > 0.0 && f < b * (1.0 - slack) {
+                let verdict = format!(
+                    "regressed -{:.0}% (slack {:.0}%)",
+                    100.0 * (1.0 - f / b),
+                    100.0 * slack
+                );
+                report(metric, b, f, verdict);
+            }
+        }
+    }
+    (compared, regressions)
+}
+
 fn main() -> ExitCode {
     let options = match parse_args() {
         Ok(options) => options,
@@ -221,40 +274,15 @@ fn main() -> ExitCode {
                 );
                 continue;
             };
-            for &(metric, slack) in LOWER_IS_BETTER {
-                let slack = slack.max(options.tolerance);
-                if let (Some(b), Some(f)) = (base_record.get(metric), fresh_record.get(metric)) {
-                    compared += 1;
-                    if b > 0.0 && f > b * (1.0 + slack) {
-                        regressions += 1;
-                        let _ = writeln!(
-                            summary,
-                            "- `{name}` `{}` **{metric}** regressed: {b:.4} -> {f:.4} \
-                             (+{:.0}%, slack {:.0}%)",
-                            base_record.name,
-                            100.0 * (f / b - 1.0),
-                            100.0 * slack
-                        );
-                    }
-                }
-            }
-            for &(metric, slack) in HIGHER_IS_BETTER {
-                let slack = slack.max(options.tolerance);
-                if let (Some(b), Some(f)) = (base_record.get(metric), fresh_record.get(metric)) {
-                    compared += 1;
-                    if b > 0.0 && f < b * (1.0 - slack) {
-                        regressions += 1;
-                        let _ = writeln!(
-                            summary,
-                            "- `{name}` `{}` **{metric}** regressed: {b:.4} -> {f:.4} \
-                             (-{:.0}%, slack {:.0}%)",
-                            base_record.name,
-                            100.0 * (1.0 - f / b),
-                            100.0 * slack
-                        );
-                    }
-                }
-            }
+            let (c, r) = compare_record(
+                &name,
+                base_record,
+                fresh_record,
+                options.tolerance,
+                &mut summary,
+            );
+            compared += c;
+            regressions += r;
         }
     }
 
@@ -283,5 +311,62 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harvester_bench::report::statistics_record;
+
+    fn compare(base: &BenchRecord, fresh: &BenchRecord) -> (usize, usize) {
+        compare_record(
+            "BENCH_t.json",
+            base,
+            fresh,
+            DEFAULT_TOLERANCE,
+            &mut String::new(),
+        )
+    }
+
+    #[test]
+    fn every_work_counter_is_compared_exactly() {
+        let stats = RunStatistics {
+            newton_iterations: 1000,
+            ..RunStatistics::default()
+        };
+        let base = statistics_record("run", &stats, 1.0);
+        assert_eq!(compare(&base, &base), (RunStatistics::COUNTERS + 1, 0));
+
+        // A fallback counter leaving a zero baseline fails the gate.
+        let moved = RunStatistics {
+            gmres_fallbacks: 1,
+            ..stats
+        };
+        let fresh = statistics_record("run", &moved, 1.0);
+        assert_eq!(compare(&base, &fresh).1, 1);
+
+        // So does a counter that fell, and one that moved by 0.1 %.
+        for newton_iterations in [999, 1001] {
+            let fresh = statistics_record(
+                "run",
+                &RunStatistics {
+                    newton_iterations,
+                    ..stats
+                },
+                1.0,
+            );
+            assert_eq!(compare(&base, &fresh).1, 1, "{newton_iterations}");
+        }
+    }
+
+    #[test]
+    fn wall_clock_and_ratio_rows_drift_within_tolerance() {
+        let stats = RunStatistics::default();
+        let base = statistics_record("run", &stats, 1.0).metric("sparse_speedup", 2.0);
+        let slower = statistics_record("run", &stats, 1.4).metric("sparse_speedup", 1.1);
+        assert_eq!(compare(&base, &slower).1, 0);
+        let much_slower = statistics_record("run", &stats, 1.6).metric("sparse_speedup", 0.9);
+        assert_eq!(compare(&base, &much_slower).1, 2);
     }
 }

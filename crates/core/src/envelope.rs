@@ -334,29 +334,37 @@ impl EnvelopeWorkspace {
         self.cancel.take()
     }
 
-    /// Moves a pending injector and cancellation token into the
-    /// materialised transient workspace (called by the measurement paths
-    /// once the workspace exists).
-    fn arm_transient(&mut self) {
-        if let (Some(f), Some(ws)) = (self.fault.take(), self.transient.as_mut()) {
+    /// The transient workspace for `circuit` under `options`, with the
+    /// pending injector and a clone of the cancellation token installed.
+    /// A workspace that does not fit is rebuilt, keeping its installed
+    /// injector (and counters); the flag says whether it was.
+    fn transient_for(
+        &mut self,
+        circuit: &Circuit,
+        options: &TransientOptions,
+    ) -> Result<(&mut TransientWorkspace, bool), MnaError> {
+        let rebuild = !self
+            .transient
+            .as_ref()
+            .is_some_and(|ws| ws.fits(circuit, options));
+        if rebuild {
+            if let Some(f) = self
+                .transient
+                .as_mut()
+                .and_then(TransientWorkspace::take_fault_injector)
+            {
+                self.fault = Some(f);
+            }
+            self.transient = Some(TransientWorkspace::for_circuit(circuit, options)?);
+        }
+        let ws = self.transient.as_mut().expect("workspace was just built");
+        if let Some(f) = self.fault.take() {
             ws.install_fault_injector(f);
         }
-        if let (Some(c), Some(ws)) = (self.cancel.as_ref(), self.transient.as_mut()) {
+        if let Some(c) = &self.cancel {
             ws.install_cancel_token(c.clone());
         }
-    }
-
-    /// Salvages an installed injector (and its counters) before the
-    /// transient workspace is replaced. The cancellation token needs no
-    /// salvage: the envelope keeps the original and re-installs a clone.
-    fn preserve_fault(&mut self) {
-        if let Some(f) = self
-            .transient
-            .as_mut()
-            .and_then(TransientWorkspace::take_fault_injector)
-        {
-            self.fault = Some(f);
-        }
+        Ok((ws, rebuild))
     }
 }
 
@@ -611,25 +619,15 @@ impl EnvelopeSimulator {
             reuse_jacobian: self.options.reuse_jacobian,
             ..TransientOptions::default()
         };
-        let rebuild = match &workspace.transient {
-            Some(ws) => !ws.fits(&circuit, &options.transient),
-            None => true,
-        };
-        if rebuild {
-            workspace.preserve_fault();
-            workspace.transient =
-                Some(TransientWorkspace::for_circuit(&circuit, &options.transient).ok()?);
+        let (ws, rebuilt) = workspace.transient_for(&circuit, &options.transient).ok()?;
+        if rebuilt {
             // A fresh workspace holds no previous orbit to continue from.
             options.warm_start = false;
             options.warmup_cycles = SteadyStateOptions::DEFAULT_WARMUP_CYCLES;
         }
-        workspace.arm_transient();
-        let analysis = SteadyStateAnalysis::new(options);
-        let ws = workspace
-            .transient
-            .as_mut()
-            .expect("workspace was just built");
-        let pss = analysis.run_with(&circuit, ws).ok()?;
+        let pss = SteadyStateAnalysis::new(options)
+            .run_with(&circuit, ws)
+            .ok()?;
         statistics.merge(&pss.statistics());
         if !pss.converged {
             return None;
@@ -663,24 +661,8 @@ impl EnvelopeSimulator {
             reuse_jacobian: self.options.reuse_jacobian,
             ..TransientOptions::default()
         };
-        let analysis = TransientAnalysis::new(options);
-        let rebuild = match &workspace.transient {
-            Some(ws) => !ws.fits(&circuit, analysis.options()),
-            None => true,
-        };
-        if rebuild {
-            workspace.preserve_fault();
-            workspace.transient = Some(TransientWorkspace::for_circuit(
-                &circuit,
-                analysis.options(),
-            )?);
-        }
-        workspace.arm_transient();
-        let ws = workspace
-            .transient
-            .as_mut()
-            .expect("workspace was just built");
-        analysis.run_with(&circuit, ws)
+        let (ws, _) = workspace.transient_for(&circuit, &options)?;
+        TransientAnalysis::new(options).run_with(&circuit, ws)
     }
 }
 

@@ -36,7 +36,11 @@
 //! plain Newton, **gmin stepping** (a shunt conductance on every node
 //! diagonal, ramped from [`GMIN_START`] down to zero) and **source
 //! stepping** (the residual homotopy `g(x; λ) = f(x) − (1 − λ)·f(x₀)`,
-//! ramping λ from 0 to 1). Sources are evaluated at `t = 0`.
+//! ramping λ from 0 to 1). Sources are evaluated at `t = 0`. Every stage is
+//! one solve of the transient engine's Newton loop, under the same update
+//! cap and convergence test as a time step (see
+//! [`transient`](crate::transient#the-newton-solve)), and the gmin ramp is
+//! the one the transient recovery cascade runs.
 //!
 //! # AC small-signal analysis
 //!
@@ -96,32 +100,25 @@ use crate::device::{assemble, AcStampContext, JacobianView, StampPoint};
 use crate::options;
 use crate::shooting::{SteadyStateAnalysis, SteadyStateOptions, SteadyStateResult};
 use crate::transient::{
-    IntegrationMethod, RunStatistics, SimulationBudget, SolverBackend, TransientAnalysis,
-    TransientOptions, TransientResult, TransientWorkspace,
+    Homotopy, IntegrationMethod, NewtonSettings, RunStatistics, SimulationBudget, SolverBackend,
+    TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
 };
 use crate::MnaError;
 
 /// Starting shunt conductance of the gmin-stepping homotopy (siemens).
 pub const GMIN_START: f64 = 1e-2;
-/// Per-stage shrink factor of the gmin ramp (each stage divides gmin by
-/// this before the final gmin = 0 solve).
-const GMIN_SHRINK: f64 = 10.0;
-/// Per-iteration Newton update cap of the static solver: the update's
-/// infinity norm is limited to `max(1, 0.1·‖x‖∞)`, which tames the
-/// exponential overshoot of diode junctions from a cold start while still
-/// letting high-voltage linear rails converge in `O(log)` iterations.
-fn newton_step_cap(x: &[f64]) -> f64 {
-    f64::max(1.0, 0.1 * norm_inf(x))
-}
 
 /// Options of the DC operating-point analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpOptions {
     /// Newton iteration budget **per homotopy stage**.
     pub max_newton_iterations: usize,
-    /// Convergence threshold on the Newton update's infinity norm.
+    /// Relative convergence threshold on the Newton update: a stage
+    /// converges once its capped update is at most
+    /// `delta_tolerance·(1 + ‖x‖∞)`.
     pub delta_tolerance: f64,
-    /// Convergence threshold on the residual's infinity norm.
+    /// Residual infinity norm at which a stage whose updates stall is still
+    /// accepted.
     pub residual_tolerance: f64,
     /// Number of gmin-stepping stages (the ramp [`GMIN_START`],
     /// [`GMIN_START`]/10, … followed by one gmin = 0 solve). `0` disables
@@ -769,6 +766,24 @@ struct OpSeed {
     result: OpResult,
 }
 
+impl OpSeed {
+    /// `true` when the stored point matches the layout of `ws`.
+    fn fits(&self, ws: &TransientWorkspace) -> bool {
+        self.result.solution().len() == ws.x.len() && self.states.len() == ws.states.len()
+    }
+
+    /// Loads the stored point into `ws` as its starting state if it fits,
+    /// and says whether it did.
+    fn seed(&self, ws: &mut TransientWorkspace) -> bool {
+        let fits = self.fits(ws);
+        if fits {
+            ws.x.copy_from_slice(self.result.solution());
+            ws.states.copy_from_slice(&self.states);
+        }
+        fits
+    }
+}
+
 /// The [`BudgetTruncation::reason`] recorded when a plan was stopped by a
 /// fired [`CancelToken`] rather than an exhausted budget axis.
 pub const CANCELLED_REASON: &str = "cancelled";
@@ -1008,13 +1023,7 @@ impl AnalysisEngine {
     fn run_card(&mut self, circuit: &Circuit, card: &Analysis) -> Result<AnalysisResult, MnaError> {
         let result = match card {
             Analysis::Op(opts) => {
-                self.ensure_workspace(circuit, &workspace_options(opts.backend))?;
-                let ws = self.workspace.as_mut().expect("workspace just ensured");
-                ws.invalidate_factors();
-                if let Some(f) = self.fault.take() {
-                    ws.install_fault_injector(f);
-                }
-                ws.cancel = self.cancel.clone();
+                let ws = self.workspace_for(circuit, &workspace_options(opts.backend))?;
                 let op = run_op(circuit, ws, opts)?;
                 let states = ws.states.clone();
                 self.op_seed = Some(OpSeed {
@@ -1024,67 +1033,29 @@ impl AnalysisEngine {
                 AnalysisResult::Op(op)
             }
             Analysis::Tran(opts) => {
-                self.ensure_workspace(circuit, opts)?;
                 let seed = self.op_seed.take();
-                let ws = self.workspace.as_mut().expect("workspace just ensured");
-                ws.invalidate_factors();
-                if let Some(f) = self.fault.take() {
-                    ws.install_fault_injector(f);
-                }
-                ws.cancel = self.cancel.clone();
-                let warm = match &seed {
-                    Some(s)
-                        if s.result.solution().len() == ws.x.len()
-                            && s.states.len() == ws.states.len() =>
-                    {
-                        ws.x.copy_from_slice(s.result.solution());
-                        ws.states.copy_from_slice(&s.states);
-                        true
-                    }
-                    _ => false,
-                };
+                let ws = self.workspace_for(circuit, opts)?;
+                let warm = seed.is_some_and(|s| s.seed(ws));
                 let tran = TransientAnalysis::new(*opts).run_from(circuit, ws, warm)?;
                 AnalysisResult::Tran(tran)
             }
             Analysis::Pss(opts) => {
                 let effective = SteadyStateAnalysis::new(*opts).effective_transient();
-                self.ensure_workspace(circuit, &effective)?;
                 let seed = self.op_seed.take();
-                let ws = self.workspace.as_mut().expect("workspace just ensured");
-                ws.invalidate_factors();
-                if let Some(f) = self.fault.take() {
-                    ws.install_fault_injector(f);
-                }
-                ws.cancel = self.cancel.clone();
+                let ws = self.workspace_for(circuit, &effective)?;
                 let mut opts = *opts;
-                if let Some(s) = &seed {
-                    if s.result.solution().len() == ws.x.len() && s.states.len() == ws.states.len()
-                    {
-                        ws.x.copy_from_slice(s.result.solution());
-                        ws.states.copy_from_slice(&s.states);
-                        opts.warm_start = true;
-                    }
+                if seed.is_some_and(|s| s.seed(ws)) {
+                    opts.warm_start = true;
                 }
                 let pss = SteadyStateAnalysis::new(opts).run_with(circuit, ws)?;
                 AnalysisResult::Pss(pss)
             }
             Analysis::Ac(opts) => {
-                self.ensure_workspace(circuit, &workspace_options(opts.op.backend))?;
                 let seed = self.op_seed.clone();
-                let ws = self.workspace.as_mut().expect("workspace just ensured");
-                ws.invalidate_factors();
-                if let Some(f) = self.fault.take() {
-                    ws.install_fault_injector(f);
-                }
-                ws.cancel = self.cancel.clone();
+                let ws = self.workspace_for(circuit, &workspace_options(opts.op.backend))?;
                 let mut stats = RunStatistics::default();
                 let (op, states) = match seed {
-                    Some(s)
-                        if s.result.solution().len() == ws.x.len()
-                            && s.states.len() == ws.states.len() =>
-                    {
-                        (s.result, s.states)
-                    }
+                    Some(s) if s.fits(ws) => (s.result, s.states),
                     _ => {
                         let op = run_op(circuit, ws, &opts.op)?;
                         stats.merge(&op.statistics());
@@ -1098,19 +1069,21 @@ impl AnalysisEngine {
         Ok(result)
     }
 
-    /// Rebuilds the engine's workspace when the current one does not fit
-    /// `circuit` under `options` (first card, layout change, backend
-    /// change).
-    fn ensure_workspace(
+    /// Hands the engine's workspace to the next card: rebuilt when it does
+    /// not fit `circuit` under `options` (first card, layout change, backend
+    /// change), its factors invalidated so the card is a pure function of
+    /// its own inputs, with the pending fault injector and the cancellation
+    /// token installed.
+    fn workspace_for(
         &mut self,
         circuit: &Circuit,
         options: &TransientOptions,
-    ) -> Result<(), MnaError> {
-        let rebuild = match &self.workspace {
-            Some(ws) => !ws.fits(circuit, options),
-            None => true,
-        };
-        if rebuild {
+    ) -> Result<&mut TransientWorkspace, MnaError> {
+        if !self
+            .workspace
+            .as_ref()
+            .is_some_and(|ws| ws.fits(circuit, options))
+        {
             // A rebuild must not drop an installed fault injector (or its
             // accumulated counters) with the old workspace.
             if let Some(f) = self
@@ -1122,7 +1095,13 @@ impl AnalysisEngine {
             }
             self.workspace = Some(TransientWorkspace::for_circuit(circuit, options)?);
         }
-        Ok(())
+        let ws = self.workspace.as_mut().expect("workspace just ensured");
+        ws.invalidate_factors();
+        if let Some(f) = self.fault.take() {
+            ws.install_fault_injector(f);
+        }
+        ws.cancel = self.cancel.clone();
+        Ok(ws)
     }
 }
 
@@ -1145,95 +1124,17 @@ fn workspace_options(backend: SolverBackend) -> TransientOptions {
     }
 }
 
-/// Assembles the static system `f(x) = 0` at `t = 0`: backward Euler with
-/// an infinite step zeroes every companion-model conductance (`gain = 1/h`)
-/// and derivative (`(value − prev)/h`) exactly, so the transient stamps
-/// reduce to the DC equations with no device-side special case.
-fn assemble_static(circuit: &Circuit, ws: &mut TransientWorkspace) {
-    ws.assemble_solution(
-        circuit,
-        StampPoint::new(0.0, f64::INFINITY, IntegrationMethod::BackwardEuler, false),
-    );
-}
-
-/// One Newton solve of the (possibly homotopy-modified) static system,
-/// operating on `ws.x` in place. `gmin` adds a shunt conductance on every
-/// node diagonal; `homotopy = (f₀, w)` subtracts `w·f₀` from the residual
-/// (the source-stepping continuation). Returns `false` on a singular
-/// system, a non-finite iterate or iteration-budget exhaustion.
-fn newton_static(
-    circuit: &Circuit,
-    ws: &mut TransientWorkspace,
-    opts: &OpOptions,
-    stats: &mut RunStatistics,
-    delta: &mut Vec<f64>,
-    gmin: f64,
-    homotopy: Option<(&[f64], f64)>,
-) -> bool {
-    let node_unknowns = circuit.unknown_node_count();
-    for _ in 0..opts.max_newton_iterations {
-        assemble_static(circuit, ws);
-        // Fault-injection hook: only the *unmodified* static system is
-        // poisoned, so an armed `NanStaticResidual` fails the direct solve
-        // (and gmin stepping's final gmin = 0 stage) while every homotopy
-        // stage stays clean — which drives the cascade deterministically to
-        // source stepping.
-        if gmin == 0.0
-            && homotopy.is_none()
-            && ws
-                .fault
-                .as_mut()
-                .is_some_and(|f| f.should_fire(Fault::NanStaticResidual))
-        {
-            ws.residual[0] = f64::NAN;
-        }
-        if gmin > 0.0 {
-            for i in 0..node_unknowns {
-                ws.residual[i] += gmin * ws.x[i];
-            }
-            for i in 0..node_unknowns {
-                ws.jacobian.add_diagonal(i, gmin);
-            }
-        }
-        if let Some((f0, w)) = homotopy {
-            for (r, f) in ws.residual.iter_mut().zip(f0) {
-                *r -= w * *f;
-            }
-        }
-        // Element-wise, not `!norm_inf(..).is_finite()`: the max-fold norm
-        // *ignores* NaN entries (`f64::max` semantics), so a poisoned
-        // residual would otherwise sail through as converged.
-        if ws.residual.iter().any(|r| !r.is_finite()) {
-            return false;
-        }
-        let residual_norm = norm_inf(&ws.residual);
-        stats.newton_iterations += 1;
-        if !ws.jacobian.factor(stats, ws.fault.as_mut()) {
-            return false;
-        }
-        if !ws.jacobian.solve_factored(&ws.residual, delta) {
-            return false;
-        }
-        stats.linear_solves += 1;
-        if delta.iter().any(|d| !d.is_finite()) {
-            return false;
-        }
-        let delta_norm = norm_inf(delta);
-        let cap = newton_step_cap(&ws.x);
-        let scale = if delta_norm > cap {
-            cap / delta_norm
-        } else {
-            1.0
-        };
-        for (xi, di) in ws.x.iter_mut().zip(delta.iter()) {
-            *xi -= scale * *di;
-        }
-        if delta_norm < opts.delta_tolerance && residual_norm < opts.residual_tolerance {
-            return true;
-        }
-    }
-    false
-}
+/// The static system `f(x) = 0` at `t = 0`: backward Euler with an infinite
+/// step zeroes every companion-model conductance (`gain = 1/h`) and
+/// derivative (`(value − prev)/h`) exactly, so the transient stamps reduce to
+/// the DC equations with no device-side special case.
+const STATIC_POINT: StampPoint = StampPoint {
+    time: 0.0,
+    dt: f64::INFINITY,
+    method: IntegrationMethod::BackwardEuler,
+    first_step: false,
+    junction_limit: None,
+};
 
 /// Solves the DC operating point into `ws`: on success `ws.x` holds the
 /// converged solution and `ws.states` the matching device states (`ddt`
@@ -1250,52 +1151,53 @@ fn run_op(
             "workspace was built for a different circuit".to_string(),
         ));
     }
+    // Only the unmodified static system consults `NanStaticResidual`, so
+    // an armed fault fails the direct solve and gmin stepping's final
+    // gmin = 0 stage while every homotopy stage stays clean — which drives
+    // the cascade deterministically to source stepping.
+    let newton = NewtonSettings {
+        max_iterations: opts.max_newton_iterations,
+        delta_tolerance: opts.delta_tolerance,
+        residual_tolerance: opts.residual_tolerance,
+        reuse_jacobian: false,
+        fault: Some(Fault::NanStaticResidual),
+    };
     let mut stats = RunStatistics::default();
-    let mut delta = vec![0.0; ws.unknown_count()];
     ws.invalidate_factors();
     ws.reset(circuit);
 
     let strategy = 'found: {
-        if newton_static(circuit, ws, opts, &mut stats, &mut delta, 0.0, None) {
+        if ws
+            .newton(circuit, STATIC_POINT, Homotopy::None, &newton, &mut stats)
+            .is_ok()
+        {
             break 'found OpStrategy::Direct;
         }
         if opts.gmin_steps > 0 {
             stats.homotopy_escalations += 1;
             ws.reset(circuit);
-            let mut gmin = GMIN_START;
-            let mut converged = true;
-            for _ in 0..opts.gmin_steps {
-                if !newton_static(circuit, ws, opts, &mut stats, &mut delta, gmin, None) {
-                    converged = false;
-                    break;
-                }
-                gmin /= GMIN_SHRINK;
-            }
-            if converged && newton_static(circuit, ws, opts, &mut stats, &mut delta, 0.0, None) {
+            if ws.gmin_ramp(
+                circuit,
+                STATIC_POINT,
+                GMIN_START,
+                opts.gmin_steps,
+                &newton,
+                &mut stats,
+            ) {
                 break 'found OpStrategy::GminStepping;
             }
         }
         if opts.source_steps > 0 {
             stats.homotopy_escalations += 1;
             ws.reset(circuit);
-            assemble_static(circuit, ws);
+            ws.assemble_candidate(circuit, STATIC_POINT);
             let f0 = ws.residual.clone();
-            let mut converged = true;
-            for s in 1..=opts.source_steps {
+            let converged = (1..=opts.source_steps).all(|s| {
                 let w = 1.0 - s as f64 / opts.source_steps as f64;
-                if !newton_static(
-                    circuit,
-                    ws,
-                    opts,
-                    &mut stats,
-                    &mut delta,
-                    0.0,
-                    Some((&f0, w)),
-                ) {
-                    converged = false;
-                    break;
-                }
-            }
+                let homotopy = Homotopy::Source { f0: &f0, w };
+                ws.newton(circuit, STATIC_POINT, homotopy, &newton, &mut stats)
+                    .is_ok()
+            });
             if converged {
                 break 'found OpStrategy::SourceStepping;
             }
@@ -1307,11 +1209,11 @@ fn run_op(
         });
     };
 
-    // Commit the self-consistent device states at the converged point: the
-    // final assembly writes every `ddt` value slot at `x` with a zero
-    // derivative (infinite step), which is the seeding contract of the
-    // op → transient/shooting warm start.
-    assemble_static(circuit, ws);
+    // Commit the converged point with its self-consistent device states:
+    // the solve's final assembly wrote every `ddt` value slot at the
+    // solution with a zero derivative (infinite step), which is the seeding
+    // contract of the op → transient/shooting warm start.
+    ws.x.copy_from_slice(&ws.candidate);
     ws.states.copy_from_slice(&ws.new_states);
     ws.invalidate_factors();
 
@@ -1413,8 +1315,11 @@ fn run_ac(
         let x = solver.solve(omega, &rhs)?;
         solutions.extend_from_slice(&x);
         stats.linear_solves += 1;
-        stats.full_factorizations += 1;
     }
+    let (full, refactorizations, repivots) = solver.factorizations();
+    stats.full_factorizations += full;
+    stats.refactorizations += refactorizations;
+    stats.repivot_factorizations += repivots;
 
     Ok(AcResult {
         frequencies,

@@ -8,6 +8,28 @@
 //! nominal step after successful steps — the same recovery strategy analogue
 //! HDL simulators use.
 //!
+//! # The Newton solve
+//!
+//! One damped-Newton loop solves every nonlinear system of the engine: each
+//! time step, each leg of the [`RecoveryPolicy`] cascade, and each stage of
+//! the DC operating point ([`crate::analysis`]), whose gmin stepping and the
+//! recovery's gmin leg are one ramp. The rules are the same for all of them:
+//!
+//! * a solve stamps the circuit unmodified, with a shunt conductance `gmin`
+//!   from every node to ground, or with the source-stepping offset `−w·f₀`
+//!   on the residual; junction limiting is part of the stamp point;
+//! * each update is capped at `max(1, 0.1·‖x‖∞)` in the infinity norm, which
+//!   tames exponential junction overshoot while a high-voltage rail still
+//!   converges in `O(log)` iterations from a cold start;
+//! * a solve converges once its capped update is at most
+//!   `delta_tolerance·(1 + ‖x‖∞)`; one whose updates stall is still accepted
+//!   if the residual at its last iterate is within `residual_tolerance`;
+//! * a non-finite residual ends the solve unaccepted before anything is
+//!   factored;
+//! * only time steps reuse a factored Jacobian across iterations (the
+//!   modified-Newton bypass of [`TransientOptions::reuse_jacobian`]);
+//!   recovery legs and operating-point stages factor on every iteration.
+//!
 //! # Time stepping
 //!
 //! One marching loop serves every time integration: `.tran` runs under
@@ -270,9 +292,10 @@ impl StepControl {
 /// 1. **gmin ramp** ([`RecoveryPolicy::gmin_ramp`]) — re-solve the failing
 ///    step with a shunt conductance `gmin` on every node diagonal, ramping
 ///    it from [`RecoveryPolicy::gmin_start`] down to zero over
-///    [`RecoveryPolicy::gmin_stages`] stages; each stage's solution seeds
-///    the next, and only the final `gmin = 0` solution (an exact solution
-///    of the unmodified system) is ever committed.
+///    [`RecoveryPolicy::gmin_stages`] stages (the operating point's gmin
+///    stepping, run on the step); each stage's solution seeds the next, and
+///    only the final `gmin = 0` solution (an exact solution of the
+///    unmodified system) is ever committed.
 /// 2. **junction limiting** ([`RecoveryPolicy::junction_limit`]) — re-solve
 ///    the failing step with SPICE-style junction-voltage limiting in the
 ///    junction-device stamps (see
@@ -313,9 +336,9 @@ pub struct RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Default starting shunt conductance of the gmin ramp (matches the
-    /// operating-point homotopy's [`crate::analysis::GMIN_START`]).
-    pub const DEFAULT_GMIN_START: f64 = 1e-2;
+    /// Default starting shunt conductance of the gmin ramp: the operating
+    /// point's [`crate::analysis::GMIN_START`], since both run one ramp.
+    pub const DEFAULT_GMIN_START: f64 = crate::analysis::GMIN_START;
     /// Default number of gmin ramp stages.
     pub const DEFAULT_GMIN_STAGES: usize = 10;
     /// Default junction-voltage limit of [`RecoveryPolicy::aggressive`].
@@ -474,7 +497,8 @@ pub struct TransientOptions {
     pub method: IntegrationMethod,
     /// Maximum Newton iterations per step.
     pub max_newton_iterations: usize,
-    /// Convergence tolerance on the Newton update (infinity norm).
+    /// Relative convergence tolerance on the Newton update: a step converges
+    /// once its capped update is at most `delta_tolerance·(1 + ‖x‖∞)`.
     pub delta_tolerance: f64,
     /// Convergence tolerance on the residual (infinity norm); used as a
     /// secondary acceptance criterion.
@@ -597,6 +621,47 @@ impl TransientOptions {
         self.recovery.validate()?;
         Ok(())
     }
+
+    /// The settings of this run's step solves.
+    fn step_newton(&self) -> NewtonSettings {
+        NewtonSettings {
+            max_iterations: self.max_newton_iterations,
+            delta_tolerance: self.delta_tolerance,
+            residual_tolerance: self.residual_tolerance,
+            reuse_jacobian: self.reuse_jacobian,
+            fault: Some(Fault::NanResidual),
+        }
+    }
+}
+
+/// What a Newton solve adds to the assembled system (see the
+/// [module docs](self#the-newton-solve)).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Homotopy<'a> {
+    /// The circuit as stamped.
+    None,
+    /// A shunt conductance (siemens) from every node to ground.
+    Gmin(f64),
+    /// The source-stepping residual `f(x) − w·f₀`.
+    Source { f0: &'a [f64], w: f64 },
+}
+
+/// How one Newton solve iterates and when it stops (see
+/// [`TransientWorkspace::newton`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NewtonSettings {
+    /// Iteration budget of the solve.
+    pub(crate) max_iterations: usize,
+    /// Converged once the capped update is at most
+    /// `delta_tolerance·(1 + ‖x‖∞)`.
+    pub(crate) delta_tolerance: f64,
+    /// A stalled solve is still accepted at this residual norm.
+    pub(crate) residual_tolerance: f64,
+    /// The modified-Newton bypass ([`TransientOptions::reuse_jacobian`]):
+    /// step solves only.
+    pub(crate) reuse_jacobian: bool,
+    /// The fault consulted on every unmodified assembly, if any.
+    pub(crate) fault: Option<Fault>,
 }
 
 /// Declares [`RunStatistics`] from one list of documented `usize`
@@ -1560,6 +1625,219 @@ impl TransientWorkspace {
         );
     }
 
+    /// As [`TransientWorkspace::assemble_candidate`], with `homotopy` added
+    /// to the assembled system.
+    fn assemble_homotopy(&mut self, circuit: &Circuit, point: StampPoint, homotopy: Homotopy<'_>) {
+        self.assemble_candidate(circuit, point);
+        match homotopy {
+            Homotopy::None => {}
+            Homotopy::Gmin(gmin) => {
+                for i in 0..self.layout.node_unknowns {
+                    self.residual[i] += gmin * self.candidate[i];
+                    self.jacobian.add_diagonal(i, gmin);
+                }
+            }
+            Homotopy::Source { f0, w } => {
+                for (r, f) in self.residual.iter_mut().zip(f0) {
+                    *r -= w * f;
+                }
+            }
+        }
+    }
+
+    /// `‖residual‖∞`, or NaN if any entry is NaN: `norm_inf`'s max-fold
+    /// skips NaN entries, so a poisoned residual would read as balanced.
+    /// Two passes without an early exit, since both vectorise.
+    fn residual_norm(&self) -> f64 {
+        if self.residual.iter().fold(false, |nan, r| nan | r.is_nan()) {
+            f64::NAN
+        } else {
+            norm_inf(&self.residual)
+        }
+    }
+
+    /// Factors the assembled Jacobian, marking the factors reusable by the
+    /// modified-Newton bypass at `point` when `reuse` and ineligible
+    /// otherwise.
+    fn factor_at(&mut self, point: StampPoint, reuse: bool, stats: &mut RunStatistics) -> bool {
+        if !self.jacobian.factor(stats, self.fault.as_mut()) {
+            return false;
+        }
+        self.factored_h = if reuse { point.dt } else { f64::NAN };
+        self.factored_first = point.first_step;
+        true
+    }
+
+    /// The engine's one damped-Newton solve (rules in the
+    /// [module docs](self#the-newton-solve)): solves the system stamped at
+    /// `point` and modified by `homotopy`, in place on `candidate`, which
+    /// holds the initial iterate. Returns the iterations spent, or the
+    /// residual norm at the last iterate (NaN if poisoned) if the solve
+    /// failed.
+    ///
+    /// On success the workspace is assembled at the accepted iterate against
+    /// the unmodified, unlimited system: `residual`, the Jacobian and
+    /// `new_states` are consistent with `candidate`, ready to commit.
+    ///
+    /// With [`NewtonSettings::reuse_jacobian`] the iteration runs in
+    /// modified-Newton mode: the factored Jacobian is carried across
+    /// iterations — and across steps whose size and companion gains match the
+    /// factors' — and refactored only when the update norms stop contracting
+    /// (the residual is always assembled exactly, so stale factors change the
+    /// iteration path but never the fixed point it converges to).
+    pub(crate) fn newton(
+        &mut self,
+        circuit: &Circuit,
+        point: StampPoint,
+        homotopy: Homotopy<'_>,
+        settings: &NewtonSettings,
+        stats: &mut RunStatistics,
+    ) -> Result<usize, f64> {
+        let reuse = settings.reuse_jacobian;
+        let fault = match homotopy {
+            Homotopy::None => settings.fault,
+            _ => None,
+        };
+        let mut have_factors = reuse
+            && self.factored_h.is_finite()
+            && self.factored_first == point.first_step
+            && (point.dt - self.factored_h).abs() <= JACOBIAN_REUSE_H_RTOL * point.dt;
+        let mut prev_delta_norm = f64::INFINITY;
+        let mut stale_iterations = 0usize;
+        // ‖candidate‖∞ as of the last convergence test; before the first
+        // one it is measured only if an update needs capping.
+        let mut x_norm = f64::NAN;
+        let mut iterations = 0usize;
+        let mut converged = false;
+
+        while iterations < settings.max_iterations {
+            self.assemble_homotopy(circuit, point, homotopy);
+            if let Some(fault) = fault {
+                if self.fault.as_mut().is_some_and(|f| f.should_fire(fault)) {
+                    self.residual[0] = f64::NAN;
+                }
+            }
+            stats.newton_iterations += 1;
+            iterations += 1;
+            let residual = self.residual_norm();
+            if !residual.is_finite() {
+                return Err(residual);
+            }
+            self.rhs.clear();
+            self.rhs.extend(self.residual.iter().map(|r| -r));
+            if !reuse || stale_iterations >= MAX_STALE_ITERATIONS {
+                // Classical full Newton (or a step whose stale-iteration
+                // budget ran out, permanently for this step): factor the
+                // just-assembled Jacobian on every iteration.
+                have_factors = false;
+            }
+            let mut fresh = !have_factors;
+            if !fresh {
+                stale_iterations += 1;
+            }
+            if !have_factors {
+                if !self.factor_at(point, reuse, stats) {
+                    break;
+                }
+                have_factors = true;
+                fresh = true;
+            }
+            if !self.jacobian.solve_factored(&self.rhs, &mut self.delta) {
+                // A stale-factor back-substitution cannot fail numerically;
+                // reaching here means the factors were missing or unusable.
+                // Retry once against a fresh factorisation before failing.
+                if fresh || !self.factor_at(point, reuse, stats) {
+                    break;
+                }
+                fresh = true;
+                if !self.jacobian.solve_factored(&self.rhs, &mut self.delta) {
+                    break;
+                }
+            }
+            stats.linear_solves += 1;
+            if self.delta.iter().any(|d| !d.is_finite()) {
+                break;
+            }
+            let delta_norm = norm_inf(&self.delta);
+            let mut step = 1.0;
+            if delta_norm > 1.0 {
+                if x_norm.is_nan() {
+                    x_norm = norm_inf(&self.candidate);
+                }
+                let cap = f64::max(1.0, 0.1 * x_norm);
+                if delta_norm > cap {
+                    step = cap / delta_norm;
+                }
+            }
+            for (xi, di) in self.candidate.iter_mut().zip(&self.delta) {
+                *xi += step * di;
+            }
+            x_norm = norm_inf(&self.candidate);
+            if delta_norm * step <= settings.delta_tolerance * (1.0 + x_norm) {
+                converged = true;
+                break;
+            }
+            // Convergence-rate test of the modified-Newton bypass: stale
+            // factors are tolerated while the update norms keep contracting
+            // briskly; once an iteration shrinks its predecessor by less
+            // than 1/SLOW_CONVERGENCE_RATIO, the next iteration refactors
+            // the freshly assembled Jacobian. Never triggered by factors
+            // computed this very iteration — slow contraction under an exact
+            // Jacobian is the nonlinearity's fault, not the factors'.
+            if reuse && !fresh && delta_norm > SLOW_CONVERGENCE_RATIO * prev_delta_norm {
+                have_factors = false;
+            }
+            prev_delta_norm = delta_norm;
+        }
+
+        if !converged {
+            // A solve whose updates stalled (or whose Jacobian went
+            // singular) is still accepted if its equations balance at the
+            // last iterate: a smaller step or another stage cannot improve
+            // on a solved system.
+            self.assemble_homotopy(circuit, point, homotopy);
+            let residual = self.residual_norm();
+            if residual.is_nan() || residual > settings.residual_tolerance {
+                return Err(residual);
+            }
+        }
+        self.assemble_candidate(
+            circuit,
+            StampPoint {
+                junction_limit: None,
+                ..point
+            },
+        );
+        Ok(iterations)
+    }
+
+    /// Gmin stepping on `candidate`: `stages` solves under a shunt `gmin`
+    /// from `gmin_start` down by a decade per stage, each seeding the next,
+    /// then the exact `gmin = 0` solve, which alone decides success — the
+    /// operating point's homotopy and the recovery cascade's gmin leg.
+    pub(crate) fn gmin_ramp(
+        &mut self,
+        circuit: &Circuit,
+        point: StampPoint,
+        gmin_start: f64,
+        stages: usize,
+        settings: &NewtonSettings,
+        stats: &mut RunStatistics,
+    ) -> bool {
+        let mut gmin = gmin_start;
+        for _ in 0..stages {
+            if self
+                .newton(circuit, point, Homotopy::Gmin(gmin), settings, stats)
+                .is_err()
+            {
+                return false;
+            }
+            gmin /= 10.0;
+        }
+        self.newton(circuit, point, Homotopy::None, settings, stats)
+            .is_ok()
+    }
+
     /// The Jacobian positions the sparse backend stores, in row-major
     /// order: every position one assembly at the zero iterate writes, plus
     /// the diagonal. `None` on the dense backend.
@@ -1817,158 +2095,6 @@ impl TransientAnalysis {
         Ok(TransientResult::from_recorded(ws, circuit, stats, stop))
     }
 
-    /// Damped Newton solve of one candidate step ending at `t_next`.
-    ///
-    /// `ws.candidate` must hold the initial iterate (the previous solution
-    /// under fixed stepping, the polynomial prediction under adaptive
-    /// stepping) and on success holds the converged solution, with
-    /// `ws.new_states` refreshed at it; the caller decides whether to commit.
-    ///
-    /// With [`TransientOptions::reuse_jacobian`] the Newton iteration runs in
-    /// modified-Newton mode: the factored Jacobian is carried across
-    /// iterations — and across steps whose size and companion gains match the
-    /// factors' — and refactored only when the update norms stop contracting
-    /// (the residual is always assembled exactly, so stale factors change the
-    /// iteration path but never the fixed point it converges to).
-    fn attempt_step(
-        &self,
-        circuit: &Circuit,
-        ws: &mut TransientWorkspace,
-        t_next: f64,
-        h: f64,
-        first_step: bool,
-        stats: &mut RunStatistics,
-    ) -> StepAttempt {
-        let opts = &self.options;
-        let mut converged = false;
-        let mut last_residual_norm = f64::INFINITY;
-        let mut iterations = 0usize;
-        let mut have_factors = opts.reuse_jacobian
-            && ws.factored_h.is_finite()
-            && ws.factored_first == first_step
-            && (h - ws.factored_h).abs() <= JACOBIAN_REUSE_H_RTOL * h;
-        let mut prev_delta_norm = f64::INFINITY;
-        let mut stale_iterations = 0usize;
-        let point = StampPoint::new(t_next, h, opts.method, first_step);
-
-        for _ in 0..opts.max_newton_iterations {
-            ws.assemble_candidate(circuit, point);
-            if ws
-                .fault
-                .as_mut()
-                .is_some_and(|f| f.should_fire(Fault::NanResidual))
-            {
-                ws.residual[0] = f64::NAN;
-            }
-            last_residual_norm = norm_inf(&ws.residual);
-            stats.newton_iterations += 1;
-            iterations += 1;
-            ws.rhs.clear();
-            ws.rhs.extend(ws.residual.iter().map(|r| -r));
-            if !opts.reuse_jacobian || stale_iterations >= MAX_STALE_ITERATIONS {
-                // Classical full Newton (or a step whose stale-iteration
-                // budget ran out, permanently for this step): factor the
-                // just-assembled Jacobian on every iteration.
-                have_factors = false;
-            }
-            let mut fresh = !have_factors;
-            if !fresh {
-                stale_iterations += 1;
-            }
-            if !have_factors {
-                if !ws.jacobian.factor(stats, ws.fault.as_mut()) {
-                    break;
-                }
-                ws.factored_h = h;
-                ws.factored_first = first_step;
-                have_factors = true;
-                fresh = true;
-            }
-            if !ws.jacobian.solve_factored(&ws.rhs, &mut ws.delta) {
-                // A stale-factor back-substitution cannot fail numerically;
-                // reaching here means the factors were missing or unusable.
-                // Retry once against a fresh factorisation before rejecting.
-                if fresh || !ws.jacobian.factor(stats, ws.fault.as_mut()) {
-                    break;
-                }
-                ws.factored_h = h;
-                ws.factored_first = first_step;
-                fresh = true;
-                if !ws.jacobian.solve_factored(&ws.rhs, &mut ws.delta) {
-                    break;
-                }
-            }
-            stats.linear_solves += 1;
-            if ws.delta.iter().any(|d| !d.is_finite()) {
-                break;
-            }
-            // Limit the Newton step: exponential diode models can throw
-            // the iteration into wild oscillation if full steps are taken
-            // far from the solution. One-volt-scale steps per iteration
-            // keep it contained without slowing converged steps down.
-            let delta_norm = norm_inf(&ws.delta);
-            let limiter = if delta_norm > 1.0 {
-                1.0 / delta_norm
-            } else {
-                1.0
-            };
-            for (xi, di) in ws.candidate.iter_mut().zip(ws.delta.iter()) {
-                *xi += limiter * di;
-            }
-            let scale = 1.0 + norm_inf(&ws.candidate);
-            if delta_norm * limiter <= opts.delta_tolerance * scale {
-                converged = true;
-                break;
-            }
-            // Convergence-rate test of the modified-Newton bypass: stale
-            // factors are tolerated while the update norms keep contracting
-            // briskly; once an iteration shrinks its predecessor by less
-            // than 1/SLOW_CONVERGENCE_RATIO, the next iteration refactors
-            // the freshly assembled Jacobian. Never triggered by factors
-            // computed this very iteration — slow contraction under an exact
-            // Jacobian is the nonlinearity's fault, not the factors'.
-            if opts.reuse_jacobian
-                && !fresh
-                && delta_norm > SLOW_CONVERGENCE_RATIO * prev_delta_norm
-            {
-                have_factors = false;
-            }
-            prev_delta_norm = delta_norm;
-        }
-
-        // Secondary acceptance criterion: a step whose Newton update
-        // stalled (or whose Jacobian went singular) is still accepted if
-        // its equations are balanced to the residual tolerance — halving
-        // the step cannot improve on a solved system. The residual is
-        // re-measured at the final candidate (the iterate that would be
-        // committed), not at the stale pre-update iterate.
-        if !converged {
-            ws.assemble_candidate(circuit, point);
-            last_residual_norm = norm_inf(&ws.residual);
-            if ws.residual.iter().any(|r| r.is_nan()) {
-                // Element-wise, as in `recovery_newton`: the max-fold norm
-                // skips NaN entries, so a poisoned residual would otherwise
-                // read as balanced.
-                last_residual_norm = f64::NAN;
-            }
-            if last_residual_norm <= opts.residual_tolerance {
-                converged = true;
-            }
-        }
-
-        if converged {
-            // Refresh the residual, Jacobian and candidate states at the
-            // accepted solution so the committed history is consistent.
-            ws.assemble_candidate(circuit, point);
-        }
-
-        StepAttempt {
-            converged,
-            iterations,
-            residual: last_residual_norm,
-        }
-    }
-
     /// The one marching loop behind every time integration (see the
     /// [module docs](self#time-stepping)): it marches the committed solution
     /// across `span` under the options' [`StepControl`] and hands every
@@ -2026,6 +2152,7 @@ impl TransientAnalysis {
         let mut record_index = 1u64;
         let mut first_step = true;
         let stop_eps = 1e-9 * opts.dt;
+        let newton = opts.step_newton();
         let mut bp_idx = 0usize;
         let mut successive_lte_rejections = 0usize;
         // The accuracy controller may not shrink the step far below the
@@ -2121,9 +2248,10 @@ impl TransientAnalysis {
                 ws.candidate.copy_from_slice(&ws.x);
             }
 
-            let attempt = self.attempt_step(circuit, ws, t_next, h_step, first_step, stats);
-            let mut recovered = false;
-            if !attempt.converged {
+            let point = StampPoint::new(t_next, h_step, opts.method, first_step);
+            let solved = ws.newton(circuit, point, Homotopy::None, &newton, stats);
+            let recovered = solved.is_err();
+            if let Err(residual) = solved {
                 stats.rejected_steps += 1;
                 successive_lte_rejections = 0;
                 if opts.recovery.is_enabled() {
@@ -2133,18 +2261,7 @@ impl TransientAnalysis {
                 if h >= opts.min_dt {
                     continue;
                 }
-                self.recover_failed_step(
-                    circuit,
-                    ws,
-                    t_next,
-                    h_step,
-                    h,
-                    first_step,
-                    stats,
-                    &attempted_dts,
-                    attempt.residual,
-                )?;
-                recovered = true;
+                self.recover_failed_step(circuit, ws, point, stats, &attempted_dts, residual)?;
             }
             attempted_dts.clear();
 
@@ -2220,11 +2337,7 @@ impl TransientAnalysis {
             ws.states.copy_from_slice(&ws.new_states);
             ws.x.copy_from_slice(&ws.candidate);
             if let Some(hook) = on_step.as_deref_mut() {
-                hook(
-                    ws,
-                    StampPoint::new(t_next, h_step, opts.method, first_step),
-                    stats,
-                )?;
+                hook(ws, point, stats)?;
             }
             t = t_next;
             first_step = false;
@@ -2268,7 +2381,7 @@ impl TransientAnalysis {
                 // smooth segment): hold.
                 1.0
             };
-            if attempt.iterations > SLOW_NEWTON_ITERATIONS {
+            if solved.is_ok_and(|iterations| iterations > SLOW_NEWTON_ITERATIONS) {
                 factor = factor.min(0.5);
             }
             // The accuracy controller may dip below the rejection floor to
@@ -2294,40 +2407,48 @@ impl TransientAnalysis {
     /// The escalation ladder behind a step that exhausted halving: gmin
     /// ramp, then junction limiting, then a structured failure — see
     /// [`RecoveryPolicy`]. On `Ok(())` the workspace holds a committed-ready
-    /// `(candidate, new_states)` pair at `t_next`, exactly like a converged
-    /// [`TransientAnalysis::attempt_step`]; the caller commits it. With the
-    /// policy disabled this returns the bare [`MnaError::StepFailed`].
-    #[allow(clippy::too_many_arguments)]
+    /// `(candidate, new_states)` pair at the failing `point`, exactly like a
+    /// converged step solve; the caller commits it. With the policy
+    /// disabled this returns the bare [`MnaError::StepFailed`].
     fn recover_failed_step(
         &self,
         circuit: &Circuit,
         ws: &mut TransientWorkspace,
-        t_next: f64,
-        h: f64,
-        dt_floor: f64,
-        first_step: bool,
+        point: StampPoint,
         stats: &mut RunStatistics,
         attempted_dts: &[f64],
         last_residual: f64,
     ) -> Result<(), MnaError> {
-        let opts = &self.options;
-        let policy = opts.recovery;
+        let policy = self.options.recovery;
         let bare = MnaError::StepFailed {
-            time: t_next,
-            dt: dt_floor,
+            time: point.time,
+            dt: 0.5 * point.dt,
             residual: last_residual,
         };
         if !policy.is_enabled() {
             return Err(bare);
         }
 
-        let point = StampPoint::new(t_next, h, opts.method, first_step);
+        // A recovery is a convergence emergency: every leg factors fresh.
+        let newton = NewtonSettings {
+            reuse_jacobian: false,
+            fault: None,
+            ..self.options.step_newton()
+        };
         let mut strategies = vec![RecoveryStrategy::StepHalving];
         if policy.gmin_ramp {
             strategies.push(RecoveryStrategy::GminRamp);
-            if self.recovery_gmin_ramp(circuit, ws, point, stats) {
+            // Seed from the last *committed* solution, not the diverged iterate.
+            ws.candidate.copy_from_slice(&ws.x);
+            if ws.gmin_ramp(
+                circuit,
+                point,
+                policy.gmin_start,
+                policy.gmin_stages,
+                &newton,
+                stats,
+            ) {
                 stats.recovery_retries += 1;
-                ws.factored_h = f64::NAN;
                 return Ok(());
             }
         }
@@ -2341,11 +2462,14 @@ impl TransientAnalysis {
                 junction_limit: Some(limit),
                 ..point
             };
-            if self.recovery_newton(circuit, ws, limited, stats, 0.0)
-                && self.recovery_newton(circuit, ws, point, stats, 0.0)
+            if ws
+                .newton(circuit, limited, Homotopy::None, &newton, stats)
+                .is_ok()
+                && ws
+                    .newton(circuit, point, Homotopy::None, &newton, stats)
+                    .is_ok()
             {
                 stats.recovery_retries += 1;
-                ws.factored_h = f64::NAN;
                 return Ok(());
             }
         }
@@ -2366,7 +2490,7 @@ impl TransientAnalysis {
             .map(|&(i, r)| (ws.layout.unknown_name(circuit.node_names(), i), r))
             .collect();
         Err(MnaError::Convergence(Box::new(ConvergenceReport {
-            time: t_next,
+            time: point.time,
             dt_trajectory: attempted_dts.to_vec(),
             residual: if residual.is_finite() {
                 residual
@@ -2377,113 +2501,6 @@ impl TransientAnalysis {
             strategies,
         })))
     }
-
-    /// The gmin-ramp recovery leg: re-solves the failing step under a
-    /// node-diagonal shunt conductance ramped from
-    /// [`RecoveryPolicy::gmin_start`] down to zero, each stage seeding the
-    /// next. Only the final `gmin = 0` stage — an exact solution of the
-    /// unmodified system — counts as success.
-    fn recovery_gmin_ramp(
-        &self,
-        circuit: &Circuit,
-        ws: &mut TransientWorkspace,
-        point: StampPoint,
-        stats: &mut RunStatistics,
-    ) -> bool {
-        let policy = self.options.recovery;
-        // Seed from the last *committed* solution, not the diverged iterate.
-        ws.candidate.copy_from_slice(&ws.x);
-        let mut gmin = policy.gmin_start;
-        for _ in 0..policy.gmin_stages {
-            if !self.recovery_newton(circuit, ws, point, stats, gmin) {
-                return false;
-            }
-            gmin /= 10.0;
-        }
-        self.recovery_newton(circuit, ws, point, stats, 0.0)
-    }
-
-    /// One plain Newton solve of the (possibly gmin- or limiting-modified)
-    /// step system at `point`, operating on `ws.candidate` in place — the
-    /// transient sibling of the static `newton_static` in
-    /// [`analysis`](crate::analysis). Always factors fresh (no
-    /// modified-Newton bypass: a recovery is a convergence emergency) and
-    /// leaves `(candidate, new_states, residual, jacobian)` assembled at the
-    /// final iterate.
-    fn recovery_newton(
-        &self,
-        circuit: &Circuit,
-        ws: &mut TransientWorkspace,
-        point: StampPoint,
-        stats: &mut RunStatistics,
-        gmin: f64,
-    ) -> bool {
-        let opts = &self.options;
-        let mut converged = false;
-        for _ in 0..opts.max_newton_iterations {
-            ws.assemble_candidate(circuit, point);
-            if gmin > 0.0 {
-                for i in 0..ws.layout.node_unknowns {
-                    ws.residual[i] += gmin * ws.candidate[i];
-                    ws.jacobian.add_diagonal(i, gmin);
-                }
-            }
-            // Element-wise, not `!norm_inf(..).is_finite()`: the max-fold
-            // norm *ignores* NaN entries (`f64::max` semantics), so a
-            // poisoned residual would otherwise read as balanced.
-            if ws.residual.iter().any(|r| !r.is_finite()) {
-                return false;
-            }
-            stats.newton_iterations += 1;
-            ws.rhs.clear();
-            ws.rhs.extend(ws.residual.iter().map(|r| -r));
-            if !ws.jacobian.factor(stats, ws.fault.as_mut()) {
-                return false;
-            }
-            if !ws.jacobian.solve_factored(&ws.rhs, &mut ws.delta) {
-                return false;
-            }
-            stats.linear_solves += 1;
-            if ws.delta.iter().any(|d| !d.is_finite()) {
-                return false;
-            }
-            let delta_norm = norm_inf(&ws.delta);
-            let limiter = if delta_norm > 1.0 {
-                1.0 / delta_norm
-            } else {
-                1.0
-            };
-            for (xi, di) in ws.candidate.iter_mut().zip(ws.delta.iter()) {
-                *xi += limiter * di;
-            }
-            let scale = 1.0 + norm_inf(&ws.candidate);
-            if delta_norm * limiter <= opts.delta_tolerance * scale {
-                converged = true;
-                break;
-            }
-        }
-        if converged {
-            // Refresh `(new_states, residual, jacobian)` at the accepted
-            // iterate, against the *unmodified* system, so a successful
-            // final stage leaves the workspace in exactly the state a
-            // converged `attempt_step` would (the commit contract).
-            ws.assemble_candidate(
-                circuit,
-                StampPoint {
-                    junction_limit: None,
-                    ..point
-                },
-            );
-        }
-        converged
-    }
-}
-
-/// Outcome of one Newton attempt at a candidate step.
-pub(crate) struct StepAttempt {
-    pub(crate) converged: bool,
-    pub(crate) iterations: usize,
-    pub(crate) residual: f64,
 }
 
 /// Safety factor of the LTE step-size controller (the classic 0.9: aim
@@ -2539,7 +2556,7 @@ fn due_samples(next: &mut u64, interval: f64, t: f64, t_stop: f64) -> Range<u64>
 
 /// Per-accepted-step hook of [`TransientAnalysis::march`]. It is called
 /// once the step is committed (`x` and `states` hold the accepted solution,
-/// the Jacobian is as [`TransientAnalysis::attempt_step`] left it) with the
+/// the Jacobian is as [`TransientWorkspace::newton`] left it) with the
 /// point the step was solved at; an error aborts the march.
 type StepHook<'a> =
     dyn FnMut(&mut TransientWorkspace, StampPoint, &mut RunStatistics) -> Result<(), MnaError> + 'a;
@@ -3205,6 +3222,101 @@ mod tests {
                 other => panic!("{backend:?}/{step_control:?}: expected StepFailed, got {other:?}"),
             }
         }
+    }
+
+    /// `rail` across a 1 kΩ/1 kΩ divider whose lower leg carries 1 µF
+    /// (τ = 0.5 ms), and the divider's output node.
+    fn divider(rail: Waveform) -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let out = c.node("out");
+        c.add(VoltageSource::new("V", vin, Circuit::GROUND, rail));
+        c.add(Resistor::new("R1", vin, out, 1e3));
+        c.add(Resistor::new("R2", out, Circuit::GROUND, 1e3));
+        c.add(Capacitor::new("C", out, Circuit::GROUND, 1e-6));
+        (c, out)
+    }
+
+    /// `source` through a diode into 1 µF ∥ 10 kΩ, and the output node.
+    fn half_wave_rectifier(source: Waveform) -> (Circuit, NodeId) {
+        let mut c = Circuit::new();
+        let vin = c.node("in");
+        let out = c.node("out");
+        c.add(VoltageSource::new("V", vin, Circuit::GROUND, source));
+        c.add(Diode::new("D", vin, out));
+        c.add(Capacitor::new("C", out, Circuit::GROUND, 1e-6));
+        c.add(Resistor::new("R", out, Circuit::GROUND, 10e3));
+        (c, out)
+    }
+
+    #[test]
+    fn cold_starts_on_high_voltage_rails_follow_the_charging_curve() {
+        // The first step moves the rail node from 0 to the full rail in one
+        // Newton solve: past 10 V the update cap grows with ‖x‖∞, so
+        // rails beyond `max_newton_iterations` volts still converge. The
+        // backward-Euler start-up step leaves the first sample h/2τ = 1e-3
+        // short of the curve; the trapezoidal steps after it close the gap.
+        let tau = 500.0 * 1e-6;
+        for volts in [5.0, 61.0, 100.0, 1000.0] {
+            let (c, out) = divider(Waveform::dc(volts));
+            let result = TransientAnalysis::new(TransientOptions {
+                t_stop: 1e-5,
+                dt: 1e-6,
+                ..TransientOptions::default()
+            })
+            .run(&c)
+            .unwrap_or_else(|e| panic!("{volts} V rail: {e}"));
+            assert_eq!(result.len(), 11);
+            for (t, v) in result.times().iter().zip(result.voltage(out)) {
+                let exact = volts / 2.0 * (1.0 - (-t / tau).exp());
+                assert!(
+                    (v - exact).abs() <= 1e-3 * exact,
+                    "{volts} V rail at {t}: {v} vs {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_cold_started_high_voltage_rectifier_settles_on_its_operating_point() {
+        let (c, out) = half_wave_rectifier(Waveform::dc(100.0));
+        let op = crate::analysis::OperatingPointAnalysis::default()
+            .run(&c)
+            .unwrap();
+        let settled = TransientAnalysis::new(TransientOptions {
+            t_stop: 0.2,
+            dt: 1e-4,
+            ..TransientOptions::default()
+        })
+        .run(&c)
+        .unwrap()
+        .final_voltage(out);
+        assert!(
+            (settled - op.voltage(out)).abs() <= 1e-9,
+            "settled at {settled}, operating point {}",
+            op.voltage(out)
+        );
+    }
+
+    #[test]
+    fn a_high_voltage_pulse_edge_costs_few_more_newton_iterations() {
+        // Fixed 10 µs steps stride the 1 µs edge: the step across it must
+        // climb the whole edge in one Newton solve.
+        let newton = |volts: f64| {
+            let edge = Waveform::pulse(0.0, volts, 0.0, 1e-6, 1e-6, 1.0, 0.0).unwrap();
+            let (c, _) = half_wave_rectifier(edge);
+            TransientAnalysis::new(TransientOptions {
+                t_stop: 1e-4,
+                dt: 1e-5,
+                ..TransientOptions::default()
+            })
+            .run(&c)
+            .unwrap()
+            .statistics()
+            .newton_iterations
+        };
+        let (low, high) = (newton(10.0), newton(100.0));
+        assert!(high <= 2 * low, "100 V edge: {high}, 10 V edge: {low}");
     }
 
     #[test]

@@ -174,6 +174,8 @@ impl Div for Complex64 {
 pub struct HarmonicSolver {
     n: usize,
     backend: Backend,
+    /// Numeric factorisations so far: full, refactorisations, re-pivots.
+    factorizations: (usize, usize, usize),
 }
 
 #[derive(Debug)]
@@ -217,6 +219,7 @@ impl HarmonicSolver {
                 c: own_c,
                 scratch: Matrix::zeros(2 * n, 2 * n),
             },
+            factorizations: (0, 0, 0),
         })
     }
 
@@ -273,12 +276,22 @@ impl HarmonicSolver {
                 matrix,
                 lu,
             },
+            factorizations: (1, 0, 0),
         })
     }
 
     /// The system dimension `n` (the complex unknown count, not `2n`).
     pub fn dimension(&self) -> usize {
         self.n
+    }
+
+    /// The numeric factorisations performed so far, by kind: `(full,
+    /// refactorisations, re-pivots)`. A dense solve factors afresh (full);
+    /// a sparse solver factors once at construction (full), then refactors
+    /// on that pivot order per solve, re-pivoting only where the order went
+    /// numerically stale at a frequency.
+    pub fn factorizations(&self) -> (usize, usize, usize) {
+        self.factorizations
     }
 
     /// Solves `(G + jωC)·x = b` at angular frequency `omega` (rad/s).
@@ -313,7 +326,9 @@ impl HarmonicSolver {
                         scratch.add_at(i + n, j, omega * cij);
                     }
                 }
-                scratch.solve(&rhs)?
+                let xy = scratch.solve(&rhs)?;
+                self.factorizations.0 += 1;
+                xy
             }
             Backend::Sparse {
                 g_entries,
@@ -324,7 +339,11 @@ impl HarmonicSolver {
                 fill_real_equivalent(matrix, n, g_entries, c_entries, omega);
                 // `update` retries with a fresh pivot order if the one from
                 // construction went numerically stale at this frequency.
-                lu.update(matrix)?;
+                if lu.update(matrix)? {
+                    self.factorizations.2 += 1;
+                } else {
+                    self.factorizations.1 += 1;
+                }
                 lu.solve(&rhs)?
             }
         };

@@ -759,20 +759,20 @@ impl SparseLu {
     /// Refactors `a`, falling back to a fresh fully-pivoted factorisation if
     /// the stored pivot order has gone numerically stale. The fallback
     /// builds a new symbolic analysis; factorisations cloned from this one
-    /// before keep the analysis they were factored under.
+    /// before keep the analysis they were factored under. Returns `true`
+    /// when it took the fallback (a re-pivot) and `false` for a plain
+    /// refactorisation.
     ///
     /// # Errors
     ///
     /// Returns the fallback's error if `a` cannot be factored at all (truly
     /// singular).
-    pub fn update(&mut self, a: &SparseMatrix) -> Result<(), NumericsError> {
-        match self.refactor(a) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                *self = SparseLu::new(a)?;
-                Ok(())
-            }
+    pub fn update(&mut self, a: &SparseMatrix) -> Result<bool, NumericsError> {
+        if self.refactor(a).is_ok() {
+            return Ok(false);
         }
+        *self = SparseLu::new(a)?;
+        Ok(true)
     }
 
     /// Solves `A·x = b` using the stored factors.

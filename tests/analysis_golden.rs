@@ -5,14 +5,16 @@
 //! linearisation (`G`/`C` extraction) and the homotopy-converged equilibria
 //! to the already-trusted time-domain engine.
 
+use energy_harvester::experiments::arrays::coupled_array_netlist;
 use energy_harvester::mna::analysis::{
-    AcAnalysis, AcOptions, AnalysisEngine, FrequencySweep, OpOptions, OperatingPointAnalysis,
+    AcAnalysis, AcOptions, Analysis, AnalysisEngine, AnalysisPlan, FrequencySweep, OpOptions,
+    OperatingPointAnalysis,
 };
 use energy_harvester::mna::circuit::{Circuit, NodeId};
 use energy_harvester::mna::devices::{Capacitor, Diode, Resistor, VoltageSource};
 use energy_harvester::mna::netlist;
 use energy_harvester::mna::transient::{
-    IntegrationMethod, TransientAnalysis, TransientOptions, TransientResult,
+    IntegrationMethod, SolverBackend, TransientAnalysis, TransientOptions, TransientResult,
 };
 use energy_harvester::mna::waveform::Waveform;
 use harvester_numerics::complex::Complex64;
@@ -242,5 +244,43 @@ fn transformer_booster_frequency_response_is_pinned() {
             *magnitude <= 1e-12,
             "bridge null broken at point {k}: |V(out)| = {magnitude}"
         );
+    }
+}
+
+#[test]
+fn ac_sweeps_count_factorisations_by_kind() {
+    // The 16-stage array driven small-signal at its generator: a 51-unknown
+    // circuit, so the op solves sparse and the phasor system (102 unknowns)
+    // sweeps sparse. The sweep factors once at construction and refactors
+    // on that pivot order at every point; a dense sweep factors every point.
+    let text: String = coupled_array_netlist(16)
+        .lines()
+        .map(|line| {
+            if line.starts_with("Vgen ") {
+                format!("{line} AC 1 0\n")
+            } else {
+                format!("{line}\n")
+            }
+        })
+        .collect();
+    let circuit = netlist::build(&text).expect("the array netlist must build");
+    let sweep = AcOptions::new(FrequencySweep::Dec, 10, 1.0, 1e6);
+    let points = sweep.frequencies().len();
+    assert_eq!(points, 61);
+    for (backend, full, refactorizations) in [
+        (SolverBackend::Auto, 2, points),
+        (SolverBackend::Dense, 1 + points, 0),
+    ] {
+        let plan = AnalysisPlan::from_cards(vec![
+            Analysis::Op(OpOptions::default()),
+            Analysis::Ac(AcOptions { backend, ..sweep }),
+        ])
+        .unwrap();
+        let results = AnalysisEngine::new().run(&circuit, &plan).unwrap();
+        assert_eq!(results.ac().unwrap().len(), points);
+        let stats = results.statistics();
+        assert_eq!(stats.full_factorizations, full, "{backend:?}");
+        assert_eq!(stats.refactorizations, refactorizations, "{backend:?}");
+        assert_eq!(stats.repivot_factorizations, 0, "{backend:?}");
     }
 }
