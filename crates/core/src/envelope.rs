@@ -989,9 +989,9 @@ mod tests {
         // recovery policy), the shooting engine reports the failure, and
         // the envelope must retreat to brute-force settling for that grid
         // point. The window deliberately outlasts the cascade so the first
-        // settling steps are poisoned too — near the rest state the
-        // residual-balance acceptance absorbs those, and the fallback must
-        // still deliver the measurement.
+        // settling steps are poisoned too: a non-finite residual ends each
+        // such step's solve before anything is factored, the step is
+        // halved, and the fallback must still deliver the measurement.
         let mut inj = FaultInjector::new();
         inj.arm_window(Fault::NanResidual, 100, 45);
         let mut workspace = EnvelopeWorkspace::new();

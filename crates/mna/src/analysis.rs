@@ -88,8 +88,6 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
-
 use harvester_numerics::complex::{Complex64, HarmonicSolver};
 use harvester_numerics::fault::{Fault, FaultInjector};
 use harvester_numerics::linalg::{norm_inf, Matrix};
@@ -101,7 +99,7 @@ use crate::options;
 use crate::shooting::{SteadyStateAnalysis, SteadyStateOptions, SteadyStateResult};
 use crate::transient::{
     Homotopy, IntegrationMethod, NewtonSettings, RunStatistics, SimulationBudget, SolverBackend,
-    TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
+    TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace, UnknownNames,
 };
 use crate::MnaError;
 
@@ -173,8 +171,7 @@ pub enum OpStrategy {
 #[derive(Debug, Clone)]
 pub struct OpResult {
     solution: Vec<f64>,
-    node_names: Vec<String>,
-    probes: HashMap<String, (usize, Vec<String>)>,
+    names: UnknownNames,
     statistics: RunStatistics,
     strategy: OpStrategy,
 }
@@ -202,15 +199,7 @@ impl OpResult {
     ///
     /// Panics if the node does not belong to the simulated circuit.
     pub fn voltage(&self, node: NodeId) -> f64 {
-        if node.is_ground() {
-            return 0.0;
-        }
-        let idx = node.index() - 1;
-        assert!(
-            idx < self.node_names.len() - 1,
-            "node {node} is not part of the simulated circuit"
-        );
-        self.solution[idx]
+        self.names.node(node).map_or(0.0, |i| self.solution[i])
     }
 
     /// DC voltage of a node looked up by name.
@@ -219,15 +208,10 @@ impl OpResult {
     ///
     /// Returns [`MnaError::UnknownProbe`] if no node has this name.
     pub fn voltage_by_name(&self, name: &str) -> Result<f64, MnaError> {
-        let idx = self
-            .node_names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| MnaError::UnknownProbe(name.to_string()))?;
-        if idx == 0 {
-            return Ok(0.0);
-        }
-        Ok(self.solution[idx - 1])
+        Ok(self
+            .names
+            .node_named(name)?
+            .map_or(0.0, |i| self.solution[i]))
     }
 
     /// DC value of a device's extra unknown (e.g. a source's branch
@@ -238,15 +222,7 @@ impl OpResult {
     /// Returns [`MnaError::UnknownProbe`] if the device or the unknown name
     /// does not exist.
     pub fn probe(&self, device: &str, unknown: &str) -> Result<f64, MnaError> {
-        let (base, names) = self
-            .probes
-            .get(device)
-            .ok_or_else(|| MnaError::UnknownProbe(format!("{device}.{unknown}")))?;
-        let offset = names
-            .iter()
-            .position(|n| n == unknown)
-            .ok_or_else(|| MnaError::UnknownProbe(format!("{device}.{unknown}")))?;
-        Ok(self.solution[base + offset])
+        Ok(self.solution[self.names.probe(device, unknown)?])
     }
 }
 
@@ -411,8 +387,7 @@ pub struct AcResult {
     frequencies: Vec<f64>,
     solutions: Vec<Complex64>,
     unknowns: usize,
-    node_names: Vec<String>,
-    probes: HashMap<String, (usize, Vec<String>)>,
+    names: UnknownNames,
     statistics: RunStatistics,
     op: OpResult,
 }
@@ -449,11 +424,15 @@ impl AcResult {
         &self.solutions[k * self.unknowns..(k + 1) * self.unknowns]
     }
 
-    /// The phasor series of global unknown `idx` across the sweep.
-    fn series(&self, idx: usize) -> Vec<Complex64> {
-        (0..self.frequencies.len())
-            .map(|k| self.sample(k)[idx])
-            .collect()
+    /// The phasor series of global unknown `idx` across the sweep (all
+    /// zeros for `None`, the ground node).
+    fn series(&self, idx: Option<usize>) -> Vec<Complex64> {
+        match idx {
+            Some(i) => (0..self.frequencies.len())
+                .map(|k| self.sample(k)[i])
+                .collect(),
+            None => vec![Complex64::ZERO; self.frequencies.len()],
+        }
     }
 
     /// Voltage phasor of a node across the sweep.
@@ -462,15 +441,7 @@ impl AcResult {
     ///
     /// Panics if the node does not belong to the simulated circuit.
     pub fn voltage(&self, node: NodeId) -> Vec<Complex64> {
-        if node.is_ground() {
-            return vec![Complex64::ZERO; self.frequencies.len()];
-        }
-        let idx = node.index() - 1;
-        assert!(
-            idx < self.node_names.len() - 1,
-            "node {node} is not part of the simulated circuit"
-        );
-        self.series(idx)
+        self.series(self.names.node(node))
     }
 
     /// Voltage phasor of a node looked up by name.
@@ -479,15 +450,7 @@ impl AcResult {
     ///
     /// Returns [`MnaError::UnknownProbe`] if no node has this name.
     pub fn voltage_by_name(&self, name: &str) -> Result<Vec<Complex64>, MnaError> {
-        let idx = self
-            .node_names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| MnaError::UnknownProbe(name.to_string()))?;
-        if idx == 0 {
-            return Ok(vec![Complex64::ZERO; self.frequencies.len()]);
-        }
-        Ok(self.series(idx - 1))
+        Ok(self.series(self.names.node_named(name)?))
     }
 
     /// Magnitude response `|V(node)|` across the sweep.
@@ -516,15 +479,7 @@ impl AcResult {
     /// Returns [`MnaError::UnknownProbe`] if the device or the unknown name
     /// does not exist.
     pub fn probe(&self, device: &str, unknown: &str) -> Result<Vec<Complex64>, MnaError> {
-        let (base, names) = self
-            .probes
-            .get(device)
-            .ok_or_else(|| MnaError::UnknownProbe(format!("{device}.{unknown}")))?;
-        let offset = names
-            .iter()
-            .position(|n| n == unknown)
-            .ok_or_else(|| MnaError::UnknownProbe(format!("{device}.{unknown}")))?;
-        Ok(self.series(base + offset))
+        Ok(self.series(Some(self.names.probe(device, unknown)?)))
     }
 }
 
@@ -1219,8 +1174,7 @@ fn run_op(
 
     Ok(OpResult {
         solution: ws.x.clone(),
-        node_names: circuit.node_names().to_vec(),
-        probes: ws.layout.probes.clone(),
+        names: UnknownNames::new(circuit, &ws.layout),
         statistics: stats,
         strategy,
     })
@@ -1303,10 +1257,8 @@ fn run_ac(
 
     let (g, c) = small_signal_matrices(circuit, ws, op.solution(), states);
     // The real-equivalent system is 2n×2n; resolve the backend against that.
-    let mut solver = match opts.backend.resolve(2 * n) {
-        SolverBackend::Sparse => HarmonicSolver::sparse(&g, &c)?,
-        _ => HarmonicSolver::dense(&g, &c)?,
-    };
+    let sparse = opts.backend.resolve(2 * n) == SolverBackend::Sparse;
+    let mut solver = HarmonicSolver::new(&g, &c, sparse)?;
 
     let frequencies = opts.frequencies();
     let mut solutions = Vec::with_capacity(frequencies.len() * n);
@@ -1325,8 +1277,7 @@ fn run_ac(
         frequencies,
         solutions,
         unknowns: n,
-        node_names: circuit.node_names().to_vec(),
-        probes: ws.layout.probes.clone(),
+        names: UnknownNames::new(circuit, &ws.layout),
         statistics: stats,
         op,
     })

@@ -72,15 +72,15 @@
 use crate::circuit::Circuit;
 use crate::device::{assemble, StampPoint, DDT_VALUE_SLOT};
 use crate::transient::{
-    CachedFactors, IntegrationMethod, JacobianStorage, RecoveryPolicy, RunStatistics,
-    SimulationBudget, StepControl, TransientAnalysis, TransientOptions, TransientResult,
-    TransientWorkspace,
+    IntegrationMethod, RecoveryPolicy, RunStatistics, SimulationBudget, StepControl,
+    TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
 };
 use crate::MnaError;
 use harvester_numerics::fault::FaultInjector;
 use harvester_numerics::gmres::{GmresOptions, GmresWorkspace};
 use harvester_numerics::linalg::{norm_inf, Matrix};
 use harvester_numerics::monodromy::{shooting_update, VectorSensitivity};
+use harvester_numerics::system::{Factors, LinearSystem};
 use harvester_numerics::NumericsError;
 
 /// Options of a [`SteadyStateAnalysis`].
@@ -206,12 +206,12 @@ const SHOOTING_GMRES_MAX_MATVECS: usize = 96;
 /// Jacobian's factorisation and the step's effective size and memory rule.
 /// A sparse factorisation is banked as a handle on the symbolic analysis it
 /// was factored under plus its numeric values, refilled in place (see
-/// [`JacobianStorage::export_factors`]). The point's `W` stamps live in
+/// [`LinearSystem::export`]). The point's `W` stamps live in
 /// [`PeriodCache::w`] (indexed one past the step, slot 0 being the
 /// period-start seed).
 #[derive(Debug)]
 struct CachedPeriodStep {
-    factors: Option<CachedFactors>,
+    factors: Option<Factors>,
     h_eff: f64,
     trapezoidal_memory: bool,
 }
@@ -224,14 +224,14 @@ struct CachedPeriodStep {
 /// period.
 ///
 /// Each point's `W` is extracted into a values vector laid out like the
-/// Jacobian's own storage and swept from there into row-major triplets, so
-/// banking a step costs `O(nnz)` on the sparse backend (`O(n²)` on the
-/// dense one, whose storage is the full matrix).
+/// Jacobian's own storage (slot by slot, see [`LinearSystem::values`]) and
+/// swept from there into row-major triplets, so banking a step costs
+/// `O(nnz)` on the sparse backend (`O(n²)` on the dense one, whose storage
+/// is the full matrix).
 #[derive(Debug)]
 struct PeriodCache {
     n: usize,
-    /// The `W` being extracted, one value per Jacobian storage slot (see
-    /// [`JacobianStorage::accumulate_scaled`]).
+    /// The `W` being extracted, one value per Jacobian storage slot.
     w_values: Vec<f64>,
     /// `W` stamps as `(row, col, value)` triplets: slot 0 the period-start
     /// point, slot `k ≥ 1` the `k`-th accepted point.
@@ -261,8 +261,9 @@ impl PeriodCache {
     }
 
     /// Starts extracting a fresh `W` from `jacobian`'s assemblies.
-    fn clear_w(&mut self, jacobian: &JacobianStorage) {
-        jacobian.zero_slots(&mut self.w_values);
+    fn clear_w(&mut self, jacobian: &LinearSystem) {
+        self.w_values.clear();
+        self.w_values.resize(jacobian.values().len(), 0.0);
         #[cfg(test)]
         if let Some(reference) = self.reference.as_mut() {
             reference.clear();
@@ -270,24 +271,32 @@ impl PeriodCache {
     }
 
     /// Adds `alpha ×` the Jacobian currently assembled in `jacobian` to the
-    /// `W` being extracted.
-    fn accumulate_w(&mut self, jacobian: &JacobianStorage, alpha: f64) {
-        jacobian.accumulate_scaled(alpha, &mut self.w_values);
+    /// `W` being extracted. Zero entries are skipped.
+    fn accumulate_w(&mut self, jacobian: &LinearSystem, alpha: f64) {
+        for (w, &v) in self.w_values.iter_mut().zip(jacobian.values()) {
+            if v != 0.0 {
+                *w += alpha * v;
+            }
+        }
         #[cfg(test)]
         if let Some(reference) = self.reference.as_mut() {
             reference.accumulate(jacobian, alpha);
         }
     }
 
-    /// Sweeps the extracted `W` into the triplet slot `idx`, reusing its
-    /// allocation.
-    fn sweep_w_into(&mut self, jacobian: &JacobianStorage, idx: usize) {
+    /// Sweeps the non-zero entries of the extracted `W` into the triplet
+    /// slot `idx` in row-major order, reusing its allocation.
+    fn sweep_w_into(&mut self, jacobian: &LinearSystem, idx: usize) {
         if self.w.len() <= idx {
             self.w.push(Vec::new());
         }
         let out = &mut self.w[idx];
         out.clear();
-        jacobian.push_triplets(&self.w_values, out);
+        jacobian.for_each_slot(&self.w_values, |r, c, v| {
+            if v != 0.0 {
+                out.push((r, c, v));
+            }
+        });
         #[cfg(test)]
         if let Some(reference) = self.reference.as_mut() {
             reference.sweep_into(idx);
@@ -295,7 +304,7 @@ impl PeriodCache {
     }
 
     /// Starts a fresh period at the point whose `W` was just extracted.
-    fn seed(&mut self, jacobian: &JacobianStorage) {
+    fn seed(&mut self, jacobian: &LinearSystem) {
         self.sweep_w_into(jacobian, 0);
         self.used_steps = 0;
     }
@@ -303,12 +312,7 @@ impl PeriodCache {
     /// Banks one accepted step: its extracted `W` and the factored Jacobian
     /// currently cached in `jacobian`. Returns `false` when no factors are
     /// available.
-    fn push_step(
-        &mut self,
-        jacobian: &JacobianStorage,
-        h_eff: f64,
-        trapezoidal_memory: bool,
-    ) -> bool {
+    fn push_step(&mut self, jacobian: &LinearSystem, h_eff: f64, trapezoidal_memory: bool) -> bool {
         let idx = self.used_steps;
         self.sweep_w_into(jacobian, idx + 1);
         if self.steps.len() <= idx {
@@ -321,7 +325,7 @@ impl PeriodCache {
             self.steps[idx].h_eff = h_eff;
             self.steps[idx].trapezoidal_memory = trapezoidal_memory;
         }
-        if !jacobian.export_factors(&mut self.steps[idx].factors) {
+        if !jacobian.export(&mut self.steps[idx].factors) {
             return false;
         }
         self.used_steps = idx + 1;
@@ -370,18 +374,18 @@ impl PeriodCache {
         let h = point.dt;
         let trapezoidal = point.method == IntegrationMethod::Trapezoidal;
         let be_startup = point.first_step && trapezoidal;
-        self.clear_w(&ws.jacobian);
+        self.clear_w(&ws.jacobian.system);
         if be_startup {
             ws.assemble_solution(circuit, StampPoint::new(point.time, h, point.method, false));
         }
-        self.accumulate_w(&ws.jacobian, 2.0 * h);
+        self.accumulate_w(&ws.jacobian.system, 2.0 * h);
         ws.assemble_solution(
             circuit,
             StampPoint::new(point.time, 2.0 * h, point.method, false),
         );
-        self.accumulate_w(&ws.jacobian, -2.0 * h);
+        self.accumulate_w(&ws.jacobian.system, -2.0 * h);
         let h_eff = if be_startup { 2.0 * h } else { h };
-        if !self.push_step(&ws.jacobian, h_eff, trapezoidal && !point.first_step) {
+        if !self.push_step(&ws.jacobian.system, h_eff, trapezoidal && !point.first_step) {
             return Err(singular());
         }
         Ok(())
@@ -402,7 +406,7 @@ impl PeriodCache {
                     step.trapezoidal_memory,
                     &self.w[k],
                     &self.w[k + 1],
-                    |rhs, sol| factors.solve_into(rhs, sol),
+                    |rhs, sol| factors.solve_into(rhs, sol).is_ok(),
                 )
                 .ok()?;
         }
@@ -885,11 +889,11 @@ impl SteadyStateAnalysis {
         for (scale, h) in [(2.0 * dt, dt), (-2.0 * dt, 2.0 * dt)] {
             ws.assemble_solution(circuit, StampPoint::new(t, h, method, false));
             if scale > 0.0 {
-                cache.clear_w(&ws.jacobian);
+                cache.clear_w(&ws.jacobian.system);
             }
-            cache.accumulate_w(&ws.jacobian, scale);
+            cache.accumulate_w(&ws.jacobian.system, scale);
         }
-        cache.seed(&ws.jacobian);
+        cache.seed(&ws.jacobian.system);
     }
 }
 
@@ -972,8 +976,9 @@ mod tests {
     use harvester_numerics::stats::mean;
 
     /// The n×n dense `W` extraction the storage-order sweep replaced, kept
-    /// as its reference: accumulate every non-zero Jacobian entry into a
-    /// dense scratch, then scan the scratch row by row into triplets. A
+    /// as its reference: accumulate every non-zero Jacobian entry, looked up
+    /// position by position through its slot, into a dense scratch, then
+    /// scan the scratch row by row into triplets. A
     /// [`PeriodCache`] with `reference` set runs it beside its own
     /// extraction and keeps the swept triplets of every `w` slot.
     #[derive(Debug)]
@@ -994,24 +999,13 @@ mod tests {
             self.scratch.fill_zero();
         }
 
-        pub(super) fn accumulate(&mut self, jacobian: &JacobianStorage, alpha: f64) {
-            let out = &mut self.scratch;
-            match jacobian {
-                JacobianStorage::Dense { matrix, .. } => {
-                    for r in 0..matrix.rows() {
-                        for c in 0..matrix.cols() {
-                            let v = matrix[(r, c)];
-                            if v != 0.0 {
-                                out[(r, c)] += alpha * v;
-                            }
-                        }
-                    }
-                }
-                JacobianStorage::Sparse { matrix, .. } => {
-                    for (r, c, v) in matrix.entries() {
-                        if v != 0.0 {
-                            out[(r, c)] += alpha * v;
-                        }
+        pub(super) fn accumulate(&mut self, jacobian: &LinearSystem, alpha: f64) {
+            let n = self.scratch.rows();
+            for r in 0..n {
+                for c in 0..n {
+                    let v = jacobian.slot(r, c).map_or(0.0, |s| jacobian.values()[s]);
+                    if v != 0.0 {
+                        self.scratch[(r, c)] += alpha * v;
                     }
                 }
             }

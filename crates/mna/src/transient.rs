@@ -54,18 +54,24 @@
 //!
 //! # Solver backends
 //!
-//! The linear solves inside the Newton loop run on one of two backends
-//! (selected by [`TransientOptions::backend`]):
+//! The Newton Jacobian is one [`LinearSystem`]: the type that owns its dense
+//! or sparse storage, its cached factors and the one factor policy, and
+//! reports every factorisation as full, refactorisation or re-pivot
+//! ([`RunStatistics::full_factorizations`],
+//! [`RunStatistics::refactorizations`],
+//! [`RunStatistics::repivot_factorizations`]). [`TransientOptions::backend`]
+//! picks the storage:
 //!
-//! * [`SolverBackend::Dense`] — dense LU with partial pivoting. Fastest for
-//!   the small systems (tens of unknowns) a single harvester produces.
-//! * [`SolverBackend::Sparse`] — CSR assembly into the fixed MNA sparsity
-//!   pattern, factored with a sparse LU whose symbolic analysis (pivot
-//!   order, fill pattern, scatter map, elimination program) is computed
-//!   **once per circuit** and reused across every Newton iteration and time
-//!   step (counted in [`RunStatistics::refactorizations`]). The pattern is
-//!   derived from the devices' own stamps: one assembly at the zero iterate
-//!   records every position written (see
+//! * [`SolverBackend::Dense`] — dense LU with partial pivoting, factored
+//!   afresh every time. Fastest for the small systems (tens of unknowns) a
+//!   single harvester produces.
+//! * [`SolverBackend::Sparse`] — CSR storage over the fixed MNA sparsity
+//!   pattern. The first factorisation computes the symbolic analysis (pivot
+//!   order, fill pattern, scatter map, elimination program) **once per
+//!   circuit**; every later Newton iteration and time step refactors on it,
+//!   re-pivoting only where a stored pivot goes numerically stale. The
+//!   pattern is derived from the devices' own stamps: one assembly at the
+//!   zero iterate records every position written (see
 //!   [`Device::stamp`](crate::device::Device::stamp) for the contract that
 //!   makes this sound). Each stamp lands on a CSR slot bound to its position
 //!   in the stamp sequence once per workspace, so assembly does no
@@ -85,8 +91,8 @@ use crate::error::{ConvergenceReport, RecoveryStrategy};
 use crate::MnaError;
 use harvester_numerics::extrap::{divided_differences, extrapolate_rows, newton_eval};
 use harvester_numerics::fault::{Fault, FaultInjector};
-use harvester_numerics::linalg::{norm_inf, LuFactors, Matrix};
-use harvester_numerics::sparse::{SparseLu, SparseMatrix, TripletMatrix};
+use harvester_numerics::linalg::{norm_inf, Matrix};
+use harvester_numerics::system::{Factorisation, LinearSystem, Storage};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -245,16 +251,6 @@ impl StepControl {
             reltol: Self::DEFAULT_RELTOL,
             abstol: Self::DEFAULT_ABSTOL,
             max_dt: f64::INFINITY,
-        }
-    }
-
-    /// Adaptive control at the engine-recommended tolerances with an
-    /// explicit largest step.
-    pub fn adaptive_capped(max_dt: f64) -> Self {
-        StepControl::Adaptive {
-            reltol: Self::DEFAULT_RELTOL,
-            abstol: Self::DEFAULT_ABSTOL,
-            max_dt,
         }
     }
 
@@ -761,8 +757,8 @@ run_statistics! {
         full_factorizations,
         /// Sparse factorisations that had usable factors but whose stored pivot
         /// order went numerically stale, forcing a re-pivoting factorisation
-        /// (the [`SparseLu::update`](harvester_numerics::sparse::SparseLu::update)
-        /// recovery path). Split from
+        /// (a [`Factorisation::Repivot`] of the [`LinearSystem`] factor
+        /// policy). Split from
         /// [`RunStatistics::full_factorizations`] because the two mean different
         /// things in perf triage: a climbing cold-start count points at workspace
         /// reuse being defeated, a climbing re-pivot count at numerically
@@ -919,46 +915,92 @@ impl SystemLayout {
     }
 }
 
-/// Backend-specific Jacobian storage plus its (lazily created, then reused)
-/// factorisation. The sparse matrix carries the stamp-slot cache its
-/// assemblies stamp through.
-// One per workspace, built once and never moved on a hot path: boxing the
-// larger sparse variant would only add an indirection.
-#[allow(clippy::large_enum_variant)]
+/// The names a result resolves its lookups by: the circuit's node names
+/// (index 0 being ground) and each device's extra unknowns. Shared by
+/// [`TransientResult`] and the operating-point and AC results.
+#[derive(Debug, Clone)]
+pub(crate) struct UnknownNames {
+    nodes: Vec<String>,
+    probes: HashMap<String, (usize, Vec<String>)>,
+}
+
+impl UnknownNames {
+    pub(crate) fn new(circuit: &Circuit, layout: &SystemLayout) -> Self {
+        UnknownNames {
+            nodes: circuit.node_names().to_vec(),
+            probes: layout.probes.clone(),
+        }
+    }
+
+    /// The global unknown of `node`'s voltage; `None` for ground.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node does not belong to the simulated circuit.
+    pub(crate) fn node(&self, node: NodeId) -> Option<usize> {
+        if node.is_ground() {
+            return None;
+        }
+        let idx = node.index() - 1;
+        assert!(
+            idx < self.nodes.len() - 1,
+            "node {node} is not part of the simulated circuit"
+        );
+        Some(idx)
+    }
+
+    /// The global unknown of the node named `name`; `None` for ground.
+    pub(crate) fn node_named(&self, name: &str) -> Result<Option<usize>, MnaError> {
+        let idx = self
+            .nodes
+            .iter()
+            .position(|n| n == name)
+            .ok_or_else(|| MnaError::UnknownProbe(name.to_string()))?;
+        Ok(idx.checked_sub(1))
+    }
+
+    /// The global unknown of `device`'s extra unknown `unknown`.
+    pub(crate) fn probe(&self, device: &str, unknown: &str) -> Result<usize, MnaError> {
+        self.probes
+            .get(device)
+            .and_then(|(base, names)| names.iter().position(|n| n == unknown).map(|k| base + k))
+            .ok_or_else(|| MnaError::UnknownProbe(format!("{device}.{unknown}")))
+    }
+}
+
+/// The Newton Jacobian: one [`LinearSystem`], which owns the dense or sparse
+/// storage, the cached factors and the factor policy, plus the stamp-slot
+/// cache its sparse assemblies stamp through.
 #[derive(Debug)]
-pub(crate) enum JacobianStorage {
-    Dense {
-        matrix: Matrix,
-        factors: Option<LuFactors>,
-    },
-    Sparse {
-        matrix: SparseMatrix,
-        slots: StampSlots,
-        factors: Option<SparseLu>,
-    },
+pub(crate) struct JacobianStorage {
+    pub(crate) system: LinearSystem,
+    slots: StampSlots,
 }
 
 impl JacobianStorage {
     /// The view an assembly stamps through.
     pub(crate) fn view(&mut self) -> JacobianView<'_> {
-        match self {
-            JacobianStorage::Dense { matrix, .. } => JacobianView::Dense(matrix),
-            JacobianStorage::Sparse { matrix, slots, .. } => JacobianView::Sparse { matrix, slots },
+        match self.system.storage_mut() {
+            Storage::Dense(matrix) => JacobianView::Dense(matrix),
+            Storage::Sparse(matrix) => JacobianView::Sparse {
+                matrix,
+                slots: &mut self.slots,
+            },
         }
     }
 
-    /// Factors the currently assembled Jacobian into the cached factors,
-    /// updating the factorisation counters. Returns `false` on a singular
-    /// system and drops the cached factors, which the failed elimination
-    /// left half-finished, so [`JacobianStorage::solve_factored`] reports
-    /// `false` until a later call succeeds.
+    /// Factors the currently assembled Jacobian under the
+    /// [`LinearSystem`] policy, counting the factorisation it performed in
+    /// `stats`. Returns `false` on a singular system, whose factors the
+    /// system drops, so [`JacobianStorage::solve_factored`] reports `false`
+    /// until a later call succeeds.
     ///
     /// `fault` is the solver-layer injection hook: an armed
     /// [`Fault::SingularFactorization`] makes this call report failure
-    /// without touching the factors, and on the sparse backend an armed
-    /// [`Fault::StalePivot`] rejects the cheap pattern-reusing
-    /// refactorisation as if the stored pivot order had gone numerically
-    /// stale, forcing the re-pivoting recovery path.
+    /// without touching the factors, and an armed [`Fault::StalePivot`],
+    /// consulted only where a sparse refactorisation is about to run,
+    /// forces the re-pivot as if the stored pivot order had gone
+    /// numerically stale.
     pub(crate) fn factor(
         &mut self,
         stats: &mut RunStatistics,
@@ -970,206 +1012,31 @@ impl JacobianStorage {
         {
             return false;
         }
-        let factored = match self {
-            JacobianStorage::Dense { matrix, factors } => {
-                let factored = match factors {
-                    Some(f) => matrix.lu_into(f).is_ok(),
-                    None => match matrix.lu() {
-                        Ok(f) => {
-                            *factors = Some(f);
-                            true
-                        }
-                        Err(_) => false,
-                    },
-                };
-                if factored {
-                    stats.full_factorizations += 1;
-                }
-                factored
-            }
-            JacobianStorage::Sparse {
-                matrix, factors, ..
-            } => match factors {
-                Some(f) => {
-                    // Cheap pattern-reusing refactorisation first; recover
-                    // with a re-pivoting factorisation (what
-                    // `SparseLu::update` performs after a failed refactor)
-                    // if the stored pivot order went numerically stale.
-                    let stale = fault.is_some_and(|inj| inj.should_fire(Fault::StalePivot));
-                    if !stale && f.refactor(matrix).is_ok() {
-                        stats.refactorizations += 1;
-                        true
-                    } else {
-                        match SparseLu::new(matrix) {
-                            Ok(fresh) => {
-                                stats.repivot_factorizations += 1;
-                                *f = fresh;
-                                true
-                            }
-                            Err(_) => false,
-                        }
-                    }
-                }
-                None => match SparseLu::new(matrix) {
-                    Ok(f) => {
-                        stats.full_factorizations += 1;
-                        *factors = Some(f);
-                        true
-                    }
-                    Err(_) => false,
-                },
-            },
+        let stale = || fault.is_some_and(|f| f.should_fire(Fault::StalePivot));
+        let counter = match self.system.factor(stale) {
+            Ok(Factorisation::Full) => &mut stats.full_factorizations,
+            Ok(Factorisation::Refactor) => &mut stats.refactorizations,
+            Ok(Factorisation::Repivot) => &mut stats.repivot_factorizations,
+            Err(_) => return false,
         };
-        if !factored {
-            self.drop_factors();
-        }
-        factored
-    }
-
-    /// Forgets the cached factors, so the next [`JacobianStorage::factor`]
-    /// starts from a fresh pivoted factorisation.
-    fn drop_factors(&mut self) {
-        match self {
-            JacobianStorage::Dense { factors, .. } => *factors = None,
-            JacobianStorage::Sparse { factors, .. } => *factors = None,
-        }
+        *counter += 1;
+        true
     }
 
     /// Adds `value` to the diagonal entry `(i, i)` of the assembled matrix —
-    /// the gmin-homotopy hook (every unknown's diagonal is in the sparsity
-    /// pattern: MNA node equations always carry a self-conductance slot, and
-    /// extra-unknown rows stamp their own diagonal).
+    /// the gmin-homotopy hook (a sparse [`LinearSystem`] stores every
+    /// diagonal entry, whatever the devices stamp).
     pub(crate) fn add_diagonal(&mut self, i: usize, value: f64) {
-        match self {
-            JacobianStorage::Dense { matrix, .. } => matrix.add_at(i, i, value),
-            JacobianStorage::Sparse { matrix, .. } => matrix.add_at(i, i, value),
-        }
+        let slot = self.system.slot(i, i);
+        self.system.values_mut()[slot.expect("every diagonal entry is stored")] += value;
     }
 
     /// Solves against the already-computed factors (no refactorisation) —
     /// the back-substitution of a Newton or operating-point iteration.
     /// Returns `false` if no factors are cached (none yet, invalidated, or
     /// dropped by a failed [`JacobianStorage::factor`]) or the solve fails.
-    /// The shooting engine's banked factors solve through
-    /// [`CachedFactors::solve_into`] instead.
     pub(crate) fn solve_factored(&self, rhs: &[f64], delta: &mut Vec<f64>) -> bool {
-        match self {
-            JacobianStorage::Dense {
-                factors: Some(f), ..
-            } => f.solve_into(rhs, delta).is_ok(),
-            JacobianStorage::Sparse {
-                factors: Some(f), ..
-            } => f.solve_into(rhs, delta).is_ok(),
-            _ => false,
-        }
-    }
-
-    /// Copies the cached factorisation into a caller-owned slot — the
-    /// capture primitive behind the matrix-free shooting engine, which banks
-    /// one factorisation per accepted in-period step and replays them during
-    /// the Krylov matvecs. A slot that already holds factors of the same
-    /// backend is refilled in place (`clone_from`), so once warm, banking
-    /// allocates nothing: dense factors copy their `n²` values, permutation
-    /// and scales into the slot's buffers; sparse factors copy only their
-    /// numeric values and share the symbolic analysis they were factored
-    /// under, which a later re-pivot replaces in the workspace without
-    /// touching the steps banked before it. Returns `false` when no factors
-    /// are cached (i.e. [`JacobianStorage::factor`] has not succeeded yet).
-    pub(crate) fn export_factors(&self, slot: &mut Option<CachedFactors>) -> bool {
-        match self {
-            JacobianStorage::Dense {
-                factors: Some(f), ..
-            } => {
-                match slot {
-                    Some(CachedFactors::Dense(cached)) => cached.clone_from(f),
-                    _ => *slot = Some(CachedFactors::Dense(f.clone())),
-                }
-                true
-            }
-            JacobianStorage::Sparse {
-                factors: Some(f), ..
-            } => {
-                match slot {
-                    Some(CachedFactors::Sparse(cached)) => cached.clone_from(f),
-                    _ => *slot = Some(CachedFactors::Sparse(f.clone())),
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// The assembled values in storage order: `n²` row-major entries on
-    /// the dense backend, one per pattern slot on the sparse one.
-    fn values(&self) -> &[f64] {
-        match self {
-            JacobianStorage::Dense { matrix, .. } => matrix.as_slice(),
-            JacobianStorage::Sparse { matrix, .. } => matrix.values(),
-        }
-    }
-
-    /// Resets `out` to one zero per storage slot (see
-    /// [`JacobianStorage::accumulate_scaled`]), keeping its allocation.
-    pub(crate) fn zero_slots(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.values().len(), 0.0);
-    }
-
-    /// Accumulates `alpha ×` the currently assembled Jacobian into `out`,
-    /// laid out like the storage itself (see
-    /// [`JacobianStorage::zero_slots`]) — the extraction primitive behind the
-    /// shooting engine's dynamic-stamp matrices (`W = 2h·J(h) − 2h·J(2h)`).
-    /// Zero entries are skipped, so it costs `O(n²)` on the dense backend
-    /// and `O(nnz)` on the sparse one.
-    pub(crate) fn accumulate_scaled(&self, alpha: f64, out: &mut [f64]) {
-        for (o, &v) in out.iter_mut().zip(self.values()) {
-            if v != 0.0 {
-                *o += alpha * v;
-            }
-        }
-    }
-
-    /// Appends the non-zero entries of `values` (laid out as by
-    /// [`JacobianStorage::accumulate_scaled`]) to `out` as `(row, col,
-    /// value)` triplets in row-major order.
-    pub(crate) fn push_triplets(&self, values: &[f64], out: &mut Vec<(usize, usize, f64)>) {
-        match self {
-            JacobianStorage::Dense { matrix, .. } => {
-                for (r, row) in values.chunks_exact(matrix.cols()).enumerate() {
-                    for (c, &v) in row.iter().enumerate() {
-                        if v != 0.0 {
-                            out.push((r, c, v));
-                        }
-                    }
-                }
-            }
-            JacobianStorage::Sparse { matrix, .. } => {
-                for ((r, c, _), &v) in matrix.entries().zip(values) {
-                    if v != 0.0 {
-                        out.push((r, c, v));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A factorisation detached from its [`JacobianStorage`]: the shooting
-/// engine's per-step bank, solved against long after the workspace's live
-/// matrix moved on to other assemblies.
-#[derive(Debug, Clone)]
-pub(crate) enum CachedFactors {
-    Dense(LuFactors),
-    Sparse(SparseLu),
-}
-
-impl CachedFactors {
-    /// Back-substitutes `rhs` against the banked factorisation.
-    pub(crate) fn solve_into(&self, rhs: &[f64], out: &mut Vec<f64>) -> bool {
-        match self {
-            CachedFactors::Dense(f) => f.solve_into(rhs, out).is_ok(),
-            CachedFactors::Sparse(f) => f.solve_into(rhs, out).is_ok(),
-        }
+        self.system.solve_into(rhs, delta).is_ok()
     }
 }
 
@@ -1270,31 +1137,17 @@ impl TransientWorkspace {
         let layout = SystemLayout::for_circuit(circuit)?;
         let n = layout.n;
         let backend = options.backend.resolve(n);
-        let jacobian = if backend == SolverBackend::Sparse {
-            let mut triplets = TripletMatrix::new(n, n);
-            for (r, c) in recorded_stamps(circuit, &layout) {
-                triplets.push(r, c, 0.0);
-            }
-            // The diagonal is always part of the pattern: it keeps the
-            // factorisation's pivot structure stable even where no device
-            // stamps the diagonal directly.
-            for i in 0..n {
-                triplets.push(i, i, 0.0);
-            }
-            JacobianStorage::Sparse {
-                matrix: triplets.to_csr(),
-                slots: StampSlots::default(),
-                factors: None,
-            }
+        let system = if backend == SolverBackend::Sparse {
+            LinearSystem::sparse(n, recorded_stamps(circuit, &layout))
         } else {
-            JacobianStorage::Dense {
-                matrix: Matrix::zeros(n, n),
-                factors: None,
-            }
+            LinearSystem::dense(n)
         };
         Ok(TransientWorkspace {
             backend,
-            jacobian,
+            jacobian: JacobianStorage {
+                system,
+                slots: StampSlots::default(),
+            },
             factored_h: f64::NAN,
             factored_first: false,
             residual: vec![0.0; n],
@@ -1415,12 +1268,10 @@ impl TransientWorkspace {
     /// layout but changed topology (its stamps would otherwise panic against
     /// the stale pattern).
     fn pattern_covers(&self, circuit: &Circuit) -> bool {
-        let JacobianStorage::Sparse { matrix, .. } = &self.jacobian else {
-            return true;
-        };
-        recorded_stamps(circuit, &self.layout)
-            .iter()
-            .all(|&(r, c)| matrix.contains(r, c))
+        self.backend != SolverBackend::Sparse
+            || recorded_stamps(circuit, &self.layout)
+                .iter()
+                .all(|&(r, c)| self.jacobian.system.slot(r, c).is_some())
     }
 
     /// Returns `true` when this workspace can be reused for `circuit` under
@@ -1449,7 +1300,7 @@ impl TransientWorkspace {
     /// every logical boundary; the first solve after the call performs one
     /// full pivoted factorisation, exactly as a fresh workspace would.
     pub fn invalidate_factors(&mut self) {
-        self.jacobian.drop_factors();
+        self.jacobian.system.drop_factors();
         self.factored_h = f64::NAN;
     }
 
@@ -1842,12 +1693,13 @@ impl TransientWorkspace {
     /// order: every position one assembly at the zero iterate writes, plus
     /// the diagonal. `None` on the dense backend.
     pub fn sparsity_pattern(&self) -> Option<Vec<(usize, usize)>> {
-        match &self.jacobian {
-            JacobianStorage::Sparse { matrix, .. } => {
-                Some(matrix.entries().map(|(r, c, _)| (r, c)).collect())
-            }
-            JacobianStorage::Dense { .. } => None,
+        if self.backend != SolverBackend::Sparse {
+            return None;
         }
+        let system = &self.jacobian.system;
+        let mut pattern = Vec::new();
+        system.for_each_slot(system.values(), |r, c, _| pattern.push((r, c)));
+        Some(pattern)
     }
 }
 
@@ -2583,8 +2435,7 @@ pub struct TransientResult {
     times: Vec<f64>,
     samples: Vec<f64>,
     unknowns: usize,
-    node_names: Vec<String>,
-    probes: HashMap<String, (usize, Vec<String>)>,
+    names: UnknownNames,
     statistics: RunStatistics,
     truncated: bool,
     cancelled: bool,
@@ -2603,8 +2454,7 @@ impl TransientResult {
             times: std::mem::take(&mut ws.times),
             samples: std::mem::take(&mut ws.history),
             unknowns: ws.layout.n,
-            node_names: circuit.node_names().to_vec(),
-            probes: ws.layout.probes.clone(),
+            names: UnknownNames::new(circuit, &ws.layout),
             statistics,
             truncated: stop.truncated,
             cancelled: stop.cancelled,
@@ -2659,9 +2509,13 @@ impl TransientResult {
         &self.samples[k * self.unknowns..(k + 1) * self.unknowns]
     }
 
-    /// The time series of global unknown `idx` across all samples.
-    fn series(&self, idx: usize) -> Vec<f64> {
-        (0..self.times.len()).map(|k| self.sample(k)[idx]).collect()
+    /// The time series of global unknown `idx` across all samples (all
+    /// zeros for `None`, the ground node).
+    fn series(&self, idx: Option<usize>) -> Vec<f64> {
+        match idx {
+            Some(i) => (0..self.times.len()).map(|k| self.sample(k)[i]).collect(),
+            None => vec![0.0; self.times.len()],
+        }
     }
 
     /// Voltage waveform of a node (all samples).
@@ -2670,15 +2524,7 @@ impl TransientResult {
     ///
     /// Panics if the node does not belong to the simulated circuit.
     pub fn voltage(&self, node: NodeId) -> Vec<f64> {
-        if node.is_ground() {
-            return vec![0.0; self.times.len()];
-        }
-        let idx = node.index() - 1;
-        assert!(
-            idx < self.node_names.len() - 1,
-            "node {node} is not part of the simulated circuit"
-        );
-        self.series(idx)
+        self.series(self.names.node(node))
     }
 
     /// Voltage waveform of a node looked up by name.
@@ -2687,15 +2533,7 @@ impl TransientResult {
     ///
     /// Returns [`MnaError::UnknownProbe`] if no node has this name.
     pub fn voltage_by_name(&self, name: &str) -> Result<Vec<f64>, MnaError> {
-        let idx = self
-            .node_names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| MnaError::UnknownProbe(name.to_string()))?;
-        if idx == 0 {
-            return Ok(vec![0.0; self.times.len()]);
-        }
-        Ok(self.series(idx - 1))
+        Ok(self.series(self.names.node_named(name)?))
     }
 
     /// Waveform of a device's extra unknown (e.g. the coil current `"i"` or
@@ -2706,15 +2544,7 @@ impl TransientResult {
     /// Returns [`MnaError::UnknownProbe`] if the device or the unknown name
     /// does not exist.
     pub fn probe(&self, device: &str, unknown: &str) -> Result<Vec<f64>, MnaError> {
-        let (base, names) = self
-            .probes
-            .get(device)
-            .ok_or_else(|| MnaError::UnknownProbe(format!("{device}.{unknown}")))?;
-        let offset = names
-            .iter()
-            .position(|n| n == unknown)
-            .ok_or_else(|| MnaError::UnknownProbe(format!("{device}.{unknown}")))?;
-        Ok(self.series(base + offset))
+        Ok(self.series(Some(self.names.probe(device, unknown)?)))
     }
 
     /// Final value of a node voltage.
@@ -2753,6 +2583,7 @@ mod tests {
     use crate::device::StampContext;
     use crate::devices::{Capacitor, Diode, Resistor, VoltageSource};
     use crate::waveform::Waveform;
+    use harvester_numerics::sparse::SparseMatrix;
 
     fn rc_circuit() -> (Circuit, NodeId) {
         let mut c = Circuit::new();
@@ -3707,11 +3538,14 @@ mod tests {
         );
     }
 
-    fn sparse_jacobian(ws: &TransientWorkspace) -> &SparseMatrix {
-        match &ws.jacobian {
-            JacobianStorage::Sparse { matrix, .. } => matrix,
-            JacobianStorage::Dense { .. } => panic!("expected the sparse backend"),
-        }
+    /// The sparse Jacobian's pattern and values as a CSR matrix.
+    fn sparse_jacobian(ws: &TransientWorkspace) -> SparseMatrix {
+        assert_eq!(ws.backend(), SolverBackend::Sparse);
+        let system = &ws.jacobian.system;
+        let mut entries = Vec::new();
+        system.for_each_slot(system.values(), |r, c, v| entries.push((r, c, v)));
+        let n = ws.unknown_count();
+        SparseMatrix::from_triplets(n, n, &entries)
     }
 
     fn sparse_options() -> TransientOptions {
@@ -3781,7 +3615,7 @@ mod tests {
         ];
         for x in iterates {
             assemble_at(&c, &mut ws, &x);
-            let mut reference = sparse_jacobian(&ws).clone();
+            let mut reference = sparse_jacobian(&ws);
             reference.fill_zero();
             for device in devices {
                 let v = x[device.a.index() - 1] - x[device.b.index() - 1];
@@ -3791,7 +3625,7 @@ mod tests {
             }
             let bits =
                 |m: &SparseMatrix| -> Vec<u64> { m.values().iter().map(|v| v.to_bits()).collect() };
-            assert_eq!(bits(sparse_jacobian(&ws)), bits(&reference), "at {x:?}");
+            assert_eq!(bits(&sparse_jacobian(&ws)), bits(&reference), "at {x:?}");
         }
     }
 

@@ -18,14 +18,15 @@
 //! [ ωC   G  ] [ Im x ] = [ Im b ]
 //! ```
 //!
-//! so both existing real backends apply unchanged: dense partial-pivot LU
-//! for small circuits, and the fill-pattern-reusing [`SparseLu`] for large
-//! ones — the `2n×2n` sparsity pattern is built **once** from the nonzero
-//! union of `G` and `C`, symbolically analysed once, and only numerically
-//! refactored as the sweep moves from frequency to frequency.
+//! so one real [`LinearSystem`] serves it on either storage: dense
+//! partial-pivot LU for small circuits, and the fill-pattern-reusing sparse
+//! LU for large ones — the `2n×2n` sparsity pattern is built **once** from
+//! the nonzero union of `G` and `C`, symbolically analysed once, and only
+//! numerically refactored as the sweep moves from frequency to frequency.
 
 use crate::linalg::Matrix;
-use crate::sparse::{SparseLu, SparseMatrix, TripletMatrix};
+use crate::sparse::SparseMatrix;
+use crate::system::{Factorisation, LinearSystem};
 use crate::NumericsError;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
@@ -65,19 +66,9 @@ impl Complex64 {
         self.re.hypot(self.im)
     }
 
-    /// Squared magnitude `|z|²` (no square root).
-    pub fn norm_sqr(self) -> f64 {
-        self.re * self.re + self.im * self.im
-    }
-
     /// Argument (phase angle) in radians, in `(-π, π]`.
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
-    }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex64::new(self.re, -self.im)
     }
 
     /// Multiplies by a real scalar.
@@ -161,123 +152,80 @@ impl Div for Complex64 {
     }
 }
 
-/// Solves `(G + jωC)·x = b` for a sweep of frequencies, reusing as much
-/// factorisation work as each backend allows.
+/// Solves `(G + jωC)·x = b` for a sweep of frequencies on one
+/// [`LinearSystem`]: the `2n×2n` real-equivalent system, whose storage, LU
+/// factors and full/refactor/re-pivot policy that type owns.
 ///
 /// Construct once per (operating point, circuit) pair with
-/// [`HarmonicSolver::dense`] or [`HarmonicSolver::sparse`], then call
-/// [`HarmonicSolver::solve`] per frequency. Both constructors take dense
-/// `G`/`C` (that is how the MNA engine extracts them); the sparse backend
-/// harvests their nonzero union into a fixed `2n×2n` pattern and reuses its
-/// symbolic analysis across the whole sweep.
+/// [`HarmonicSolver::new`], then call [`HarmonicSolver::solve`] per
+/// frequency. Each solve refills the system's values as `A₀ + ω·A₁`, with
+/// `A₀ = [G 0; 0 G]` and `A₁ = [0 −C; C 0]`, and factors it: dense storage
+/// factors afresh into one reused set of LU factors; sparse storage stores
+/// the nonzero union of the blocks plus the diagonal as its fixed pattern,
+/// chooses its pivot order once at `ω = 1` (at construction) and refactors
+/// on it at every frequency, re-pivoting only where that order goes
+/// numerically stale.
 #[derive(Debug)]
 pub struct HarmonicSolver {
     n: usize,
-    backend: Backend,
+    system: LinearSystem,
+    /// `A₀` and `A₁`, slot by slot (see [`LinearSystem::values`]).
+    a0: Vec<f64>,
+    a1: Vec<f64>,
     /// Numeric factorisations so far: full, refactorisations, re-pivots.
     factorizations: (usize, usize, usize),
 }
 
-#[derive(Debug)]
-enum Backend {
-    Dense {
-        g: Matrix,
-        c: Matrix,
-        scratch: Matrix,
-    },
-    Sparse {
-        /// Nonzero entries of `G` as `(row, col, value)`.
-        g_entries: Vec<(usize, usize, f64)>,
-        /// Nonzero entries of `C` as `(row, col, value)`.
-        c_entries: Vec<(usize, usize, f64)>,
-        /// The `2n×2n` real-equivalent matrix over the fixed union pattern.
-        matrix: SparseMatrix,
-        lu: SparseLu,
-    },
-}
-
 impl HarmonicSolver {
-    /// Builds a dense-backend solver. Each [`solve`](Self::solve) assembles
-    /// the `2n×2n` real-equivalent system and factors it with partial-pivot
-    /// LU — the right choice for the small matrices a single harvester
-    /// produces.
+    /// Builds a solver on dense storage, or on sparse storage when `sparse`
+    /// is set (see the [type docs](HarmonicSolver)); a sparse solver factors
+    /// once here, at `ω = 1`.
     ///
     /// # Errors
     ///
     /// Returns [`NumericsError::DimensionMismatch`] unless `G` and `C` are
-    /// square with identical dimensions.
-    pub fn dense(g: &Matrix, c: &Matrix) -> Result<Self, NumericsError> {
+    /// square with identical dimensions, or, for sparse storage, a
+    /// factorisation error if the system is singular at `ω = 1`.
+    pub fn new(g: &Matrix, c: &Matrix, sparse: bool) -> Result<Self, NumericsError> {
         let n = check_shapes(g, c)?;
-        let mut own_g = Matrix::zeros(n, n);
-        own_g.copy_from(g);
-        let mut own_c = Matrix::zeros(n, n);
-        own_c.copy_from(c);
-        Ok(HarmonicSolver {
-            n,
-            backend: Backend::Dense {
-                g: own_g,
-                c: own_c,
-                scratch: Matrix::zeros(2 * n, 2 * n),
-            },
-            factorizations: (0, 0, 0),
-        })
-    }
-
-    /// Builds a sparse-backend solver: the `2n×2n` sparsity pattern (the
-    /// nonzero union of `G` and `C`, plus an always-present diagonal for
-    /// pivoting) is assembled and symbolically analysed **once**; each
-    /// [`solve`](Self::solve) only refills values and numerically refactors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] unless `G` and `C` are
-    /// square with identical dimensions, or a factorisation error if the
-    /// pattern is structurally singular at `ω = 1`.
-    pub fn sparse(g: &Matrix, c: &Matrix) -> Result<Self, NumericsError> {
-        let n = check_shapes(g, c)?;
-        let harvest = |m: &Matrix| -> Vec<(usize, usize, f64)> {
-            let mut entries = Vec::new();
-            for i in 0..n {
-                for j in 0..n {
-                    if m[(i, j)] != 0.0 {
-                        entries.push((i, j, m[(i, j)]));
-                    }
-                }
-            }
-            entries
+        // The nonzero entries of G land in both diagonal blocks, those of C
+        // in both off-diagonal blocks.
+        let (g, c) = (SparseMatrix::from_dense(g), SparseMatrix::from_dense(c));
+        let a0: Vec<_> = g
+            .entries()
+            .flat_map(|(i, j, v)| [(i, j, v), (i + n, j + n, v)])
+            .collect();
+        let a1: Vec<_> = c
+            .entries()
+            .flat_map(|(i, j, v)| [(i, j + n, -v), (i + n, j, v)])
+            .collect();
+        let system = if sparse {
+            let positions = a0.iter().chain(&a1).map(|&(r, c, _)| (r, c));
+            LinearSystem::sparse(2 * n, positions)
+        } else {
+            LinearSystem::dense(2 * n)
         };
-        let g_entries = harvest(g);
-        let c_entries = harvest(c);
-
-        // Fixed pattern: G entries land in both diagonal blocks, C entries
-        // in both off-diagonal blocks, and every diagonal position exists so
-        // the elimination always has a pivot slot (explicit zeros are kept
-        // as pattern entries by the CSR builder).
-        let mut triplets = TripletMatrix::new(2 * n, 2 * n);
-        for i in 0..2 * n {
-            triplets.push(i, i, 0.0);
-        }
-        for &(i, j, _) in &g_entries {
-            triplets.push(i, j, 0.0);
-            triplets.push(i + n, j + n, 0.0);
-        }
-        for &(i, j, _) in &c_entries {
-            triplets.push(i, j + n, 0.0);
-            triplets.push(i + n, j, 0.0);
-        }
-        let mut matrix = triplets.to_csr();
-        fill_real_equivalent(&mut matrix, n, &g_entries, &c_entries, 1.0);
-        let lu = SparseLu::new(&matrix)?;
-        Ok(HarmonicSolver {
+        let by_slot = |entries: &[(usize, usize, f64)]| {
+            let mut values = vec![0.0; system.values().len()];
+            for &(r, c, v) in entries {
+                values[system.slot(r, c).expect("every block entry is stored")] = v;
+            }
+            values
+        };
+        let (a0, a1) = (by_slot(&a0), by_slot(&a1));
+        let mut solver = HarmonicSolver {
             n,
-            backend: Backend::Sparse {
-                g_entries,
-                c_entries,
-                matrix,
-                lu,
-            },
-            factorizations: (1, 0, 0),
-        })
+            system,
+            a0,
+            a1,
+            factorizations: (0, 0, 0),
+        };
+        if sparse {
+            // The pivot order is chosen once, at ω = 1: every frequency of
+            // the sweep then refactors on it.
+            solver.factor_at(1.0)?;
+        }
+        Ok(solver)
     }
 
     /// The system dimension `n` (the complex unknown count, not `2n`).
@@ -300,7 +248,7 @@ impl HarmonicSolver {
     ///
     /// Returns [`NumericsError::DimensionMismatch`] if `b` has the wrong
     /// length, or a factorisation error if the system is singular at this
-    /// frequency.
+    /// frequency (a sparse solver's next solve then factors afresh).
     pub fn solve(&mut self, omega: f64, b: &[Complex64]) -> Result<Vec<Complex64>, NumericsError> {
         let n = self.n;
         if b.len() != n {
@@ -309,45 +257,32 @@ impl HarmonicSolver {
                 found: format!("vector of length {}", b.len()),
             });
         }
-        let mut rhs = vec![0.0; 2 * n];
-        for (k, z) in b.iter().enumerate() {
-            rhs[k] = z.re;
-            rhs[k + n] = z.im;
-        }
-        let xy = match &mut self.backend {
-            Backend::Dense { g, c, scratch } => {
-                scratch.fill_zero();
-                for i in 0..n {
-                    for j in 0..n {
-                        let (gij, cij) = (g[(i, j)], c[(i, j)]);
-                        scratch.add_at(i, j, gij);
-                        scratch.add_at(i + n, j + n, gij);
-                        scratch.add_at(i, j + n, -omega * cij);
-                        scratch.add_at(i + n, j, omega * cij);
-                    }
-                }
-                let xy = scratch.solve(&rhs)?;
-                self.factorizations.0 += 1;
-                xy
-            }
-            Backend::Sparse {
-                g_entries,
-                c_entries,
-                matrix,
-                lu,
-            } => {
-                fill_real_equivalent(matrix, n, g_entries, c_entries, omega);
-                // `update` retries with a fresh pivot order if the one from
-                // construction went numerically stale at this frequency.
-                if lu.update(matrix)? {
-                    self.factorizations.2 += 1;
-                } else {
-                    self.factorizations.1 += 1;
-                }
-                lu.solve(&rhs)?
-            }
-        };
+        let rhs: Vec<f64> = b
+            .iter()
+            .map(|z| z.re)
+            .chain(b.iter().map(|z| z.im))
+            .collect();
+        self.factor_at(omega)?;
+        let mut xy = Vec::with_capacity(2 * n);
+        self.system.solve_into(&rhs, &mut xy)?;
         Ok((0..n).map(|k| Complex64::new(xy[k], xy[k + n])).collect())
+    }
+
+    /// Refills the real-equivalent system at angular frequency `omega` and
+    /// factors it, counting the factorisation by kind.
+    fn factor_at(&mut self, omega: f64) -> Result<(), NumericsError> {
+        let values = self.system.values_mut();
+        for ((x, a0), a1) in values.iter_mut().zip(&self.a0).zip(&self.a1) {
+            *x = a0 + omega * a1;
+        }
+        let (full, refactorizations, repivots) = &mut self.factorizations;
+        let counter = match self.system.factor(|| false)? {
+            Factorisation::Full => full,
+            Factorisation::Refactor => refactorizations,
+            Factorisation::Repivot => repivots,
+        };
+        *counter += 1;
+        Ok(())
     }
 }
 
@@ -364,26 +299,6 @@ fn check_shapes(g: &Matrix, c: &Matrix) -> Result<usize, NumericsError> {
         ));
     }
     Ok(g.rows())
-}
-
-/// Refills the fixed-pattern real-equivalent matrix with the block values at
-/// angular frequency `omega`.
-fn fill_real_equivalent(
-    matrix: &mut SparseMatrix,
-    n: usize,
-    g_entries: &[(usize, usize, f64)],
-    c_entries: &[(usize, usize, f64)],
-    omega: f64,
-) {
-    matrix.fill_zero();
-    for &(i, j, v) in g_entries {
-        matrix.add_at(i, j, v);
-        matrix.add_at(i + n, j + n, v);
-    }
-    for &(i, j, v) in c_entries {
-        matrix.add_at(i, j + n, -omega * v);
-        matrix.add_at(i + n, j, omega * v);
-    }
 }
 
 #[cfg(test)]
@@ -407,9 +322,7 @@ mod tests {
             "division must invert multiplication"
         );
         assert_eq!(-a + a, Complex64::ZERO);
-        assert_eq!(a.conj(), Complex64::new(1.0, -2.0));
         assert!((a.abs() - 5f64.sqrt()).abs() < 1e-15);
-        assert!((a.norm_sqr() - 5.0).abs() < 1e-15);
     }
 
     #[test]
@@ -450,7 +363,7 @@ mod tests {
         let (r, cap) = (1e3, 1e-6);
         let g = Matrix::from_rows(&[&[1.0 / r]]);
         let c = Matrix::from_rows(&[&[cap]]);
-        rc_case(&mut HarmonicSolver::dense(&g, &c).unwrap(), r, cap);
+        rc_case(&mut HarmonicSolver::new(&g, &c, false).unwrap(), r, cap);
     }
 
     #[test]
@@ -458,7 +371,7 @@ mod tests {
         let (r, cap) = (1e3, 1e-6);
         let g = Matrix::from_rows(&[&[1.0 / r]]);
         let c = Matrix::from_rows(&[&[cap]]);
-        rc_case(&mut HarmonicSolver::sparse(&g, &c).unwrap(), r, cap);
+        rc_case(&mut HarmonicSolver::new(&g, &c, true).unwrap(), r, cap);
     }
 
     #[test]
@@ -489,8 +402,8 @@ mod tests {
         let b: Vec<Complex64> = (0..n)
             .map(|k| Complex64::new(next(), k as f64 * 0.1))
             .collect();
-        let mut dense = HarmonicSolver::dense(&g, &c).unwrap();
-        let mut sparse = HarmonicSolver::sparse(&g, &c).unwrap();
+        let mut dense = HarmonicSolver::new(&g, &c, false).unwrap();
+        let mut sparse = HarmonicSolver::new(&g, &c, true).unwrap();
         for omega in [0.0, 0.3, 2.0, 50.0] {
             let xd = dense.solve(omega, &b).unwrap();
             let xs = sparse.solve(omega, &b).unwrap();
@@ -504,7 +417,7 @@ mod tests {
     fn shape_mismatches_are_reported() {
         let g = Matrix::zeros(2, 2);
         let c = Matrix::zeros(3, 3);
-        assert!(HarmonicSolver::dense(&g, &c).is_err());
-        assert!(HarmonicSolver::sparse(&g, &c).is_err());
+        assert!(HarmonicSolver::new(&g, &c, false).is_err());
+        assert!(HarmonicSolver::new(&g, &c, true).is_err());
     }
 }

@@ -151,11 +151,6 @@ impl FaultInjector {
         self.arm(fault, occurrence)
     }
 
-    /// Whether any plan is armed for `fault` (fired or not).
-    pub fn is_armed(&self, fault: Fault) -> bool {
-        self.plans.iter().any(|p| p.fault == fault)
-    }
-
     /// Consults the injector: counts one occurrence of `fault` and returns
     /// `true` when an armed plan covers it. Firing occurrences are recorded
     /// in [`FaultInjector::events`].

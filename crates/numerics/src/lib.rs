@@ -13,6 +13,13 @@
 //!   every factorisation built on it, and reused across the thousands of
 //!   numerically-different but structurally-identical Jacobians a transient
 //!   analysis produces.
+//! * [`system`] — [`LinearSystem`](system::LinearSystem), the one type that
+//!   owns a square system's dense or sparse storage, its cached LU and the
+//!   factor policy (dense factors afresh; sparse factors fully once, then
+//!   refactors, and re-pivots only when that fails or is forced), reporting
+//!   every call as a full factorisation, a refactorisation or a re-pivot.
+//!   The Newton Jacobian, the shooting bank and the AC sweep all solve
+//!   through it.
 //! * [`gmres`] — restarted GMRES with an allocation-reusing workspace, the
 //!   Krylov backbone of the matrix-free shooting method (the operator is only
 //!   ever applied to vectors, never formed).
@@ -30,13 +37,13 @@
 //! * [`extrap`] — Newton divided-difference polynomial extrapolation over
 //!   non-equidistant support points, the predictor of the adaptive
 //!   (LTE-controlled) transient time-stepper.
-//! * [`stats`] — small statistics helpers (RMS, total harmonic distortion,
-//!   linear regression) used by the experiment harness.
+//! * [`stats`] — small statistics helpers (means, total harmonic
+//!   distortion, linear regression) used by the experiment harness.
 //! * [`complex`] — a minimal [`Complex64`](complex::Complex64) and the
 //!   [`HarmonicSolver`](complex::HarmonicSolver) that solves `(G + jωC)x = b`
-//!   frequency sweeps through the real `2n×2n` equivalent system, reusing
-//!   the sparse pattern machinery across the sweep (AC small-signal
-//!   analysis).
+//!   frequency sweeps through the real `2n×2n` equivalent system, one
+//!   [`LinearSystem`](system::LinearSystem) refactored across the sweep (AC
+//!   small-signal analysis).
 //!
 //! # Example
 //!
@@ -65,6 +72,7 @@ pub mod monodromy;
 pub mod ode;
 pub mod sparse;
 pub mod stats;
+pub mod system;
 
 mod error;
 

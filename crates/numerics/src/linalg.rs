@@ -110,22 +110,17 @@ impl Matrix {
         &self.data
     }
 
+    /// The entries as one mutable row-major slice (see
+    /// [`Matrix::as_slice`]).
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Sets every entry to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         for v in &mut self.data {
             *v = 0.0;
         }
-    }
-
-    /// Copies every entry of `src` into this matrix without reallocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrices have different shapes.
-    pub fn copy_from(&mut self, src: &Matrix) {
-        assert_eq!(self.rows, src.rows, "row count mismatch");
-        assert_eq!(self.cols, src.cols, "column count mismatch");
-        self.data.copy_from_slice(&src.data);
     }
 
     /// Adds `value` to the entry at `(row, col)` (the "stamping" primitive
@@ -136,17 +131,6 @@ impl Matrix {
     /// Panics if the indices are out of bounds.
     pub fn add_at(&mut self, row: usize, col: usize, value: f64) {
         self[(row, col)] += value;
-    }
-
-    /// Returns the transpose of the matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
     }
 
     /// Matrix–vector product `A·x`.
@@ -170,11 +154,6 @@ impl Matrix {
             y[i] = acc;
         }
         Ok(y)
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Infinity norm (maximum absolute row sum).
@@ -201,7 +180,6 @@ impl Matrix {
         let mut factors = LuFactors {
             lu: self.clone(),
             perm: (0..self.rows).collect(),
-            sign: 1.0,
             col_scale: Vec::new(),
         };
         factorize_in_place(&mut factors)?;
@@ -234,7 +212,6 @@ impl Matrix {
         }
         factors.perm.clear();
         factors.perm.extend(0..n);
-        factors.sign = 1.0;
         factorize_in_place(factors)
     }
 
@@ -246,16 +223,6 @@ impl Matrix {
     /// if `b` has the wrong length.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericsError> {
         self.lu()?.solve(b)
-    }
-
-    /// Determinant, computed via LU factorisation.
-    ///
-    /// Returns `0.0` for a numerically singular matrix.
-    pub fn determinant(&self) -> f64 {
-        match self.lu() {
-            Ok(f) => f.determinant(),
-            Err(_) => 0.0,
-        }
     }
 }
 
@@ -337,7 +304,7 @@ impl Mul for &Matrix {
 }
 
 /// Gaussian elimination with partial pivoting on pre-initialised factors
-/// (`lu` holds the matrix to factor, `perm` the identity, `sign` 1.0).
+/// (`lu` holds the matrix to factor, `perm` the identity).
 ///
 /// Works on whole row slices (one bounds check per row, not per entry) and
 /// skips the update of a row whose multiplier is exactly zero, as
@@ -386,7 +353,6 @@ fn factorize_in_place(factors: &mut LuFactors) -> Result<(), NumericsError> {
             let (top, bottom) = data.split_at_mut(pivot_row * n);
             top[k * n..(k + 1) * n].swap_with_slice(&mut bottom[..n]);
             factors.perm.swap(k, pivot_row);
-            factors.sign = -factors.sign;
         }
         let (top, below) = data.split_at_mut((k + 1) * n);
         let pivot = top[k * n + k];
@@ -413,7 +379,6 @@ fn factorize_in_place(factors: &mut LuFactors) -> Result<(), NumericsError> {
 pub struct LuFactors {
     lu: Matrix,
     perm: Vec<usize>,
-    sign: f64,
     /// Per-column entry scales of the matrix being factored (pivot-breakdown
     /// reference); kept as a reusable scratch so `lu_into` stays
     /// allocation-free across repeated factorisations.
@@ -425,7 +390,6 @@ impl Clone for LuFactors {
         LuFactors {
             lu: self.lu.clone(),
             perm: self.perm.clone(),
-            sign: self.sign,
             col_scale: self.col_scale.clone(),
         }
     }
@@ -435,7 +399,6 @@ impl Clone for LuFactors {
     fn clone_from(&mut self, source: &Self) {
         self.lu.clone_from(&source.lu);
         self.perm.clone_from(&source.perm);
-        self.sign = source.sign;
         self.col_scale.clone_from(&source.col_scale);
     }
 }
@@ -489,15 +452,6 @@ impl LuFactors {
         }
         Ok(())
     }
-
-    /// Determinant of the factored matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.sign;
-        for i in 0..self.lu.rows {
-            det *= self.lu[(i, i)];
-        }
-        det
-    }
 }
 
 /// Euclidean (L2) norm of a vector.
@@ -518,18 +472,6 @@ pub fn norm_inf(v: &[f64]) -> f64 {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
-/// Computes `y ← y + alpha·x` in place.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
-    }
 }
 
 #[cfg(test)]
@@ -591,18 +533,6 @@ mod tests {
     }
 
     #[test]
-    fn determinant_of_known_matrix() {
-        let a = Matrix::from_rows(&[&[3.0, 8.0], &[4.0, 6.0]]);
-        assert!((a.determinant() - -14.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn determinant_of_singular_matrix_is_zero() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!(a.determinant(), 0.0);
-    }
-
-    #[test]
     fn matrix_multiplication() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
@@ -626,15 +556,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
     fn mul_vec_matches_manual() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let y = a.mul_vec(&[1.0, 1.0]).unwrap();
@@ -652,9 +573,6 @@ mod tests {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
     }
 
     #[test]
@@ -712,7 +630,6 @@ mod tests {
         assert_eq!(buffers(&bank), before, "clone_from must reuse the buffers");
         assert_eq!(bank.lu, source.lu);
         assert_eq!(bank.perm, source.perm);
-        assert_eq!(bank.sign, source.sign);
         assert_eq!(bank.col_scale, source.col_scale);
 
         let mut m = b.clone();
@@ -761,7 +678,6 @@ mod tests {
                     lu[(pivot_row, j)] = a;
                 }
                 factors.perm.swap(k, pivot_row);
-                factors.sign = -factors.sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -881,7 +797,6 @@ mod tests {
                 let fresh = LuFactors {
                     lu: a.clone(),
                     perm: (0..n).collect(),
-                    sign: 1.0,
                     col_scale: Vec::new(),
                 };
                 let (mut fast, mut slow) = (fresh.clone(), fresh);
@@ -903,7 +818,6 @@ mod tests {
                     _ => panic!("{fast_result:?} vs {slow_result:?} on n = {n}\n{a}"),
                 }
                 assert_eq!(fast.perm, slow.perm, "n = {n}\n{a}");
-                assert_eq!(fast.sign.to_bits(), slow.sign.to_bits());
                 for (k, (x, y)) in fast.lu.data.iter().zip(&slow.lu.data).enumerate() {
                     assert!(
                         same_value(*x, *y),
@@ -949,7 +863,6 @@ mod tests {
     #[test]
     fn norms_are_consistent() {
         let a = Matrix::from_rows(&[&[1.0, -2.0], &[0.0, 3.0]]);
-        assert!((a.frobenius_norm() - (1.0f64 + 4.0 + 9.0).sqrt()).abs() < 1e-14);
         assert_eq!(a.inf_norm(), 3.0);
     }
 }

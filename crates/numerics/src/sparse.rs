@@ -23,9 +23,10 @@
 //! values only.
 //!
 //! If a reused pivot order goes numerically stale (a stored pivot becomes
-//! tiny), [`SparseLu::update`] falls back to a fresh fully-pivoted
-//! factorisation transparently. That builds a new analysis; factorisations
-//! cloned before it keep the old one.
+//! tiny), `refactor` fails and a fresh fully-pivoted factorisation builds a
+//! new analysis; factorisations cloned before it keep the old one. The
+//! policy that chooses between the two lives in
+//! [`LinearSystem`](crate::system::LinearSystem).
 
 use crate::linalg::Matrix;
 use crate::NumericsError;
@@ -337,6 +338,12 @@ impl SparseMatrix {
         &self.values
     }
 
+    /// The stored values in slot order, for refilling in place; the
+    /// pattern stays fixed.
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
     /// Returns `true` if `(row, col)` is part of the sparsity pattern.
     ///
     /// # Panics
@@ -350,7 +357,13 @@ impl SparseMatrix {
         self.position(row, col).is_some()
     }
 
-    fn position(&self, row: usize, col: usize) -> Option<usize> {
+    /// The slot of `(row, col)`, or `None` if the pattern keeps no entry
+    /// there (a column out of bounds included).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn position(&self, row: usize, col: usize) -> Option<usize> {
         let lo = self.row_ptr[row];
         let hi = self.row_ptr[row + 1];
         self.col_idx[lo..hi]
@@ -478,9 +491,7 @@ impl Symbolic {
 /// Created by [`SparseMatrix::lu`]. The first factorisation records the row
 /// permutation (partial pivoting), the merged L/U fill pattern, a scatter
 /// map and the elimination program; [`SparseLu::refactor`] then refactors a
-/// **same-pattern** matrix in `O(nnz(L+U))` with no allocation, and
-/// [`SparseLu::update`] adds an automatic fallback to a fresh pivoted
-/// factorisation if the stored pivot order has gone numerically stale.
+/// **same-pattern** matrix in `O(nnz(L+U))` with no allocation.
 ///
 /// The analysis is shared, not copied: [`Clone`] hands the copy the same
 /// analysis and copies the numeric values, and `clone_from` into a
@@ -689,8 +700,8 @@ impl SparseLu {
     /// shape or entry count, [`NumericsError::InvalidArgument`] if the
     /// sparsity pattern itself differs from the factored one, and
     /// [`NumericsError::SingularMatrix`] if a pivot along the stored order
-    /// became numerically tiny (the caller can recover with
-    /// [`SparseLu::update`] or a fresh [`SparseLu::new`]).
+    /// became numerically tiny (the caller can recover with a fresh
+    /// [`SparseLu::new`]).
     pub fn refactor(&mut self, a: &SparseMatrix) -> Result<(), NumericsError> {
         let s = &*self.symbolic;
         if a.rows != s.n || a.cols != s.n || a.nnz() != s.pattern_cols.len() {
@@ -754,25 +765,6 @@ impl SparseLu {
         }
         debug_assert!(program.is_empty(), "the program runs to its end");
         Ok(())
-    }
-
-    /// Refactors `a`, falling back to a fresh fully-pivoted factorisation if
-    /// the stored pivot order has gone numerically stale. The fallback
-    /// builds a new symbolic analysis; factorisations cloned from this one
-    /// before keep the analysis they were factored under. Returns `true`
-    /// when it took the fallback (a re-pivot) and `false` for a plain
-    /// refactorisation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the fallback's error if `a` cannot be factored at all (truly
-    /// singular).
-    pub fn update(&mut self, a: &SparseMatrix) -> Result<bool, NumericsError> {
-        if self.refactor(a).is_ok() {
-            return Ok(false);
-        }
-        *self = SparseLu::new(a)?;
-        Ok(true)
     }
 
     /// Solves `A·x = b` using the stored factors.
@@ -1072,45 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn update_falls_back_when_the_pivot_order_goes_stale() {
-        // First factorisation on a diagonally comfortable matrix keeps the
-        // natural row order; the second value set makes that order's first
-        // pivot numerically tiny, forcing the fallback repivot.
-        let pattern = [(0, 0, 4.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0)];
-        let mut a = SparseMatrix::from_triplets(2, 2, &pattern);
-        let mut lu = a.lu().unwrap();
-        a.fill_zero();
-        a.add_at(0, 0, 1e-30);
-        a.add_at(0, 1, 1.0);
-        a.add_at(1, 0, 1.0);
-        a.add_at(1, 1, 1.0);
-        assert!(matches!(
-            lu.refactor(&a),
-            Err(NumericsError::SingularMatrix { .. })
-        ));
-        lu.update(&a).unwrap();
-        let x = lu.solve(&[1.0, 2.0]).unwrap();
-        let y = a.mul_vec(&x).unwrap();
-        assert!((y[0] - 1.0).abs() < 1e-10 && (y[1] - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn update_propagates_truly_singular_matrices() {
-        let pattern = [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0), (1, 1, 4.0)];
-        let good = SparseMatrix::from_triplets(
-            2,
-            2,
-            &[(0, 0, 1.0), (0, 1, 0.0), (1, 0, 0.0), (1, 1, 1.0)],
-        );
-        let mut lu = good.lu().unwrap();
-        let singular = SparseMatrix::from_triplets(2, 2, &pattern);
-        assert!(matches!(
-            lu.update(&singular),
-            Err(NumericsError::SingularMatrix { .. })
-        ));
-    }
-
-    #[test]
     fn solve_into_reuses_the_buffer() {
         let a = SparseMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 1, 4.0)]);
         let lu = a.lu().unwrap();
@@ -1180,16 +1133,17 @@ mod tests {
         assert_eq!(bits(&bank.vals), bits(&lu.vals));
         let banked = bank.solve(&[1.0, 2.0]).unwrap();
 
-        // A stale pivot makes `update` re-pivot under a new analysis; the
-        // bank keeps solving against the one it was factored under until it
-        // takes the new factors.
+        // A stale pivot fails the refactor and a re-pivot builds a new
+        // analysis; the bank keeps solving against the one it was factored
+        // under until it takes the new factors.
         a.fill_zero();
         a.add_at(0, 0, 1e-30);
         a.add_at(0, 1, 1.0);
         a.add_at(1, 0, 1.0);
         a.add_at(1, 1, 1.0);
         let old = Arc::clone(&lu.symbolic);
-        lu.update(&a).unwrap();
+        assert!(lu.refactor(&a).is_err());
+        lu = SparseLu::new(&a).unwrap();
         assert!(!Arc::ptr_eq(&lu.symbolic, &old));
         assert!(Arc::ptr_eq(&bank.symbolic, &old));
         assert_eq!(bank.solve(&[1.0, 2.0]).unwrap(), banked);

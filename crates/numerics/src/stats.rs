@@ -1,5 +1,5 @@
 //! Small statistics and waveform-analysis helpers used by the experiment
-//! harness (RMS values, total harmonic distortion, regression slopes for
+//! harness (means, total harmonic distortion, regression slopes for
 //! charging-rate estimation).
 
 use crate::NumericsError;
@@ -10,23 +10,6 @@ pub fn mean(values: &[f64]) -> f64 {
         return 0.0;
     }
     values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Population variance of a slice; returns `0.0` for fewer than two samples.
-pub fn variance(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
-}
-
-/// Root-mean-square value of a waveform; returns `0.0` for an empty slice.
-pub fn rms(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    (values.iter().map(|v| v * v).sum::<f64>() / values.len() as f64).sqrt()
 }
 
 /// Maximum absolute value; returns `0.0` for an empty slice.
@@ -143,19 +126,15 @@ mod tests {
     use std::f64::consts::PI;
 
     #[test]
-    fn mean_variance_rms_of_known_data() {
+    fn mean_and_peak_of_known_data() {
         let data = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&data), 2.5);
-        assert!((variance(&data) - 1.25).abs() < 1e-12);
-        assert!((rms(&data) - (7.5f64).sqrt()).abs() < 1e-12);
         assert_eq!(peak(&[-3.0, 2.0]), 3.0);
     }
 
     #[test]
     fn empty_slices_are_safe() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
-        assert_eq!(rms(&[]), 0.0);
         assert_eq!(peak(&[]), 0.0);
         assert_eq!(trapezoid_integral(&[], &[]), 0.0);
     }
