@@ -158,9 +158,9 @@ pub struct FitnessBudget {
     /// uniform `detail_dt` grid instead (the shooting periods always do).
     pub step_control: StepControl,
     /// How the population-level loops (GA generations, the design-space
-    /// sweep, the CPU-split batches) shard their candidate evaluations over
-    /// worker threads. Results are bit-identical for every choice; this knob
-    /// moves wall-clock time only.
+    /// sweep) shard their candidate evaluations over worker threads.
+    /// Results are bit-identical for every choice; this knob moves
+    /// wall-clock time only.
     pub parallelism: Parallelism,
     /// How each fitness measurement reaches its periodic steady state:
     /// shooting-Newton closure by default (with automatic brute-force
@@ -455,11 +455,7 @@ pub fn sweep_design_space(base: &HarvesterConfig, options: &SweepOptions) -> Swe
     let objective = HarvesterObjective::new(base.clone(), options.fitness);
     let pooled = objective.thread_local();
     let evaluator = ParallelEvaluator::new(options.fitness.parallelism);
-    let fitness = evaluator
-        .evaluate(&pooled, &candidates)
-        .iter()
-        .map(|e| e.fitness())
-        .collect();
+    let fitness = evaluator.evaluate(&pooled, &candidates);
     SweepResult {
         gene_a: options.gene_a,
         gene_b: options.gene_b,

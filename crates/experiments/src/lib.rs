@@ -26,11 +26,10 @@
 //! sweep [`design_space::sweep_design_space`].
 //!
 //! Every population-level loop (the GA's generations, the design-space
-//! sweep, the CPU-split batches) shards its simulations over worker threads
-//! according to [`design_space::FitnessBudget::parallelism`], with one
-//! reusable simulation workspace per worker
-//! ([`HarvesterObjective::thread_local`]); results are bit-identical for any
-//! worker count.
+//! sweep) shards its simulations over worker threads according to
+//! [`design_space::FitnessBudget::parallelism`], with one reusable
+//! simulation workspace per worker ([`HarvesterObjective::thread_local`]);
+//! results are bit-identical for any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -380,8 +380,7 @@ fn log_spaced(f0: f64, f1: f64, per: usize, base: f64) -> Vec<f64> {
 }
 
 /// The recorded outcome of an AC small-signal analysis: one complex
-/// solution vector per sweep frequency, plus the operating point the
-/// circuit was linearised at.
+/// solution vector per sweep frequency.
 #[derive(Debug, Clone)]
 pub struct AcResult {
     frequencies: Vec<f64>,
@@ -389,7 +388,6 @@ pub struct AcResult {
     unknowns: usize,
     names: UnknownNames,
     statistics: RunStatistics,
-    op: OpResult,
 }
 
 impl AcResult {
@@ -406,11 +404,6 @@ impl AcResult {
     /// `true` if the sweep is empty (never the case for a successful run).
     pub fn is_empty(&self) -> bool {
         self.frequencies.is_empty()
-    }
-
-    /// The operating point the small-signal system was linearised at.
-    pub fn operating_point(&self) -> &OpResult {
-        &self.op
     }
 
     /// Work counters of the analysis (including the operating-point solve
@@ -517,7 +510,7 @@ impl AcAnalysis {
         let op = run_op(circuit, &mut ws, &self.options.op)?;
         stats.merge(&op.statistics());
         let states = ws.states.clone();
-        run_ac(circuit, &ws, &self.options, op, &states, stats)
+        run_ac(circuit, &ws, &self.options, op.solution(), &states, stats)
     }
 }
 
@@ -792,11 +785,6 @@ impl AnalysisOutcome {
             .as_ref()
             .is_some_and(|t| t.reason == CANCELLED_REASON)
     }
-
-    /// Consumes the outcome, keeping the completed results.
-    pub fn into_results(self) -> AnalysisResults {
-        self.results
-    }
 }
 
 /// Executes [`AnalysisPlan`]s against circuits, owning one reusable
@@ -1017,7 +1005,7 @@ impl AnalysisEngine {
                         (op, ws.states.clone())
                     }
                 };
-                let ac = run_ac(circuit, ws, opts, op, &states, stats)?;
+                let ac = run_ac(circuit, ws, opts, op.solution(), &states, stats)?;
                 AnalysisResult::Ac(ac)
             }
         };
@@ -1232,7 +1220,7 @@ fn run_ac(
     circuit: &Circuit,
     ws: &TransientWorkspace,
     opts: &AcOptions,
-    op: OpResult,
+    op: &[f64],
     states: &[f64],
     mut stats: RunStatistics,
 ) -> Result<AcResult, MnaError> {
@@ -1255,7 +1243,7 @@ fn run_ac(
         ));
     }
 
-    let (g, c) = small_signal_matrices(circuit, ws, op.solution(), states);
+    let (g, c) = small_signal_matrices(circuit, ws, op, states);
     // The real-equivalent system is 2n×2n; resolve the backend against that.
     let sparse = opts.backend.resolve(2 * n) == SolverBackend::Sparse;
     let mut solver = HarmonicSolver::new(&g, &c, sparse)?;
@@ -1279,7 +1267,6 @@ fn run_ac(
         unknowns: n,
         names: UnknownNames::new(circuit, &ws.layout),
         statistics: stats,
-        op,
     })
 }
 

@@ -1206,11 +1206,6 @@ impl TransientWorkspace {
         self.cancel.take()
     }
 
-    /// The installed cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// The concrete backend this workspace solves with ([`SolverBackend::Auto`]
     /// already resolved to dense or sparse).
     pub fn backend(&self) -> SolverBackend {
@@ -3517,7 +3512,7 @@ mod tests {
         let ws = TransientWorkspace::for_circuit(&c, &options).unwrap();
         let pattern = sparse_jacobian(&ws);
         assert_eq!(pattern.nnz(), 7);
-        assert!(!pattern.contains(1, 2) && !pattern.contains(2, 1));
+        assert!(pattern.position(1, 2).is_none() && pattern.position(2, 1).is_none());
         let result = TransientAnalysis::new(options).run(&c).unwrap();
         // Voltage divider: 100 Ω over (100 Ω + 100 Ω).
         assert!((result.final_voltage(out) - 0.5).abs() < 1e-9);

@@ -228,11 +228,6 @@ impl HarmonicSolver {
         Ok(solver)
     }
 
-    /// The system dimension `n` (the complex unknown count, not `2n`).
-    pub fn dimension(&self) -> usize {
-        self.n
-    }
-
     /// The numeric factorisations performed so far, by kind: `(full,
     /// refactorisations, re-pivots)`. A dense solve factors afresh (full);
     /// a sparse solver factors once at construction (full), then refactors

@@ -105,16 +105,6 @@ impl GmresWorkspace {
         }
     }
 
-    /// Dimension of the systems this workspace was sized for.
-    pub fn dimension(&self) -> usize {
-        self.n
-    }
-
-    /// Restart length `m` (Krylov subspace dimension per cycle).
-    pub fn restart(&self) -> usize {
-        self.restart
-    }
-
     /// Solves `A·x = b` where `A` is available only through `matvec`.
     ///
     /// `matvec(v, out)` must write `A·v` into `out`; both slices have length

@@ -7,7 +7,7 @@
 
 use crate::NumericsError;
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut};
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -156,13 +156,6 @@ impl Matrix {
         Ok(y)
     }
 
-    /// Infinity norm (maximum absolute row sum).
-    pub fn inf_norm(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)].abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
     /// LU factorisation with partial pivoting.
     ///
     /// # Errors
@@ -251,55 +244,6 @@ impl fmt::Display for Matrix {
             writeln!(f)?;
         }
         Ok(())
-    }
-}
-
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "row count mismatch");
-        assert_eq!(self.cols, rhs.cols, "column count mismatch");
-        let mut out = self.clone();
-        for (o, r) in out.data.iter_mut().zip(rhs.data.iter()) {
-            *o += r;
-        }
-        out
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "row count mismatch");
-        assert_eq!(self.cols, rhs.cols, "column count mismatch");
-        let mut out = self.clone();
-        for (o, r) in out.data.iter_mut().zip(rhs.data.iter()) {
-            *o -= r;
-        }
-        out
-    }
-}
-
-impl Mul for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        out
     }
 }
 
@@ -530,29 +474,6 @@ mod tests {
             a.lu(),
             Err(NumericsError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn matrix_multiplication() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = &a * &b;
-        assert_eq!(c[(0, 0)], 19.0);
-        assert_eq!(c[(0, 1)], 22.0);
-        assert_eq!(c[(1, 0)], 43.0);
-        assert_eq!(c[(1, 1)], 50.0);
-    }
-
-    #[test]
-    fn matrix_add_sub_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[0.5, -1.0], &[2.0, 0.0]]);
-        let c = &(&a + &b) - &b;
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((c[(i, j)] - a[(i, j)]).abs() < 1e-15);
-            }
-        }
     }
 
     #[test]
@@ -858,11 +779,5 @@ mod tests {
         );
         assert!(singular > 20, "only {singular} singular cases");
         assert!(solved > 500, "only {solved} solved cases");
-    }
-
-    #[test]
-    fn norms_are_consistent() {
-        let a = Matrix::from_rows(&[&[1.0, -2.0], &[0.0, 3.0]]);
-        assert_eq!(a.inf_norm(), 3.0);
     }
 }

@@ -83,11 +83,6 @@ impl VectorSensitivity {
         }
     }
 
-    /// System size the propagator was built for.
-    pub fn dimension(&self) -> usize {
-        self.n
-    }
-
     /// Starts a fresh period: `s = v`, `p = 0`.
     ///
     /// # Panics

@@ -344,19 +344,6 @@ impl SparseMatrix {
         &mut self.values
     }
 
-    /// Returns `true` if `(row, col)` is part of the sparsity pattern.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn contains(&self, row: usize, col: usize) -> bool {
-        assert!(
-            row < self.rows && col < self.cols,
-            "index ({row}, {col}) out of bounds"
-        );
-        self.position(row, col).is_some()
-    }
-
     /// The slot of `(row, col)`, or `None` if the pattern keeps no entry
     /// there (a column out of bounds included).
     ///
@@ -393,17 +380,6 @@ impl SparseMatrix {
             *yr = acc;
         }
         Ok(y)
-    }
-
-    /// Infinity norm (maximum absolute row sum).
-    pub fn inf_norm(&self) -> f64 {
-        (0..self.rows)
-            .map(|r| {
-                (self.row_ptr[r]..self.row_ptr[r + 1])
-                    .map(|k| self.values[k].abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
     }
 
     /// Performs the first (fully pivoted, symbolic + numeric) LU
@@ -673,17 +649,6 @@ impl SparseLu {
             vals,
             col_scale,
         })
-    }
-
-    /// Dimension of the factored system.
-    pub fn dimension(&self) -> usize {
-        self.symbolic.n
-    }
-
-    /// Number of stored factor entries (L + U combined) — a measure of
-    /// fill-in.
-    pub fn factor_nnz(&self) -> usize {
-        self.vals.len()
     }
 
     /// Refactors a matrix with the **same sparsity pattern** as the one this
@@ -1025,8 +990,6 @@ mod tests {
         ];
         let mut a = SparseMatrix::from_triplets(3, 3, &pattern);
         let mut lu = a.lu().unwrap();
-        assert_eq!(lu.dimension(), 3);
-        assert!(lu.factor_nnz() >= a.nnz());
 
         // Same pattern, new values.
         a.fill_zero();
@@ -1107,7 +1070,6 @@ mod tests {
         for (s, d) in xs.iter().zip(xd.iter()) {
             assert!((s - d).abs() < 1e-10, "sparse {s} vs dense {d}");
         }
-        assert!((sparse.inf_norm() - dense.inf_norm()).abs() < 1e-12);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The batch-evaluation engine behind every population-based optimiser.
+//! The batch-evaluation engine behind the genetic algorithm.
 //!
 //! The paper's integrated optimisation loop (Fig. 8) simulates **every
 //! chromosome of every generation independently** — population 100 times
@@ -6,15 +6,10 @@
 //! embarrassingly parallel workload. This module turns that observation into
 //! infrastructure:
 //!
-//! * [`Evaluation`] — an error-aware fitness: a raw objective value that may
-//!   be NaN (a non-converged transient, an out-of-domain design) together
-//!   with NaN-last comparison helpers, so one failed simulation ranks as the
-//!   worst possible design instead of panicking a sort or poisoning an
-//!   argmax.
-//! * [`BatchObjective`] — the generation-at-a-time view of an
-//!   [`Objective`]; the default implementation delegates to
-//!   [`Objective::evaluate`] per candidate, so every existing objective is a
-//!   batch objective already.
+//! * [`nan_last_desc`], [`is_better`] and [`best_index`] — NaN-last ranking
+//!   of raw objective values, so one failed simulation (a non-converged
+//!   transient, an out-of-domain design) ranks as the worst possible design
+//!   instead of panicking a sort or poisoning an argmax.
 //! * [`ParallelEvaluator`] — shards one generation's candidates across a
 //!   configurable number of [`std::thread::scope`] workers
 //!   ([`Parallelism`]), with deterministic, candidate-order results:
@@ -33,8 +28,7 @@ use std::thread;
 
 /// Total ordering over fitness values that sorts **higher (better) fitness
 /// first and NaN last**, i.e. a NaN fitness is worse than any real value,
-/// including `-inf`. Shared by the GA ranking, the Nelder–Mead simplex sort,
-/// the PSO bests and random search.
+/// including `-inf`. The GA ranks, selects and keeps its best by it.
 pub fn nan_last_desc(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,
@@ -50,16 +44,6 @@ pub fn is_better(candidate: f64, incumbent: f64) -> bool {
     nan_last_desc(candidate, incumbent) == Ordering::Less
 }
 
-/// NaN-aware maximum: the better of the two fitness values under the
-/// NaN-last ordering (so `nan_aware_max(NAN, -inf)` is `-inf`).
-pub fn nan_aware_max(a: f64, b: f64) -> f64 {
-    if is_better(b, a) {
-        b
-    } else {
-        a
-    }
-}
-
 /// Index of the best fitness under the NaN-last ordering (first index wins
 /// ties). Returns 0 for an empty slice.
 pub fn best_index(values: &[f64]) -> usize {
@@ -70,47 +54,6 @@ pub fn best_index(values: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// The error-aware outcome of evaluating one candidate.
-///
-/// Wraps the raw objective value without sanitising it — the raw number is
-/// what lands in [`OptimisationResult`](crate::OptimisationResult) — but
-/// every comparison goes through the NaN-last ordering, so a failed
-/// evaluation can never win a tournament, survive a ranking or crash a
-/// `sort_by`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Evaluation {
-    fitness: f64,
-}
-
-impl Evaluation {
-    /// Wraps a raw objective value (NaN and infinities allowed).
-    pub fn new(fitness: f64) -> Self {
-        Evaluation { fitness }
-    }
-
-    /// An evaluation that failed to produce any number (ranked below every
-    /// real fitness).
-    pub fn failed() -> Self {
-        Evaluation { fitness: f64::NAN }
-    }
-
-    /// The raw objective value.
-    pub fn fitness(self) -> f64 {
-        self.fitness
-    }
-
-    /// `true` when the objective failed to produce a usable number.
-    pub fn is_failed(self) -> bool {
-        self.fitness.is_nan()
-    }
-
-    /// NaN-last descending comparison (best first), mirroring
-    /// [`nan_last_desc`].
-    pub fn compare(self, other: Self) -> Ordering {
-        nan_last_desc(self.fitness, other.fitness)
-    }
 }
 
 /// How a population-based optimiser spreads one generation's objective
@@ -146,32 +89,6 @@ impl Parallelism {
     }
 }
 
-/// A generation-at-a-time view of an objective: the unit of work the
-/// [`ParallelEvaluator`] hands to each worker.
-///
-/// Every [`Objective`] that is [`Sync`] is a `BatchObjective` automatically —
-/// the blanket implementation delegates to [`Objective::evaluate`] per
-/// candidate. Implement [`Objective`] (not this trait) for custom
-/// objectives; the `Sync` supertrait is what lets the evaluator share the
-/// objective across scoped worker threads.
-pub trait BatchObjective: Sync {
-    /// Evaluates a single candidate.
-    fn evaluate_one(&self, genes: &[f64]) -> Evaluation;
-
-    /// Evaluates a batch of candidates, returning one [`Evaluation`] per
-    /// candidate **in candidate order**. The default delegates to
-    /// [`BatchObjective::evaluate_one`].
-    fn evaluate_batch(&self, candidates: &[Vec<f64>]) -> Vec<Evaluation> {
-        candidates.iter().map(|c| self.evaluate_one(c)).collect()
-    }
-}
-
-impl<T: Objective + Sync + ?Sized> BatchObjective for T {
-    fn evaluate_one(&self, genes: &[f64]) -> Evaluation {
-        Evaluation::new(self.evaluate(genes))
-    }
-}
-
 /// Shards one generation's candidates across scoped worker threads.
 ///
 /// Candidates are split into contiguous chunks, one per worker; the calling
@@ -201,7 +118,7 @@ impl ParallelEvaluator {
         self.parallelism
     }
 
-    /// Evaluates `candidates`, returning one [`Evaluation`] per candidate in
+    /// Evaluates `candidates`, returning one fitness per candidate in
     /// candidate order.
     ///
     /// # Panics
@@ -210,37 +127,30 @@ impl ParallelEvaluator {
     /// joined by the thread scope).
     pub fn evaluate(
         &self,
-        objective: &dyn BatchObjective,
+        objective: &(dyn Objective + Sync),
         candidates: &[Vec<f64>],
-    ) -> Vec<Evaluation> {
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let workers = self.parallelism.worker_count(candidates.len());
-        let results = if workers <= 1 {
-            objective.evaluate_batch(candidates)
-        } else {
-            let chunk_size = candidates.len().div_ceil(workers);
-            let mut chunks = candidates.chunks(chunk_size);
-            let first = chunks.next().expect("batch is non-empty");
-            thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .map(|chunk| scope.spawn(move || objective.evaluate_batch(chunk)))
-                    .collect();
-                // The calling thread is worker 0 while the others run.
-                let mut results = objective.evaluate_batch(first);
-                for handle in handles {
-                    results.extend(handle.join().expect("evaluation worker panicked"));
-                }
-                results
-            })
+    ) -> Vec<f64> {
+        let batch = move |chunk: &[Vec<f64>]| -> Vec<f64> {
+            chunk.iter().map(|c| objective.evaluate(c)).collect()
         };
-        assert_eq!(
-            results.len(),
-            candidates.len(),
-            "batch objective must return one evaluation per candidate"
-        );
-        results
+        let workers = self.parallelism.worker_count(candidates.len());
+        if workers <= 1 {
+            return batch(candidates);
+        }
+        let chunk_size = candidates.len().div_ceil(workers);
+        let mut chunks = candidates.chunks(chunk_size);
+        let first = chunks.next().expect("batch is non-empty");
+        thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .map(|chunk| scope.spawn(move || batch(chunk)))
+                .collect();
+            // The calling thread is worker 0 while the others run.
+            let mut results = batch(first);
+            for handle in handles {
+                results.extend(handle.join().expect("evaluation worker panicked"));
+            }
+            results
+        })
     }
 }
 
@@ -356,9 +266,6 @@ mod tests {
         assert!(!is_better(f64::NAN, f64::NEG_INFINITY));
         assert!(!is_better(f64::NAN, f64::NAN));
         assert!(!is_better(1.0, 1.0));
-        assert_eq!(nan_aware_max(f64::NAN, -1.0), -1.0);
-        assert_eq!(nan_aware_max(3.0, f64::NAN), 3.0);
-        assert!(nan_aware_max(f64::NAN, f64::NAN).is_nan());
     }
 
     #[test]
@@ -378,19 +285,6 @@ mod tests {
         assert_eq!(best_index(&[f64::NAN, f64::NAN]), 0);
         assert_eq!(best_index(&[]), 0);
         assert_eq!(best_index(&[-1.0, f64::NEG_INFINITY]), 0);
-    }
-
-    #[test]
-    fn evaluation_wraps_raw_values() {
-        let e = Evaluation::new(2.5);
-        assert_eq!(e.fitness(), 2.5);
-        assert!(!e.is_failed());
-        assert!(Evaluation::failed().is_failed());
-        assert_eq!(
-            e.compare(Evaluation::failed()),
-            Ordering::Less,
-            "a real fitness sorts before a failed one"
-        );
     }
 
     #[test]
@@ -484,8 +378,8 @@ mod tests {
         };
         let candidates = batch(9);
         let results = ParallelEvaluator::new(Parallelism::Threads(2)).evaluate(&spiky, &candidates);
-        assert!(results[0].is_failed());
-        assert!(!results[1].is_failed());
-        assert!(results[3].is_failed());
+        assert!(results[0].is_nan());
+        assert!(!results[1].is_nan());
+        assert!(results[3].is_nan());
     }
 }

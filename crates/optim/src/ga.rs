@@ -9,7 +9,7 @@
 //! objective calls made.
 
 use crate::evaluate::{best_index, is_better, nan_last_desc};
-use crate::{BatchObjective, Bounds, OptimisationResult, Optimizer, ParallelEvaluator};
+use crate::{Bounds, Objective, OptimisationResult, Optimizer, ParallelEvaluator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,14 +71,10 @@ impl GeneticAlgorithm {
 }
 
 impl Optimizer for GeneticAlgorithm {
-    fn name(&self) -> &'static str {
-        "genetic-algorithm"
-    }
-
     fn optimise_with(
         &self,
         evaluator: &ParallelEvaluator,
-        objective: &dyn BatchObjective,
+        objective: &(dyn Objective + Sync),
         bounds: &Bounds,
         iterations: usize,
         seed: u64,
@@ -101,11 +97,7 @@ impl Optimizer for GeneticAlgorithm {
         let mut population: Vec<Vec<f64>> = (0..opts.population_size)
             .map(|_| bounds.sample(&mut rng))
             .collect();
-        let mut fitness: Vec<f64> = evaluator
-            .evaluate(objective, &population)
-            .iter()
-            .map(|e| e.fitness())
-            .collect();
+        let mut fitness = evaluator.evaluate(objective, &population);
         let mut evaluations = opts.population_size;
 
         // Track the best-ever individual explicitly (not via the final
@@ -156,9 +148,8 @@ impl Optimizer for GeneticAlgorithm {
                 offspring.push(child);
             }
             // ... then simulate the whole generation in parallel.
-            let offspring_fitness = evaluator.evaluate(objective, &offspring);
+            next_fitness.extend(evaluator.evaluate(objective, &offspring));
             evaluations += offspring.len();
-            next_fitness.extend(offspring_fitness.iter().map(|e| e.fitness()));
             next_population.append(&mut offspring);
 
             debug_assert_eq!(next_population.len(), opts.population_size);
@@ -234,6 +225,7 @@ mod tests {
         assert_eq!(opts.population_size, 100);
         assert_eq!(opts.crossover_rate, 0.8);
         assert_eq!(opts.mutation_rate, 0.02);
+        assert_eq!(GeneticAlgorithm::default().options(), &opts);
     }
 
     #[test]
@@ -357,11 +349,5 @@ mod tests {
             "reported genes must reproduce the reported fitness"
         );
         assert_eq!(result.best_fitness, *result.history.last().unwrap());
-    }
-
-    #[test]
-    fn name_is_stable() {
-        assert_eq!(GeneticAlgorithm::default().name(), "genetic-algorithm");
-        assert_eq!(GeneticAlgorithm::default().options().population_size, 100);
     }
 }

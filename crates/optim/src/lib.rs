@@ -1,29 +1,29 @@
-//! Optimisation algorithms for the integrated energy-harvester optimisation
-//! loop (the paper's Fig. 8).
+//! Optimisation for the integrated energy-harvester optimisation loop (the
+//! paper's Fig. 8).
 //!
 //! The paper embeds a genetic algorithm in the same testbench as the
 //! harvester model and lets it tune seven design parameters (three from the
 //! micro-generator coil, four from the voltage booster) to maximise the
 //! super-capacitor charging rate. This crate provides that GA with the
-//! paper's settings (population 100, crossover 0.8, mutation 0.02) plus the
-//! "other optimisation algorithms \[that\] may also be applied based on the
-//! proposed integrated model": Nelder–Mead simplex, particle-swarm
-//! optimisation and random search, used as ablation baselines.
+//! paper's settings (population 100, crossover 0.8, mutation 0.02). The
+//! paper adds that "other optimisation algorithms may also be applied based
+//! on the proposed integrated model": such an algorithm plugs in through the
+//! [`Optimizer`] trait.
 //!
 //! The objective is abstract ([`Objective`]); the experiment crate provides
 //! the concrete harvester-simulation objective.
 //!
 //! # Parallel batch evaluation
 //!
-//! Each generation of a population-based optimiser evaluates its candidates
-//! through a [`ParallelEvaluator`] (see [`evaluate`]): the generation is
-//! sharded across [`Parallelism`] worker threads, results come back in
-//! candidate order, and `Threads(n)` runs are **bit-identical** to `Serial`
-//! runs for the same seed — parallelism trades wall-clock time only, never
-//! reproducibility. Fitness values are error-aware ([`Evaluation`]): a NaN
-//! objective (e.g. a simulation that failed to converge) ranks below every
-//! real fitness instead of panicking the run, and bounds may be degenerate
-//! (`lo == hi`) to freeze a design parameter.
+//! Each GA generation evaluates its candidates through a
+//! [`ParallelEvaluator`] (see [`evaluate`]): the generation is sharded
+//! across [`Parallelism`] worker threads, results come back in candidate
+//! order, and `Threads(n)` runs are **bit-identical** to `Serial` runs for
+//! the same seed — parallelism trades wall-clock time only, never
+//! reproducibility. A NaN objective value (e.g. a simulation that failed to
+//! converge) ranks below every real fitness ([`nan_last_desc`]) instead of
+//! panicking the run, and bounds may be degenerate (`lo == hi`) to freeze a
+//! design parameter.
 //!
 //! # Example
 //!
@@ -56,7 +56,7 @@
 //! assert_eq!(result.history, two.history);
 //! ```
 //!
-//! A batch objective can also be driven directly — useful for design-space
+//! The evaluator can also score a batch directly — useful for design-space
 //! sweeps outside any optimiser:
 //!
 //! ```
@@ -67,7 +67,7 @@
 //! let evaluator = ParallelEvaluator::new(Parallelism::Threads(2));
 //! let fitness = evaluator.evaluate(&sphere, &grid);
 //! assert_eq!(fitness.len(), grid.len());
-//! assert_eq!(fitness[0].fitness(), 0.0);
+//! assert_eq!(fitness[0], 0.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -75,18 +75,12 @@
 
 pub mod evaluate;
 pub mod ga;
-pub mod nelder_mead;
-pub mod pso;
-pub mod random_search;
 
 pub use evaluate::{
-    best_index, is_better, nan_aware_max, nan_last_desc, BatchObjective, Evaluation, ObjectiveMut,
-    ParallelEvaluator, Parallelism, ThreadLocalObjective,
+    best_index, is_better, nan_last_desc, ObjectiveMut, ParallelEvaluator, Parallelism,
+    ThreadLocalObjective,
 };
 pub use ga::{GaOptions, GeneticAlgorithm};
-pub use nelder_mead::{NelderMead, NelderMeadOptions};
-pub use pso::{ParticleSwarm, PsoOptions};
-pub use random_search::RandomSearch;
 
 /// A maximisation objective: higher return values are better designs.
 ///
@@ -112,8 +106,8 @@ where
 /// Box constraints on the gene vector.
 ///
 /// A gene's interval may be degenerate (`lo == hi`), which freezes that
-/// design parameter: sampling always returns `lo`, and every optimiser keeps
-/// the gene pinned there.
+/// design parameter: sampling always returns `lo`, and the GA keeps the gene
+/// pinned there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bounds {
     lower: Vec<f64>,
@@ -202,8 +196,8 @@ impl Bounds {
     }
 }
 
-/// Progress of an optimisation run: the best fitness after each generation /
-/// iteration, plus the final best design.
+/// Progress of an optimisation run: the best fitness after each generation,
+/// plus the final best design.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimisationResult {
     /// Best gene vector found.
@@ -211,35 +205,34 @@ pub struct OptimisationResult {
     /// Fitness of the best gene vector.
     pub best_fitness: f64,
     /// Best fitness after each generation (monotone non-decreasing under the
-    /// NaN-last ordering; entry 0 is the initial population/point, so the
-    /// length is always `iterations + 1`).
+    /// NaN-last ordering; entry 0 is the initial population, so the length
+    /// is always `iterations + 1`).
     pub history: Vec<f64>,
     /// Total number of objective evaluations performed (exactly the number
     /// of times the objective function was called).
     pub evaluations: usize,
 }
 
-/// Common interface of all optimisers in this crate.
+/// An optimisation algorithm driving an [`Objective`] inside [`Bounds`].
+/// [`GeneticAlgorithm`] is the one implementor.
 pub trait Optimizer {
     /// Runs the optimiser, evaluating populations through `evaluator`.
     ///
     /// For a deterministic objective the result is bit-identical for any
     /// [`Parallelism`] choice — candidate generation consumes the RNG stream
     /// on the calling thread only, and batch results keep candidate order.
-    /// (Nelder–Mead is inherently sequential and ignores the evaluator's
-    /// parallelism.)
     fn optimise_with(
         &self,
         evaluator: &ParallelEvaluator,
-        objective: &dyn BatchObjective,
+        objective: &(dyn Objective + Sync),
         bounds: &Bounds,
         iterations: usize,
         seed: u64,
     ) -> OptimisationResult;
 
-    /// Runs the optimiser for `iterations` generations/iterations with the
-    /// given RNG `seed` and returns the best design found, evaluating
-    /// serially on the calling thread.
+    /// Runs the optimiser for `iterations` generations with the given RNG
+    /// `seed` and returns the best design found, evaluating serially on the
+    /// calling thread.
     ///
     /// Parallelism is a deliberate opt-in via [`Optimizer::optimise_with`]
     /// (or, at the experiment level, `FitnessBudget::parallelism`): a serial
@@ -250,7 +243,7 @@ pub trait Optimizer {
     /// wall-clock time.
     fn optimise(
         &self,
-        objective: &dyn BatchObjective,
+        objective: &(dyn Objective + Sync),
         bounds: &Bounds,
         iterations: usize,
         seed: u64,
@@ -263,9 +256,6 @@ pub trait Optimizer {
             seed,
         )
     }
-
-    /// Human-readable name used in experiment reports.
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Determinism and hardening suite for the batch-evaluation engine.
+//! Determinism and hardening suite for the GA on the batch-evaluation
+//! engine.
 //!
 //! * `Parallelism::Threads(n)` must return **bit-identical**
 //!   `OptimisationResult`s to `Parallelism::Serial` for a fixed seed — the
@@ -8,13 +9,13 @@
 //! * NaN objective values must rank as worst-possible fitness everywhere
 //!   instead of panicking a sort or poisoning a best.
 //! * Degenerate bounds (`lo == hi`, a frozen design parameter) must be
-//!   accepted by all four optimisers.
+//!   accepted, with the gene kept pinned.
 //! * `OptimisationResult::evaluations` must equal the number of objective
 //!   calls actually made, and `history` must have `iterations + 1` entries.
 
 use harvester_optim::{
-    BatchObjective, Bounds, GaOptions, GeneticAlgorithm, NelderMead, Objective, OptimisationResult,
-    Optimizer, ParallelEvaluator, Parallelism, ParticleSwarm, PsoOptions, RandomSearch,
+    Bounds, GaOptions, GeneticAlgorithm, Objective, OptimisationResult, Optimizer,
+    ParallelEvaluator, Parallelism,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -31,20 +32,12 @@ fn rastrigin(genes: &[f64]) -> f64 {
             .sum::<f64>())
 }
 
-/// All four optimisers, sized so each test finishes quickly.
-fn optimisers() -> Vec<Box<dyn Optimizer>> {
-    vec![
-        Box::new(GeneticAlgorithm::new(GaOptions {
-            population_size: 16,
-            ..GaOptions::paper()
-        })),
-        Box::new(ParticleSwarm::new(PsoOptions {
-            swarm_size: 12,
-            ..PsoOptions::default()
-        })),
-        Box::new(NelderMead::default()),
-        Box::new(RandomSearch::new(14)),
-    ]
+/// The paper's GA at a population small enough for quick tests.
+fn ga() -> GeneticAlgorithm {
+    GeneticAlgorithm::new(GaOptions {
+        population_size: 16,
+        ..GaOptions::paper()
+    })
 }
 
 /// Bit-level equality of two optimisation results (`==` on f64 would treat
@@ -74,28 +67,14 @@ fn assert_bit_identical(a: &OptimisationResult, b: &OptimisationResult, context:
 #[test]
 fn threads_are_bit_identical_to_serial_on_sphere_and_rastrigin() {
     let bounds = Bounds::uniform(4, -5.12, 5.12);
-    let objectives: [(&str, &dyn BatchObjective); 2] =
+    let objectives: [(&str, &(dyn Objective + Sync)); 2] =
         [("sphere", &sphere), ("rastrigin", &rastrigin)];
-    for (obj_name, objective) in objectives {
-        for optimiser in optimisers() {
-            let serial =
-                optimiser.optimise_with(&ParallelEvaluator::serial(), objective, &bounds, 25, 2008);
-            for workers in [2, 3, 7] {
-                let parallel = optimiser.optimise_with(
-                    &ParallelEvaluator::new(Parallelism::Threads(workers)),
-                    objective,
-                    &bounds,
-                    25,
-                    2008,
-                );
-                assert_bit_identical(
-                    &serial,
-                    &parallel,
-                    &format!("{} on {obj_name} with {workers} workers", optimiser.name()),
-                );
-            }
-            let auto = optimiser.optimise_with(
-                &ParallelEvaluator::new(Parallelism::Auto),
+    let ga = ga();
+    for (name, objective) in objectives {
+        let serial = ga.optimise_with(&ParallelEvaluator::serial(), objective, &bounds, 25, 2008);
+        for workers in [2, 3, 7] {
+            let parallel = ga.optimise_with(
+                &ParallelEvaluator::new(Parallelism::Threads(workers)),
                 objective,
                 &bounds,
                 25,
@@ -103,24 +82,28 @@ fn threads_are_bit_identical_to_serial_on_sphere_and_rastrigin() {
             );
             assert_bit_identical(
                 &serial,
-                &auto,
-                &format!("{} on {obj_name} with Auto", optimiser.name()),
-            );
-            // The plain `optimise` entry point is the serial path.
-            let default_run = optimiser.optimise(objective, &bounds, 25, 2008);
-            assert_bit_identical(
-                &serial,
-                &default_run,
-                &format!("{} on {obj_name} via optimise()", optimiser.name()),
+                &parallel,
+                &format!("{name} with {workers} workers"),
             );
         }
+        let auto = ga.optimise_with(
+            &ParallelEvaluator::new(Parallelism::Auto),
+            objective,
+            &bounds,
+            25,
+            2008,
+        );
+        assert_bit_identical(&serial, &auto, &format!("{name} with Auto"));
+        // The plain `optimise` entry point is the serial path.
+        let default_run = ga.optimise(objective, &bounds, 25, 2008);
+        assert_bit_identical(&serial, &default_run, &format!("{name} via optimise()"));
     }
 }
 
 #[test]
 fn nan_objectives_are_survivable_and_deterministic() {
     // Half the search space "fails to converge"; the optimum sits in the
-    // good half, so every optimiser must rank around the failures.
+    // good half, so the GA must rank around the failures.
     let spiky = |g: &[f64]| {
         if g[0] > 0.3 {
             f64::NAN
@@ -129,70 +112,57 @@ fn nan_objectives_are_survivable_and_deterministic() {
         }
     };
     let bounds = Bounds::uniform(3, -2.0, 2.0);
-    for optimiser in optimisers() {
-        let serial = optimiser.optimise_with(&ParallelEvaluator::serial(), &spiky, &bounds, 20, 99);
-        assert!(
-            !serial.best_fitness.is_nan(),
-            "{}: a NaN candidate must never be reported best",
-            optimiser.name()
-        );
-        let parallel = optimiser.optimise_with(
-            &ParallelEvaluator::new(Parallelism::Threads(3)),
-            &spiky,
-            &bounds,
-            20,
-            99,
-        );
-        assert_bit_identical(&serial, &parallel, optimiser.name());
-    }
+    let ga = ga();
+    let serial = ga.optimise_with(&ParallelEvaluator::serial(), &spiky, &bounds, 20, 99);
+    assert!(
+        !serial.best_fitness.is_nan(),
+        "a NaN candidate must never be reported best"
+    );
+    let parallel = ga.optimise_with(
+        &ParallelEvaluator::new(Parallelism::Threads(3)),
+        &spiky,
+        &bounds,
+        20,
+        99,
+    );
+    assert_bit_identical(&serial, &parallel, "NaN objective with 3 workers");
 }
 
 #[test]
 fn an_all_nan_objective_terminates_without_panicking() {
     let always_nan = |_: &[f64]| f64::NAN;
     let bounds = Bounds::uniform(2, 0.0, 1.0);
-    for optimiser in optimisers() {
-        let result = optimiser.optimise_with(
-            &ParallelEvaluator::new(Parallelism::Threads(2)),
-            &always_nan,
-            &bounds,
-            5,
-            1,
-        );
-        assert!(
-            result.best_fitness.is_nan(),
-            "{}: with no usable fitness the best can only be NaN",
-            optimiser.name()
-        );
-        assert_eq!(result.history.len(), 6);
-    }
+    let result = ga().optimise_with(
+        &ParallelEvaluator::new(Parallelism::Threads(2)),
+        &always_nan,
+        &bounds,
+        5,
+        1,
+    );
+    assert!(
+        result.best_fitness.is_nan(),
+        "with no usable fitness the best can only be NaN"
+    );
+    assert_eq!(result.history.len(), 6);
 }
 
 #[test]
-fn frozen_parameters_are_respected_by_all_optimisers() {
-    // Gene 1 is frozen at 0.25 (degenerate bounds); PSO's velocity
-    // initialisation used to panic on the empty range, and every optimiser
-    // must keep the gene pinned.
+fn frozen_parameters_stay_pinned() {
+    // Gene 1 is frozen at 0.25 (degenerate bounds); sampling, crossover and
+    // mutation must all keep it there.
     let bounds = Bounds::new(&[(-1.0, 1.0), (0.25, 0.25), (-1.0, 1.0)]);
-    for optimiser in optimisers() {
-        let result = optimiser.optimise(&sphere, &bounds, 15, 7);
-        assert_eq!(
-            result.best_genes[1],
-            0.25,
-            "{}: frozen gene must stay pinned",
-            optimiser.name()
-        );
-        assert!(result.best_genes[0].abs() <= 1.0);
-        let serial = optimiser.optimise_with(&ParallelEvaluator::serial(), &sphere, &bounds, 15, 7);
-        let threads = optimiser.optimise_with(
-            &ParallelEvaluator::new(Parallelism::Threads(4)),
-            &sphere,
-            &bounds,
-            15,
-            7,
-        );
-        assert_bit_identical(&serial, &threads, optimiser.name());
-    }
+    let ga = ga();
+    let result = ga.optimise(&sphere, &bounds, 15, 7);
+    assert_eq!(result.best_genes[1], 0.25, "frozen gene must stay pinned");
+    assert!(result.best_genes[0].abs() <= 1.0);
+    let threads = ga.optimise_with(
+        &ParallelEvaluator::new(Parallelism::Threads(4)),
+        &sphere,
+        &bounds,
+        15,
+        7,
+    );
+    assert_bit_identical(&result, &threads, "frozen gene with 4 workers");
 }
 
 /// Counts every objective call (atomically, because calls may come from
@@ -225,30 +195,31 @@ fn reported_evaluations_match_actual_objective_calls() {
     let bounds = Bounds::uniform(3, -1.0, 1.0);
     let iterations = 12;
     for parallelism in [Parallelism::Serial, Parallelism::Threads(3)] {
-        let evaluator = ParallelEvaluator::new(parallelism);
-        for optimiser in optimisers() {
-            let objective = Counting::new();
-            let result = optimiser.optimise_with(&evaluator, &objective, &bounds, iterations, 42);
-            assert_eq!(
-                result.evaluations,
-                objective.calls(),
-                "{} under {parallelism:?}: reported evaluations must equal objective calls",
-                optimiser.name()
-            );
-            assert_eq!(
-                result.history.len(),
-                iterations + 1,
-                "{}: history holds the initial entry plus one per iteration",
-                optimiser.name()
-            );
-        }
+        let objective = Counting::new();
+        let result = ga().optimise_with(
+            &ParallelEvaluator::new(parallelism),
+            &objective,
+            &bounds,
+            iterations,
+            42,
+        );
+        assert_eq!(
+            result.evaluations,
+            objective.calls(),
+            "under {parallelism:?}: reported evaluations must equal objective calls"
+        );
+        assert_eq!(
+            result.history.len(),
+            iterations + 1,
+            "history holds the initial entry plus one per generation"
+        );
     }
 }
 
 #[test]
-fn expected_evaluation_budgets_per_optimiser() {
-    // The exact budget formulae the experiment crate relies on when
-    // comparing optimisers at equal evaluation counts.
+fn expected_ga_evaluation_budget() {
+    // The exact budget formula the experiment crate and the end-to-end
+    // benchmark rely on.
     let bounds = Bounds::uniform(3, -1.0, 1.0);
     let ga = GeneticAlgorithm::new(GaOptions {
         population_size: 16,
@@ -260,24 +231,4 @@ fn expected_evaluation_budgets_per_optimiser() {
         16 + 10 * 14,
         "GA evaluates the initial population plus the non-elite offspring"
     );
-    let pso = ParticleSwarm::new(PsoOptions {
-        swarm_size: 12,
-        ..PsoOptions::default()
-    });
-    assert_eq!(
-        pso.optimise(&sphere, &bounds, 10, 1).evaluations,
-        12 + 10 * 12
-    );
-    let rs = RandomSearch::new(14);
-    assert_eq!(
-        rs.optimise(&sphere, &bounds, 10, 1).evaluations,
-        1 + 10 * 14
-    );
-    // Nelder–Mead's budget is adaptive (reflection/expansion/contraction/
-    // shrink differ per iteration) but bounded: at least one and at most
-    // n + 2 evaluations per iteration after the initial simplex.
-    let nm = NelderMead::default();
-    let result = nm.optimise(&sphere, &bounds, 10, 1);
-    assert!(result.evaluations >= 4 + 10);
-    assert!(result.evaluations <= 4 + 10 * 5);
 }

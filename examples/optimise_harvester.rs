@@ -159,7 +159,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", breakdown.table());
     println!(
-        "GA machinery accounts for {:.2} % of the optimisation CPU time (paper: < 3 %)",
+        "GA breeding accounts for {:.2e} % of the optimisation CPU time (paper: < 3 %)",
         100.0 * breakdown.ga_fraction()
     );
     Ok(())

@@ -19,9 +19,9 @@
 //! * [`models`] — the harvester component models and system assembly
 //!   (micro-generator models of Fig. 2, boosters of Figs. 4 and 9, storage,
 //!   envelope acceleration, the synthetic experimental reference).
-//! * [`optim`] — the genetic algorithm and alternative optimisers, plus the
-//!   parallel batch-evaluation engine that shards each generation's
-//!   simulations over worker threads with bit-identical results.
+//! * [`optim`] — the paper's genetic algorithm, plus the parallel
+//!   batch-evaluation engine that shards each generation's simulations over
+//!   worker threads with bit-identical results.
 //! * [`experiments`] — one entry point per table and figure of the paper's
 //!   evaluation.
 //! * [`service`] — the fault-tolerant simulation job service: a queue and
@@ -49,8 +49,7 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for the figure-by-figure reproduction binaries and
-//! `EXPERIMENTS.md` for the paper-vs-measured comparison.
+//! See `examples/` for the figure-by-figure reproduction binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
