@@ -1,18 +1,16 @@
-//! Benchmarks of the integrated optimisation loop (the paper's Fig. 8,
-//! Table 2 and the §5 CPU-time analysis), and of the parallel
-//! batch-evaluation engine that loop runs on.
+//! Benchmarks of the integrated optimisation loop (the paper's Fig. 8 and
+//! Table 2), and of the parallel batch-evaluation engine that loop runs on.
+//! The paper's §5 CPU-time split is not timed here: `run_cpu_split` (printed
+//! by `examples/optimise_harvester.rs`) takes it from inside one GA run.
 //!
 //! * `table2_ga/*` — one GA generation with the coupled-simulation objective
 //!   (the unit of work whose cost the paper analyses), at two population
 //!   sizes.
-//! * `cpu_split/*` — the two halves of the paper's CPU-time comparison:
-//!   simulating a batch of chromosomes with and without the GA around them.
 //! * `ga_generation_heavy_sphere/*`, `ga_generation_harvester/*` — one GA
 //!   generation at the paper's population of 100, sharded over 1/2/4 worker
 //!   threads, on a synthetic compute-heavy sphere objective (pure CPU, no
 //!   allocation — isolates the evaluator's sharding overhead) and on the
-//!   real harvester-fixture objective (coupled transient simulations with
-//!   per-worker reusable workspaces).
+//!   real harvester-fixture objective (coupled transient simulations).
 //! * `batch_evaluation_harvester/*` — the raw evaluator fan-out of one
 //!   batch of harvester simulations, without any optimiser around it.
 //!
@@ -58,42 +56,6 @@ fn table2_ga_generation(c: &mut Criterion) {
             b.iter(|| black_box(ga.optimise(&objective, &bounds, 1, 7).best_fitness))
         });
     }
-    group.finish();
-}
-
-fn cpu_split(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cpu_split");
-    configure(&mut group);
-    let objective = objective();
-    let bounds = paper_bounds();
-    let genes = encode(&HarvesterConfig::unoptimised());
-
-    // The paper's "simulating the chromosomes alone" half.
-    group.bench_function("chromosome_simulation_only_x8", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for k in 0..8 {
-                let mut g = genes.clone();
-                g[1] += k as f64;
-                acc += objective.evaluate(&g);
-            }
-            black_box(acc)
-        })
-    });
-    // The paper's "GA + simulation" half at the same evaluation count.
-    group.bench_function("ga_plus_simulation_pop8", |b| {
-        let ga = GeneticAlgorithm::new(GaOptions {
-            population_size: 8,
-            ..GaOptions::paper()
-        });
-        b.iter(|| black_box(ga.optimise(&objective, &bounds, 1, 7).evaluations))
-    });
-    // The GA machinery alone on a free objective.
-    group.bench_function("ga_machinery_only_pop100", |b| {
-        let ga = GeneticAlgorithm::new(GaOptions::paper());
-        let free = |genes: &[f64]| -genes.iter().map(|g| g * g).sum::<f64>();
-        b.iter(|| black_box(ga.optimise(&free, &bounds, 10, 7).best_fitness))
-    });
     group.finish();
 }
 
@@ -159,11 +121,10 @@ fn ga_generation_harvester(c: &mut Criterion) {
     let ga = paper_ga();
     for (label, parallelism) in parallelism_variants() {
         let evaluator = ParallelEvaluator::new(parallelism);
-        let pooled = objective.thread_local();
         group.bench_function(format!("pop100_{label}"), |b| {
             b.iter(|| {
                 black_box(
-                    ga.optimise_with(&evaluator, &pooled, &bounds, 1, 7)
+                    ga.optimise_with(&evaluator, &objective, &bounds, 1, 7)
                         .best_fitness,
                 )
             })
@@ -188,9 +149,8 @@ fn batch_evaluation_harvester(c: &mut Criterion) {
         .collect();
     for (label, parallelism) in parallelism_variants() {
         let evaluator = ParallelEvaluator::new(parallelism);
-        let pooled = objective.thread_local();
         group.bench_function(format!("batch32_{label}"), |b| {
-            b.iter(|| black_box(evaluator.evaluate(&pooled, &batch).len()))
+            b.iter(|| black_box(evaluator.evaluate(&objective, &batch).len()))
         });
     }
     group.finish();
@@ -204,11 +164,10 @@ fn speedup_summary(_c: &mut Criterion) {
     let ga = paper_ga();
     let time = |parallelism: Parallelism| -> (f64, f64) {
         let evaluator = ParallelEvaluator::new(parallelism);
-        let pooled = objective.thread_local();
-        // One warm-up generation builds the per-worker workspaces.
-        let _ = ga.optimise_with(&evaluator, &pooled, &bounds, 1, 7);
+        // One untimed warm-up generation, so the timed one starts warm.
+        let _ = ga.optimise_with(&evaluator, &objective, &bounds, 1, 7);
         let start = Instant::now();
-        let result = ga.optimise_with(&evaluator, &pooled, &bounds, 1, 7);
+        let result = ga.optimise_with(&evaluator, &objective, &bounds, 1, 7);
         (start.elapsed().as_secs_f64(), result.best_fitness)
     };
     let (serial_s, serial_fitness) = time(Parallelism::Serial);
@@ -230,7 +189,6 @@ fn speedup_summary(_c: &mut Criterion) {
 criterion_group!(
     optimisation,
     table2_ga_generation,
-    cpu_split,
     ga_generation_heavy_sphere,
     ga_generation_harvester,
     batch_evaluation_harvester,

@@ -21,7 +21,6 @@
 //! against a brute-force detailed simulation on a shortened scenario.
 
 use crate::system::{HarvesterConfig, HarvesterNodes};
-use harvester_mna::cancel::CancelToken;
 use harvester_mna::circuit::Circuit;
 use harvester_mna::devices::{Resistor, VoltageSource};
 use harvester_mna::shooting::{SteadyStateAnalysis, SteadyStateOptions};
@@ -80,11 +79,6 @@ impl SteadyState {
             max_iters: SteadyStateOptions::DEFAULT_MAX_ITERATIONS,
             tol: SteadyStateOptions::DEFAULT_TOLERANCE,
         }
-    }
-
-    /// `true` for any [`SteadyState::Shooting`] policy.
-    pub fn is_shooting(&self) -> bool {
-        matches!(self, SteadyState::Shooting { .. })
     }
 }
 
@@ -262,40 +256,30 @@ impl ChargingCharacteristic {
 
 /// Reusable scratch for repeated envelope measurements.
 ///
-/// A fitness evaluation inside an optimisation loop runs several detailed
-/// transients (one per storage-voltage grid point), each of which needs a
+/// A charging-characteristic measurement runs several detailed transients
+/// (one per storage-voltage grid point), each of which needs a
 /// [`TransientWorkspace`] — matrices, factorisation, history buffers. This
-/// wrapper keeps that workspace alive across measurements so sweep and
-/// optimisation loops (one `EnvelopeWorkspace` per evaluator worker) stop
-/// reallocating per solve; the workspace is rebuilt automatically whenever
-/// the circuit layout changes.
+/// wrapper keeps that workspace alive across measurements, for a caller
+/// that measures many designs in a row; the workspace is rebuilt
+/// automatically whenever the circuit layout changes.
 ///
 /// Determinism: at the start of every measurement the cached numeric
 /// factorisation is dropped
 /// ([`TransientWorkspace::invalidate_factors`]), so each measurement is a
-/// pure function of the design being measured — bit-identical whichever
-/// worker's workspace it lands on, and bit-identical to a fresh workspace.
+/// pure function of the design being measured — bit-identical to a fresh
+/// workspace, whatever the workspace measured before.
 #[derive(Debug, Default)]
 pub struct EnvelopeWorkspace {
     transient: Option<TransientWorkspace>,
     /// Injector waiting to be handed to the transient workspace the next
     /// time a measurement materialises (or reuses) it.
     fault: Option<FaultInjector>,
-    /// Cancellation token threaded into the transient workspace alongside
-    /// the injector, so a long envelope sweep stops at the next
-    /// step/grid-point boundary when its owner fires it.
-    cancel: Option<CancelToken>,
 }
 
 impl EnvelopeWorkspace {
     /// Creates an empty workspace (buffers are built on first use).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// `true` once a transient workspace has been materialised.
-    pub fn is_initialised(&self) -> bool {
-        self.transient.is_some()
     }
 
     /// Installs a deterministic [`FaultInjector`] that every measurement
@@ -316,28 +300,10 @@ impl EnvelopeWorkspace {
             .or_else(|| self.fault.take())
     }
 
-    /// Installs a [`CancelToken`] every measurement through this workspace
-    /// threads into the marching loop (the per-worker cancellation hook of
-    /// the service layer's warm workspace pools). Keep a clone to fire it;
-    /// a cancelled measurement returns
-    /// [`MnaError::Cancelled`] with the
-    /// failing grid point named in the context.
-    pub fn install_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Removes and returns the installed cancellation token, if any.
-    pub fn take_cancel_token(&mut self) -> Option<CancelToken> {
-        if let Some(ws) = self.transient.as_mut() {
-            ws.take_cancel_token();
-        }
-        self.cancel.take()
-    }
-
     /// The transient workspace for `circuit` under `options`, with the
-    /// pending injector and a clone of the cancellation token installed.
-    /// A workspace that does not fit is rebuilt, keeping its installed
-    /// injector (and counters); the flag says whether it was.
+    /// pending injector installed. A workspace that does not fit is rebuilt,
+    /// keeping its installed injector (and counters); the flag says whether
+    /// it was.
     fn transient_for(
         &mut self,
         circuit: &Circuit,
@@ -361,9 +327,6 @@ impl EnvelopeWorkspace {
         if let Some(f) = self.fault.take() {
             ws.install_fault_injector(f);
         }
-        if let Some(c) = &self.cancel {
-            ws.install_cancel_token(c.clone());
-        }
         Ok((ws, rebuild))
     }
 }
@@ -379,11 +342,6 @@ impl EnvelopeSimulator {
     /// Creates an envelope simulator for `config` with the given options.
     pub fn new(config: HarvesterConfig, options: EnvelopeOptions) -> Self {
         EnvelopeSimulator { config, options }
-    }
-
-    /// Creates an envelope simulator with default options.
-    pub fn with_defaults(config: HarvesterConfig) -> Self {
-        Self::new(config, EnvelopeOptions::default())
     }
 
     /// The configuration being simulated.
@@ -402,10 +360,10 @@ impl EnvelopeSimulator {
     }
 
     /// As [`EnvelopeSimulator::measure_characteristic`], but reusing an
-    /// externally owned [`EnvelopeWorkspace`] — the entry point for
-    /// optimisation loops that measure thousands of designs and want the
-    /// transient-simulation buffers allocated once per worker, not once per
-    /// design. The result is bit-identical to the workspace-free path.
+    /// externally owned [`EnvelopeWorkspace`] — the entry point for a caller
+    /// that measures many designs in a row and wants the
+    /// transient-simulation buffers allocated once, not once per design.
+    /// The result is bit-identical to the workspace-free path.
     ///
     /// # Errors
     ///
@@ -842,9 +800,7 @@ mod tests {
         let fresh = sim.measure_characteristic().unwrap();
 
         let mut workspace = EnvelopeWorkspace::new();
-        assert!(!workspace.is_initialised());
         let first = sim.measure_characteristic_with(&mut workspace).unwrap();
-        assert!(workspace.is_initialised());
 
         // Pollute the workspace with a *different* design, then re-measure
         // the original: the result must not depend on workspace history.
@@ -876,7 +832,7 @@ mod tests {
         assert!(opts.step_control.is_adaptive());
         // Periodic steady states come from the shooting engine by default,
         // with brute-force settling as the selectable/fallback path.
-        assert!(opts.steady_state.is_shooting());
+        assert!(matches!(opts.steady_state, SteadyState::Shooting { .. }));
     }
 
     #[test]

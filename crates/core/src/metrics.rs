@@ -1,16 +1,7 @@
 //! Energy accounting and performance metrics (the paper's Eq. 9 and the
 //! derived quantities used in its evaluation).
 
-use harvester_numerics::stats::{linear_regression, trapezoid_integral};
-
-/// Energy in joules obtained by integrating a power waveform over time.
-///
-/// # Panics
-///
-/// Panics if the two slices have different lengths.
-pub fn energy_from_power(times: &[f64], power: &[f64]) -> f64 {
-    trapezoid_integral(times, power)
-}
+use harvester_numerics::stats::linear_regression;
 
 /// The paper's Eq. (9): performance loss
 /// `η_loss = (E_harvested − E_delivered) / E_harvested`.
@@ -91,12 +82,5 @@ mod tests {
         let volts: Vec<f64> = times.iter().map(|t| 0.01 * t + 0.2).collect();
         assert!((charging_rate(&times, &volts) - 0.01).abs() < 1e-12);
         assert_eq!(charging_rate(&[0.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn energy_from_power_integrates() {
-        let times = [0.0, 1.0, 2.0];
-        let power = [1.0, 1.0, 1.0];
-        assert!((energy_from_power(&times, &power) - 2.0).abs() < 1e-12);
     }
 }

@@ -25,8 +25,7 @@ pub struct CpuTimeOptions {
     pub generations: usize,
     /// Simulation budget of each chromosome evaluation, including the
     /// solver backend ([`FitnessBudget::backend`]) every fitness transient
-    /// runs on. Its parallelism is not used: the split is measured on one
-    /// serial evaluator.
+    /// runs on. The split is measured on one serial evaluator.
     pub fitness: FitnessBudget,
 }
 
@@ -125,12 +124,11 @@ impl<O: Objective> Objective for Timed<O> {
 }
 
 /// Measures the CPU-time split for the given base design: one GA run on a
-/// serial evaluator (the paper's single-CPU measurement), with a reusable
-/// simulation workspace, timing the objective from inside the run.
+/// serial evaluator (the paper's single-CPU measurement), timing the
+/// [`HarvesterObjective`] from inside the run.
 pub fn run_cpu_split(base: &HarvesterConfig, options: &CpuTimeOptions) -> CpuTimeBreakdown {
-    let objective = HarvesterObjective::new(base.clone(), options.fitness);
     let timed = Timed {
-        inner: objective.thread_local(),
+        inner: HarvesterObjective::new(base.clone(), options.fitness),
         elapsed: Mutex::new(Duration::ZERO),
     };
     let ga = GeneticAlgorithm::new(GaOptions {

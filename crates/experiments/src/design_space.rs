@@ -7,15 +7,12 @@
 //! chromosome therefore has seven genes. The objective is the super-capacitor
 //! charging rate, evaluated by simulating the complete coupled system.
 
-use crate::report::Table;
 use harvester_core::booster::BoosterConfig;
 use harvester_core::params::TransformerBoosterParams;
 use harvester_core::system::HarvesterConfig;
-use harvester_core::{EnvelopeOptions, EnvelopeSimulator, EnvelopeWorkspace, SteadyState};
+use harvester_core::{EnvelopeOptions, EnvelopeSimulator, SteadyState};
 use harvester_mna::transient::{SolverBackend, StepControl};
-use harvester_optim::{
-    Bounds, Objective, ObjectiveMut, ParallelEvaluator, Parallelism, ThreadLocalObjective,
-};
+use harvester_optim::{Bounds, Objective};
 
 /// Index of each gene in the chromosome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,21 +31,6 @@ pub enum Gene {
     SecondaryResistance = 5,
     /// Transformer secondary turns.
     SecondaryTurns = 6,
-}
-
-impl Gene {
-    /// Short parameter name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gene::CoilOuterRadius => "coil_outer_radius",
-            Gene::CoilTurns => "coil_turns",
-            Gene::CoilResistance => "coil_resistance",
-            Gene::PrimaryResistance => "primary_resistance",
-            Gene::PrimaryTurns => "primary_turns",
-            Gene::SecondaryResistance => "secondary_resistance",
-            Gene::SecondaryTurns => "secondary_turns",
-        }
-    }
 }
 
 /// Number of genes in the paper's chromosome.
@@ -157,11 +139,6 @@ pub struct FitnessBudget {
     /// sub-tolerance trace differences. [`StepControl::Fixed`] steps on the
     /// uniform `detail_dt` grid instead (the shooting periods always do).
     pub step_control: StepControl,
-    /// How the population-level loops (GA generations, the design-space
-    /// sweep) shard their candidate evaluations over worker threads.
-    /// Results are bit-identical for every choice; this knob moves
-    /// wall-clock time only.
-    pub parallelism: Parallelism,
     /// How each fitness measurement reaches its periodic steady state:
     /// shooting-Newton closure by default (with automatic brute-force
     /// fallback per grid point), or plain settling via
@@ -181,7 +158,6 @@ impl Default for FitnessBudget {
             reference_voltage: 1.0,
             backend: SolverBackend::Auto,
             step_control: StepControl::adaptive_averaging(),
-            parallelism: Parallelism::Auto,
             steady_state: SteadyState::default(),
         }
     }
@@ -200,16 +176,7 @@ impl FitnessBudget {
             reference_voltage: 0.25,
             backend: SolverBackend::Auto,
             step_control: StepControl::adaptive_averaging(),
-            parallelism: Parallelism::Auto,
             steady_state: SteadyState::default(),
-        }
-    }
-
-    /// The same budget with a different parallelism policy.
-    pub fn with_parallelism(self, parallelism: Parallelism) -> Self {
-        FitnessBudget {
-            parallelism,
-            ..self
         }
     }
 }
@@ -217,6 +184,11 @@ impl FitnessBudget {
 /// The simulation-backed objective of the integrated optimisation loop
 /// (Fig. 8): decode the chromosome, simulate the complete coupled harvester,
 /// and return the charging figure of merit.
+///
+/// This is the one way a design is scored. Every evaluation measures through
+/// [`EnvelopeSimulator::measure_characteristic`] on fresh simulation
+/// buffers, so the fitness is a pure function of the chromosome and the
+/// evaluator's workers share one objective by reference.
 #[derive(Debug, Clone)]
 pub struct HarvesterObjective {
     base: HarvesterConfig,
@@ -242,19 +214,6 @@ impl HarvesterObjective {
     /// Evaluates the charging figure of merit (average charging current in
     /// amperes into the reference-voltage storage) for a full configuration.
     pub fn charging_current(&self, config: &HarvesterConfig) -> f64 {
-        self.charging_current_with(config, &mut EnvelopeWorkspace::default())
-    }
-
-    /// As [`HarvesterObjective::charging_current`], but reusing an external
-    /// simulation workspace — bit-identical results, no per-solve matrix and
-    /// buffer allocation. This is the hot path of the optimisation loop; the
-    /// workspace normally belongs to one evaluator worker (see
-    /// [`HarvesterObjective::thread_local`]).
-    pub fn charging_current_with(
-        &self,
-        config: &HarvesterConfig,
-        workspace: &mut EnvelopeWorkspace,
-    ) -> f64 {
         let envelope = EnvelopeOptions {
             voltage_points: 2,
             max_voltage: self.budget.reference_voltage.max(1e-3),
@@ -268,18 +227,17 @@ impl HarvesterObjective {
             steady_state: self.budget.steady_state,
             ..EnvelopeOptions::default()
         };
-        let sim = EnvelopeSimulator::new(config.clone(), envelope);
-        match sim.measure_characteristic_with(workspace) {
+        match EnvelopeSimulator::new(config.clone(), envelope).measure_characteristic() {
             Ok(characteristic) => characteristic.current_at(self.budget.reference_voltage),
             // A design whose simulation fails (e.g. a pathological corner of
             // the design space) is simply a very bad design.
             Err(_) => f64::NEG_INFINITY,
         }
     }
+}
 
-    /// Chromosome-level evaluation against an external workspace (the
-    /// mutable twin of the [`Objective`] implementation).
-    pub fn evaluate_with(&self, genes: &[f64], workspace: &mut EnvelopeWorkspace) -> f64 {
+impl Objective for HarvesterObjective {
+    fn evaluate(&self, genes: &[f64]) -> f64 {
         if genes.len() != GENE_COUNT {
             return f64::NEG_INFINITY;
         }
@@ -287,181 +245,7 @@ impl HarvesterObjective {
         if !config.generator.is_valid() {
             return f64::NEG_INFINITY;
         }
-        self.charging_current_with(&config, workspace)
-    }
-
-    /// Wraps this objective in a [`ThreadLocalObjective`] pool: each
-    /// evaluator worker gets its own [`HarvesterWorker`] — a clone of the
-    /// objective plus one owned [`EnvelopeWorkspace`] — reused across every
-    /// candidate and generation that worker simulates. Pass the result to
-    /// any [`harvester_optim::Optimizer`] or [`ParallelEvaluator`].
-    pub fn thread_local(
-        &self,
-    ) -> ThreadLocalObjective<HarvesterWorker, impl Fn() -> HarvesterWorker + '_> {
-        ThreadLocalObjective::new(move || HarvesterWorker {
-            objective: self.clone(),
-            workspace: EnvelopeWorkspace::new(),
-        })
-    }
-}
-
-impl Objective for HarvesterObjective {
-    fn evaluate(&self, genes: &[f64]) -> f64 {
-        self.evaluate_with(genes, &mut EnvelopeWorkspace::default())
-    }
-}
-
-/// One evaluator worker's view of the harvester objective: a clone of the
-/// [`HarvesterObjective`] plus an owned simulation workspace whose
-/// allocations are reused across every candidate the worker evaluates.
-/// Built by [`HarvesterObjective::thread_local`].
-#[derive(Debug)]
-pub struct HarvesterWorker {
-    objective: HarvesterObjective,
-    workspace: EnvelopeWorkspace,
-}
-
-impl ObjectiveMut for HarvesterWorker {
-    fn evaluate_mut(&mut self, genes: &[f64]) -> f64 {
-        self.objective.evaluate_with(genes, &mut self.workspace)
-    }
-}
-
-/// Options for the design-space sweep: a grid over two genes of the paper's
-/// chromosome, every grid point scored by the full coupled simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepOptions {
-    /// Gene varied along the rows of the grid.
-    pub gene_a: Gene,
-    /// Gene varied along the columns of the grid.
-    pub gene_b: Gene,
-    /// Number of grid points along `gene_a` (≥ 1).
-    pub steps_a: usize,
-    /// Number of grid points along `gene_b` (≥ 1).
-    pub steps_b: usize,
-    /// Simulation budget of each grid-point evaluation, including the
-    /// [`FitnessBudget::parallelism`] the sweep shards its grid with.
-    pub fitness: FitnessBudget,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            gene_a: Gene::CoilTurns,
-            gene_b: Gene::SecondaryTurns,
-            steps_a: 5,
-            steps_b: 5,
-            fitness: FitnessBudget::default(),
-        }
-    }
-}
-
-impl SweepOptions {
-    /// A tiny grid with a coarse budget for unit tests and smoke runs.
-    pub fn coarse() -> Self {
-        SweepOptions {
-            steps_a: 2,
-            steps_b: 2,
-            fitness: FitnessBudget::coarse(),
-            ..SweepOptions::default()
-        }
-    }
-}
-
-/// The fitness landscape measured by [`sweep_design_space`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepResult {
-    /// Gene varied along the rows.
-    pub gene_a: Gene,
-    /// Gene varied along the columns.
-    pub gene_b: Gene,
-    /// Grid values of `gene_a`.
-    pub values_a: Vec<f64>,
-    /// Grid values of `gene_b`.
-    pub values_b: Vec<f64>,
-    /// Fitness at each grid point, row-major (`values_a.len() *
-    /// values_b.len()` entries; failed simulations are `-inf`).
-    pub fitness: Vec<f64>,
-}
-
-impl SweepResult {
-    /// Fitness at grid point `(ia, ib)`.
-    pub fn fitness_at(&self, ia: usize, ib: usize) -> f64 {
-        self.fitness[ia * self.values_b.len() + ib]
-    }
-
-    /// The best grid point as `(value_a, value_b, fitness)` under the
-    /// NaN-last ordering.
-    pub fn best_point(&self) -> (f64, f64, f64) {
-        let k = harvester_optim::best_index(&self.fitness);
-        let (ia, ib) = (k / self.values_b.len(), k % self.values_b.len());
-        (self.values_a[ia], self.values_b[ib], self.fitness[k])
-    }
-
-    /// Formats the landscape as a report table (one row per grid point).
-    pub fn table(&self) -> Table {
-        let mut table = Table::new(vec![
-            self.gene_a.name().to_string(),
-            self.gene_b.name().to_string(),
-            "fitness_A".to_string(),
-        ]);
-        for (ia, va) in self.values_a.iter().enumerate() {
-            for (ib, vb) in self.values_b.iter().enumerate() {
-                table.push_row(vec![
-                    format!("{va:.4}"),
-                    format!("{vb:.4}"),
-                    format!("{:.6e}", self.fitness_at(ia, ib)),
-                ]);
-            }
-        }
-        table
-    }
-}
-
-/// Maps the fitness landscape the Fig. 8 optimiser searches: holds every
-/// gene of `base` fixed except two, sweeps those over a grid inside the
-/// paper bounds, and scores each grid point with the coupled simulation.
-///
-/// Every grid point is independent, so the sweep is sharded through the same
-/// [`ParallelEvaluator`] / per-worker-workspace machinery as the GA's
-/// generations ([`FitnessBudget::parallelism`]); the resulting landscape is
-/// bit-identical for any worker count.
-pub fn sweep_design_space(base: &HarvesterConfig, options: &SweepOptions) -> SweepResult {
-    assert!(
-        options.steps_a >= 1 && options.steps_b >= 1,
-        "sweep needs at least one grid point per axis"
-    );
-    let bounds = paper_bounds();
-    let grid = |gene: Gene, steps: usize| -> Vec<f64> {
-        let (lo, hi) = (bounds.lower()[gene as usize], bounds.upper()[gene as usize]);
-        (0..steps)
-            .map(|k| lo + (hi - lo) * k as f64 / (steps - 1).max(1) as f64)
-            .collect()
-    };
-    let values_a = grid(options.gene_a, options.steps_a);
-    let values_b = grid(options.gene_b, options.steps_b);
-
-    let template = encode(base);
-    let mut candidates = Vec::with_capacity(values_a.len() * values_b.len());
-    for va in &values_a {
-        for vb in &values_b {
-            let mut genes = template.clone();
-            genes[options.gene_a as usize] = *va;
-            genes[options.gene_b as usize] = *vb;
-            candidates.push(genes);
-        }
-    }
-
-    let objective = HarvesterObjective::new(base.clone(), options.fitness);
-    let pooled = objective.thread_local();
-    let evaluator = ParallelEvaluator::new(options.fitness.parallelism);
-    let fitness = evaluator.evaluate(&pooled, &candidates);
-    SweepResult {
-        gene_a: options.gene_a,
-        gene_b: options.gene_b,
-        values_a,
-        values_b,
-        fitness,
+        self.charging_current(&config)
     }
 }
 
@@ -557,57 +341,5 @@ mod tests {
     #[should_panic(expected = "genes")]
     fn decode_panics_on_wrong_length() {
         let _ = decode(&HarvesterConfig::unoptimised(), &[0.0; 3]);
-    }
-
-    #[test]
-    fn worker_pool_evaluation_matches_the_plain_objective_bitwise() {
-        let objective =
-            HarvesterObjective::new(HarvesterConfig::unoptimised(), FitnessBudget::coarse());
-        let genes = encode(&HarvesterConfig::unoptimised());
-        let plain = objective.evaluate(&genes);
-
-        let pooled = objective.thread_local();
-        // Two passes through the pool: the second reuses the worker's
-        // workspace and must not drift.
-        let first = pooled.evaluate(&genes);
-        let second = pooled.evaluate(&genes);
-        assert_eq!(plain.to_bits(), first.to_bits());
-        assert_eq!(plain.to_bits(), second.to_bits());
-        assert_eq!(pooled.pooled_instances(), 1);
-    }
-
-    #[test]
-    fn sweep_covers_the_grid_and_finds_an_interior_best() {
-        let base = HarvesterConfig::unoptimised();
-        let options = SweepOptions::coarse();
-        let result = sweep_design_space(&base, &options);
-        assert_eq!(result.values_a.len(), 2);
-        assert_eq!(result.values_b.len(), 2);
-        assert_eq!(result.fitness.len(), 4);
-        let bounds = paper_bounds();
-        assert_eq!(result.values_a[0], bounds.lower()[Gene::CoilTurns as usize]);
-        assert_eq!(
-            *result.values_a.last().unwrap(),
-            bounds.upper()[Gene::CoilTurns as usize]
-        );
-        let (va, vb, best) = result.best_point();
-        assert!(result.values_a.contains(&va));
-        assert!(result.values_b.contains(&vb));
-        assert!(
-            best > 0.0,
-            "at least one corner of the grid must charge, got {best}"
-        );
-        let text = result.table().to_string();
-        assert!(text.contains("coil_turns") && text.contains("secondary_turns"));
-    }
-
-    #[test]
-    fn fitness_budget_parallelism_builder() {
-        let budget = FitnessBudget::coarse().with_parallelism(Parallelism::Threads(3));
-        assert_eq!(budget.parallelism, Parallelism::Threads(3));
-        assert_eq!(
-            budget.reference_voltage,
-            FitnessBudget::coarse().reference_voltage
-        );
     }
 }

@@ -22,14 +22,13 @@
 //!
 //! The seven-gene design space of the paper's chromosome lives in
 //! [`design_space`], together with the simulation-backed
-//! [`design_space::HarvesterObjective`] and the two-gene fitness-landscape
-//! sweep [`design_space::sweep_design_space`].
+//! [`design_space::HarvesterObjective`], the one fitness every experiment
+//! scores a design with.
 //!
-//! Every population-level loop (the GA's generations, the design-space
-//! sweep) shards its simulations over worker threads according to
-//! [`design_space::FitnessBudget::parallelism`], with one reusable
-//! simulation workspace per worker ([`HarvesterObjective::thread_local`]);
-//! results are bit-identical for any worker count.
+//! The GA's generations shard their simulations over worker threads
+//! according to [`optimisation::OptimisationOptions::parallelism`], every
+//! worker calling the one shared objective; results are bit-identical for
+//! any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,8 +43,7 @@ pub mod report;
 pub use arrays::{coupled_array, CoupledArray};
 pub use cpu_time::{run_cpu_split, CpuTimeBreakdown, CpuTimeOptions};
 pub use design_space::{
-    decode, encode, paper_bounds, sweep_design_space, FitnessBudget, Gene, HarvesterObjective,
-    HarvesterWorker, SweepOptions, SweepResult, GENE_COUNT,
+    decode, encode, paper_bounds, FitnessBudget, Gene, HarvesterObjective, GENE_COUNT,
 };
 pub use model_comparison::{run_fig5, run_fig7, Fig5Options, Fig5Result, Fig7Options, Fig7Result};
 pub use optimisation::{

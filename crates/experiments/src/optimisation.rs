@@ -11,7 +11,7 @@ use harvester_core::system::HarvesterConfig;
 use harvester_mna::transient::TransientOptions;
 use harvester_mna::MnaError;
 use harvester_optim::{
-    GaOptions, GeneticAlgorithm, OptimisationResult, Optimizer, ParallelEvaluator,
+    GaOptions, GeneticAlgorithm, OptimisationResult, Optimizer, ParallelEvaluator, Parallelism,
 };
 
 /// Options for the integrated optimisation experiment.
@@ -23,11 +23,11 @@ pub struct OptimisationOptions {
     pub generations: usize,
     /// RNG seed (the experiment is deterministic per seed).
     pub seed: u64,
-    /// Simulation budget of each fitness evaluation, including the
-    /// [`FitnessBudget::parallelism`] policy the GA's generations are
-    /// sharded with (worker count never affects the result bits, only the
-    /// wall-clock time).
+    /// Simulation budget of each fitness evaluation.
     pub fitness: FitnessBudget,
+    /// How the GA's generations are sharded over worker threads (worker
+    /// count never affects the result bits, only the wall-clock time).
+    pub parallelism: Parallelism,
 }
 
 impl Default for OptimisationOptions {
@@ -37,6 +37,7 @@ impl Default for OptimisationOptions {
             generations: 40,
             seed: 2008,
             fitness: FitnessBudget::default(),
+            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -52,6 +53,7 @@ impl OptimisationOptions {
             generations: 4,
             seed: 2008,
             fitness: FitnessBudget::coarse(),
+            parallelism: Parallelism::Auto,
         }
     }
 }
@@ -144,8 +146,9 @@ fn transformer(config: &HarvesterConfig) -> harvester_core::params::TransformerB
 /// design space with the coupled-simulation objective.
 ///
 /// Each generation's chromosomes are simulated in parallel according to
-/// [`FitnessBudget::parallelism`], with one reusable simulation workspace
-/// per worker; the outcome is bit-identical for any worker count.
+/// [`OptimisationOptions::parallelism`], every worker scoring through the
+/// one shared [`HarvesterObjective`]; the outcome is bit-identical for any
+/// worker count.
 pub fn run_optimisation(
     base: &HarvesterConfig,
     options: &OptimisationOptions,
@@ -153,11 +156,10 @@ pub fn run_optimisation(
     let objective = HarvesterObjective::new(base.clone(), options.fitness);
     let bounds = paper_bounds();
     let ga = GeneticAlgorithm::new(options.ga);
-    let evaluator = ParallelEvaluator::new(options.fitness.parallelism);
-    let pooled = objective.thread_local();
+    let evaluator = ParallelEvaluator::new(options.parallelism);
     let ga_result = ga.optimise_with(
         &evaluator,
-        &pooled,
+        &objective,
         &bounds,
         options.generations,
         options.seed,

@@ -1,4 +1,4 @@
-//! Small plain-text reporting helpers (ASCII tables and CSV) used by the
+//! A small plain-text reporting helper (ASCII tables) used by the
 //! experiment binaries and benches to print the rows/series the paper
 //! reports.
 
@@ -38,22 +38,6 @@ impl Table {
         );
         self.rows.push(row);
     }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = self.header.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -87,17 +71,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_aligned_text_and_csv() {
+    fn renders_aligned_text() {
         let mut t = Table::new(vec!["name".to_string(), "value".to_string()]);
         t.push_row(vec!["alpha".to_string(), "1".to_string()]);
         t.push_row(vec!["b".to_string(), "22.5".to_string()]);
-        assert_eq!(t.row_count(), 2);
         let text = t.to_string();
         assert!(text.contains("| name  | value |"));
         assert!(text.contains("| alpha | 1     |"));
-        let csv = t.to_csv();
-        assert!(csv.starts_with("name,value\n"));
-        assert!(csv.contains("b,22.5\n"));
     }
 
     #[test]

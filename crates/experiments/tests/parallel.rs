@@ -6,12 +6,10 @@
 
 use harvester_core::system::HarvesterConfig;
 use harvester_experiments::{
-    encode, paper_bounds, run_optimisation, sweep_design_space, FitnessBudget, HarvesterObjective,
-    OptimisationOptions, SweepOptions,
+    paper_bounds, run_optimisation, FitnessBudget, HarvesterObjective, OptimisationOptions,
 };
 use harvester_optim::{
-    GaOptions, GeneticAlgorithm, Objective, OptimisationResult, Optimizer, ParallelEvaluator,
-    Parallelism,
+    GaOptions, GeneticAlgorithm, OptimisationResult, Optimizer, ParallelEvaluator, Parallelism,
 };
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -29,19 +27,17 @@ fn assert_bit_identical(a: &OptimisationResult, b: &OptimisationResult, context:
     assert_eq!(a.evaluations, b.evaluations, "{context}");
 }
 
-/// A small GA on the harvester fixture, with the budget's parallelism knob.
+/// A small GA on the harvester fixture, sharded over `parallelism` workers.
 fn ga_run(parallelism: Parallelism) -> OptimisationResult {
-    let base = HarvesterConfig::unoptimised();
     let objective =
-        HarvesterObjective::new(base, FitnessBudget::coarse().with_parallelism(parallelism));
-    let pooled = objective.thread_local();
+        HarvesterObjective::new(HarvesterConfig::unoptimised(), FitnessBudget::coarse());
     let ga = GeneticAlgorithm::new(GaOptions {
         population_size: 8,
         ..GaOptions::paper()
     });
     ga.optimise_with(
         &ParallelEvaluator::new(parallelism),
-        &pooled,
+        &objective,
         &paper_bounds(),
         2,
         2008,
@@ -63,14 +59,14 @@ fn ga_on_the_harvester_fixture_is_bit_identical_across_worker_counts() {
 }
 
 #[test]
-fn run_optimisation_honours_the_budget_parallelism_knob() {
+fn run_optimisation_honours_the_parallelism_option() {
     let base = HarvesterConfig::unoptimised();
     let mut options = OptimisationOptions::coarse();
     options.generations = 2;
     options.ga.population_size = 6;
-    options.fitness = options.fitness.with_parallelism(Parallelism::Serial);
+    options.parallelism = Parallelism::Serial;
     let serial = run_optimisation(&base, &options);
-    options.fitness = options.fitness.with_parallelism(Parallelism::Threads(3));
+    options.parallelism = Parallelism::Threads(3);
     let threads = run_optimisation(&base, &options);
     assert_bit_identical(
         &serial.ga_result,
@@ -80,48 +76,5 @@ fn run_optimisation_honours_the_budget_parallelism_knob() {
     assert_eq!(
         serial.optimised_fitness.to_bits(),
         threads.optimised_fitness.to_bits()
-    );
-}
-
-#[test]
-fn design_space_sweep_is_bit_identical_across_worker_counts() {
-    let base = HarvesterConfig::unoptimised();
-    let mut options = SweepOptions::coarse();
-    options.fitness = options.fitness.with_parallelism(Parallelism::Serial);
-    let serial = sweep_design_space(&base, &options);
-    options.fitness = options.fitness.with_parallelism(Parallelism::Threads(2));
-    let threads = sweep_design_space(&base, &options);
-    assert_eq!(bits(&serial.fitness), bits(&threads.fitness));
-    assert_eq!(serial.values_a, threads.values_a);
-    assert_eq!(serial.values_b, threads.values_b);
-    assert_eq!(serial.best_point(), threads.best_point());
-}
-
-#[test]
-fn pooled_worker_path_matches_the_allocating_path_bitwise() {
-    // The workspace-reusing worker (one `EnvelopeWorkspace` kept across
-    // candidates) must agree bit-for-bit with the plain per-call objective —
-    // including after evaluating *different* designs in between, which is
-    // exactly what happens inside a shuffled parallel batch.
-    let base = HarvesterConfig::unoptimised();
-    let objective = HarvesterObjective::new(base.clone(), FitnessBudget::coarse());
-    let pooled = objective.thread_local();
-    let paper = encode(&base);
-    let mut perturbed = paper.clone();
-    perturbed[1] += 150.0;
-    perturbed[6] -= 400.0;
-
-    let plain_paper = objective.evaluate(&paper);
-    let plain_perturbed = objective.evaluate(&perturbed);
-    let pooled_paper_first = pooled.evaluate(&paper);
-    let pooled_perturbed = pooled.evaluate(&perturbed);
-    let pooled_paper_again = pooled.evaluate(&paper);
-
-    assert_eq!(plain_paper.to_bits(), pooled_paper_first.to_bits());
-    assert_eq!(plain_perturbed.to_bits(), pooled_perturbed.to_bits());
-    assert_eq!(
-        plain_paper.to_bits(),
-        pooled_paper_again.to_bits(),
-        "workspace history must not leak between candidates"
     );
 }

@@ -1232,7 +1232,7 @@ fn run_ac(
     let mut rhs = vec![Complex64::ZERO; n];
     let mut extra_base = node_unknowns;
     for device in circuit.devices() {
-        let mut ctx = AcStampContext::new(node_unknowns, extra_base, &mut rhs);
+        let mut ctx = AcStampContext::new(extra_base, &mut rhs);
         device.stamp_ac(&mut ctx);
         extra_base += device.extra_unknowns();
     }

@@ -117,11 +117,6 @@ impl Circuit {
         self.devices.push(Box::new(device));
     }
 
-    /// Adds an already-boxed device (useful for heterogeneous builders).
-    pub fn add_boxed(&mut self, device: Box<dyn Device>) {
-        self.devices.push(device);
-    }
-
     /// The devices in insertion order.
     pub fn devices(&self) -> &[Box<dyn Device>] {
         &self.devices

@@ -290,23 +290,13 @@ impl StampSlots {
 /// `f(x) = 0` at the operating point, and `b̂` collects `−∂f/∂u · û` for
 /// each excitation phasor `û`.
 pub struct AcStampContext<'a> {
-    node_unknowns: usize,
     extra_base: usize,
     rhs: &'a mut [Complex64],
 }
 
 impl<'a> AcStampContext<'a> {
-    pub(crate) fn new(node_unknowns: usize, extra_base: usize, rhs: &'a mut [Complex64]) -> Self {
-        AcStampContext {
-            node_unknowns,
-            extra_base,
-            rhs,
-        }
-    }
-
-    /// Number of non-ground nodes in the circuit being solved.
-    pub fn node_unknown_count(&self) -> usize {
-        self.node_unknowns
+    pub(crate) fn new(extra_base: usize, rhs: &'a mut [Complex64]) -> Self {
+        AcStampContext { extra_base, rhs }
     }
 
     fn global_index(&self, unknown: Unknown) -> Option<usize> {
@@ -412,7 +402,6 @@ pub(crate) fn assemble(
             new_states: &mut new_states[slots.clone()],
             residual,
             jacobian: jacobian.reborrow(),
-            node_unknowns: layout.node_unknowns,
             extra_base,
             ddt_mask: ddt_mask.as_deref_mut().map(|mask| &mut mask[slots]),
         };
@@ -438,8 +427,6 @@ pub struct StampContext<'a> {
     residual: &'a mut [f64],
     /// Global Jacobian (dense or sparse, depending on the solver backend).
     jacobian: JacobianView<'a>,
-    /// Number of non-ground nodes.
-    node_unknowns: usize,
     /// Global index of this device's first extra unknown, which is also the
     /// global row of its first equation.
     extra_base: usize,
@@ -483,16 +470,6 @@ impl<'a> StampContext<'a> {
         self.point.method
     }
 
-    /// Returns `true` while solving the very first time step.
-    pub fn is_first_step(&self) -> bool {
-        self.point.first_step
-    }
-
-    /// Number of non-ground nodes in the circuit being solved.
-    pub fn node_unknown_count(&self) -> usize {
-        self.node_unknowns
-    }
-
     fn global_index(&self, unknown: Unknown) -> Option<usize> {
         match unknown {
             Unknown::Node(node) => {
@@ -527,12 +504,6 @@ impl<'a> StampContext<'a> {
     /// Previous converged value of the device's `slot`-th state.
     pub fn state(&self, slot: usize) -> f64 {
         self.states[slot]
-    }
-
-    /// Sets the candidate new value of the device's `slot`-th state
-    /// (committed only if the step converges).
-    pub fn set_state(&mut self, slot: usize, value: f64) {
-        self.new_states[slot] = value;
     }
 
     /// Differentiates `value` with respect to time using the active
@@ -656,7 +627,6 @@ mod tests {
             new_states,
             residual,
             jacobian: JacobianView::Dense(jacobian),
-            node_unknowns: x.len(),
             extra_base: x.len(),
             ddt_mask: None,
         }

@@ -592,7 +592,7 @@ impl SteadyStateAnalysis {
     }
 
     /// Runs the analysis reusing an existing workspace (the envelope
-    /// simulator's per-worker buffers). The workspace must
+    /// simulator's reusable buffers). The workspace must
     /// [`fit`](TransientWorkspace::fits) the circuit under the effective
     /// transient options (same layout and resolved backend).
     ///

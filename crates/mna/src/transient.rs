@@ -1290,10 +1290,10 @@ impl TransientWorkspace {
     /// goes numerically stale — so the bit-exact result of a run can depend
     /// on which matrices the workspace factored before it. Loops that
     /// require each run to be a pure function of its own inputs (e.g. the
-    /// parallel optimisation engine, which shards candidates over workers
-    /// with per-worker workspaces in nondeterministic order) call this at
-    /// every logical boundary; the first solve after the call performs one
-    /// full pivoted factorisation, exactly as a fresh workspace would.
+    /// envelope measurements, whose reused workspace may have measured any
+    /// other design before) call this at every logical boundary; the first
+    /// solve after the call performs one full pivoted factorisation,
+    /// exactly as a fresh workspace would.
     pub fn invalidate_factors(&mut self) {
         self.jacobian.system.drop_factors();
         self.factored_h = f64::NAN;

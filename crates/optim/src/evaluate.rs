@@ -12,18 +12,13 @@
 //!   instead of panicking a sort or poisoning an argmax.
 //! * [`ParallelEvaluator`] — shards one generation's candidates across a
 //!   configurable number of [`std::thread::scope`] workers
-//!   ([`Parallelism`]), with deterministic, candidate-order results:
+//!   ([`Parallelism`]) that all call the one shared [`Objective`], with
+//!   deterministic, candidate-order results:
 //!   `Threads(n)` returns bit-identical fitness vectors to `Serial` for any
 //!   deterministic objective.
-//! * [`ThreadLocalObjective`] — gives each worker its own objective instance
-//!   built by a factory and pooled across candidates *and* generations, so
-//!   an expensive objective can keep per-worker scratch state (e.g. a
-//!   reusable transient-simulation workspace) instead of reallocating it on
-//!   every solve.
 
 use crate::Objective;
 use std::cmp::Ordering;
-use std::sync::Mutex;
 use std::thread;
 
 /// Total ordering over fitness values that sorts **higher (better) fitness
@@ -113,11 +108,6 @@ impl ParallelEvaluator {
         Self::new(Parallelism::Serial)
     }
 
-    /// The parallelism policy this evaluator applies.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// Evaluates `candidates`, returning one fitness per candidate in
     /// candidate order.
     ///
@@ -151,90 +141,6 @@ impl ParallelEvaluator {
             }
             results
         })
-    }
-}
-
-/// An objective evaluated with exclusive access, so implementations can keep
-/// mutable scratch state (reusable matrices, factorisations, history
-/// buffers) alive between candidates.
-///
-/// Every plain [`Objective`] is trivially an `ObjectiveMut`; expensive
-/// simulation objectives implement this trait directly and are driven
-/// through a [`ThreadLocalObjective`] pool.
-pub trait ObjectiveMut {
-    /// Evaluates the fitness of a candidate gene vector, possibly reusing
-    /// internal scratch state.
-    fn evaluate_mut(&mut self, genes: &[f64]) -> f64;
-}
-
-impl<T: Objective> ObjectiveMut for T {
-    fn evaluate_mut(&mut self, genes: &[f64]) -> f64 {
-        self.evaluate(genes)
-    }
-}
-
-/// Gives each evaluator worker its own [`ObjectiveMut`] instance, built once
-/// by a factory and reused across candidates and generations.
-///
-/// Instances live in a lock-protected pool: a worker pops one (building it
-/// via the factory only when the pool is empty), evaluates **outside the
-/// lock**, and returns it. At most one instance per concurrent worker is
-/// ever built, so an optimisation run over thousands of candidates allocates
-/// its simulation workspaces a handful of times instead of once per solve.
-///
-/// Determinism note: for bit-identical `Serial` vs `Threads(n)` results the
-/// wrapped instance's `evaluate_mut` must be a pure function of the gene
-/// vector — reused scratch state must not leak numerical history from one
-/// candidate into the next (reusing *allocations* is fine).
-pub struct ThreadLocalObjective<O, F: Fn() -> O> {
-    factory: F,
-    pool: Mutex<Vec<O>>,
-}
-
-impl<O, F: Fn() -> O> ThreadLocalObjective<O, F> {
-    /// Creates an empty pool around `factory`.
-    pub fn new(factory: F) -> Self {
-        ThreadLocalObjective {
-            factory,
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Number of pooled (currently idle) instances — a test hook showing how
-    /// many workers ever materialised an instance.
-    pub fn pooled_instances(&self) -> usize {
-        self.pool.lock().expect("objective pool poisoned").len()
-    }
-}
-
-impl<O, F> std::fmt::Debug for ThreadLocalObjective<O, F>
-where
-    F: Fn() -> O,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadLocalObjective")
-            .field("pooled_instances", &self.pooled_instances())
-            .finish()
-    }
-}
-
-impl<O, F> Objective for ThreadLocalObjective<O, F>
-where
-    O: ObjectiveMut + Send,
-    F: Fn() -> O + Sync,
-{
-    fn evaluate(&self, genes: &[f64]) -> f64 {
-        let mut instance = {
-            // Narrow scope: the pool lock is never held while simulating.
-            self.pool.lock().expect("objective pool poisoned").pop()
-        }
-        .unwrap_or_else(&self.factory);
-        let fitness = instance.evaluate_mut(genes);
-        self.pool
-            .lock()
-            .expect("objective pool poisoned")
-            .push(instance);
-        fitness
     }
 }
 
@@ -331,40 +237,6 @@ mod tests {
         let results = evaluator.evaluate(&objective, &candidates);
         assert_eq!(results.len(), 17);
         assert_eq!(objective.0.load(AtomicOrdering::Relaxed), 17);
-    }
-
-    #[test]
-    fn thread_local_pool_reuses_instances() {
-        static BUILT: AtomicUsize = AtomicUsize::new(0);
-        struct Scratch {
-            buffer: Vec<f64>,
-        }
-        impl ObjectiveMut for Scratch {
-            fn evaluate_mut(&mut self, genes: &[f64]) -> f64 {
-                self.buffer.clear();
-                self.buffer.extend_from_slice(genes);
-                sphere(&self.buffer)
-            }
-        }
-        let pooled = ThreadLocalObjective::new(|| {
-            BUILT.fetch_add(1, AtomicOrdering::Relaxed);
-            Scratch { buffer: Vec::new() }
-        });
-        let candidates = batch(40);
-        let serial = ParallelEvaluator::serial().evaluate(&sphere, &candidates);
-        // Several generations through the same pool.
-        let evaluator = ParallelEvaluator::new(Parallelism::Threads(3));
-        for _ in 0..4 {
-            let results = evaluator.evaluate(&pooled, &candidates);
-            assert_eq!(results, serial);
-        }
-        let built = BUILT.load(AtomicOrdering::Relaxed);
-        assert!(
-            (1..=3).contains(&built),
-            "at most one instance per worker, got {built}"
-        );
-        assert_eq!(pooled.pooled_instances(), built);
-        assert!(format!("{pooled:?}").contains("pooled_instances"));
     }
 
     #[test]

@@ -56,8 +56,7 @@
 //! assert_eq!(result.history, two.history);
 //! ```
 //!
-//! The evaluator can also score a batch directly — useful for design-space
-//! sweeps outside any optimiser:
+//! The evaluator can also score a batch directly, outside any optimiser:
 //!
 //! ```
 //! use harvester_optim::{ParallelEvaluator, Parallelism};
@@ -76,10 +75,7 @@
 pub mod evaluate;
 pub mod ga;
 
-pub use evaluate::{
-    best_index, is_better, nan_last_desc, ObjectiveMut, ParallelEvaluator, Parallelism,
-    ThreadLocalObjective,
-};
+pub use evaluate::{best_index, is_better, nan_last_desc, ParallelEvaluator, Parallelism};
 pub use ga::{GaOptions, GeneticAlgorithm};
 
 /// A maximisation objective: higher return values are better designs.
@@ -235,10 +231,10 @@ pub trait Optimizer {
     /// calling thread.
     ///
     /// Parallelism is a deliberate opt-in via [`Optimizer::optimise_with`]
-    /// (or, at the experiment level, `FitnessBudget::parallelism`): a serial
-    /// default keeps cheap objectives, nested fan-outs (e.g. seed sweeps
-    /// that already occupy every core) and historical benchmark baselines
-    /// free of surprise worker threads — and since `Threads(n)` is
+    /// (or, at the experiment level, `OptimisationOptions::parallelism`): a
+    /// serial default keeps cheap objectives, nested fan-outs (e.g. seed
+    /// sweeps that already occupy every core) and historical benchmark
+    /// baselines free of surprise worker threads — and since `Threads(n)` is
     /// bit-identical to `Serial` anyway, opting in changes nothing but the
     /// wall-clock time.
     fn optimise(

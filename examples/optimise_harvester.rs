@@ -22,7 +22,7 @@ use energy_harvester::experiments::{
 use energy_harvester::models::envelope::{EnvelopeOptions, EnvelopeSimulator, SteadyState};
 use energy_harvester::models::HarvesterConfig;
 use energy_harvester::models::StepControl;
-use energy_harvester::optim::GaOptions;
+use energy_harvester::optim::{GaOptions, Parallelism};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let full = std::env::args().any(|a| a == "--full");
@@ -40,6 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             generations: 30,
             seed: 2008,
             fitness: FitnessBudget::default(),
+            parallelism: Parallelism::Auto,
         }
     } else {
         OptimisationOptions {
@@ -56,6 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 reference_voltage: 1.0,
                 ..FitnessBudget::default()
             },
+            parallelism: Parallelism::Auto,
         }
     };
 
@@ -66,10 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         options.generations,
         options.ga.crossover_rate,
         options.ga.mutation_rate,
-        options
-            .fitness
-            .parallelism
-            .worker_count(options.ga.population_size)
+        options.parallelism.worker_count(options.ga.population_size)
     );
     let outcome = run_optimisation(&base, &options);
     println!("{}", outcome.parameter_table());

@@ -18,7 +18,6 @@ fn documented_reexport_paths_resolve() {
     // The parallel batch-evaluation engine.
     let _parallelism = energy_harvester::optim::Parallelism::Threads(4);
     let _evaluator = energy_harvester::optim::ParallelEvaluator::serial();
-    let _sweep = energy_harvester::experiments::SweepOptions::coarse();
     let _workspace = energy_harvester::models::EnvelopeWorkspace::new();
     // The periodic steady-state (shooting) engine.
     let _steady_state = energy_harvester::models::SteadyState::shooting();
