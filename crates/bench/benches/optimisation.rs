@@ -23,9 +23,8 @@
 //! ratio degrades towards 1×).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use harvester_bench::bench_fitness;
 use harvester_core::system::HarvesterConfig;
-use harvester_experiments::{encode, paper_bounds, HarvesterObjective};
+use harvester_experiments::{encode, paper_bounds, FitnessBudget, HarvesterObjective};
 use harvester_optim::{
     Bounds, GaOptions, GeneticAlgorithm, Objective, Optimizer, ParallelEvaluator, Parallelism,
 };
@@ -39,7 +38,7 @@ fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::W
 }
 
 fn objective() -> HarvesterObjective {
-    HarvesterObjective::new(HarvesterConfig::unoptimised(), bench_fitness())
+    HarvesterObjective::new(HarvesterConfig::unoptimised(), FitnessBudget::coarse())
 }
 
 fn table2_ga_generation(c: &mut Criterion) {

@@ -14,7 +14,7 @@ use harvester_core::envelope::SteadyState;
 use harvester_core::params::StorageParams;
 use harvester_core::system::HarvesterConfig;
 use harvester_core::GeneratorModel;
-use harvester_experiments::FitnessBudget;
+use harvester_experiments::{encode, paper_bounds};
 use harvester_mna::transient::{SolverBackend, StepControl};
 
 /// A reduced-size storage element so bench iterations stay in the
@@ -57,11 +57,6 @@ pub fn bench_envelope() -> EnvelopeOptions {
     }
 }
 
-/// Fitness budget shared by the optimisation benches.
-pub fn bench_fitness() -> FitnessBudget {
-    FitnessBudget::coarse()
-}
-
 /// The shooting-PSS acceptance fixture: the envelope configuration shared —
 /// as one definition, so they can never drift apart — by the `pss` bench
 /// (whose output is snapshotted under `bench/baselines/`), the release-mode
@@ -83,6 +78,38 @@ pub fn pss_acceptance_envelope(steady_state: SteadyState) -> EnvelopeOptions {
     }
 }
 
+/// The chromosomes of the dense-vs-sparse fitness cross-check, as one
+/// definition shared by `crates/experiments/tests/fitness_backends.rs` and
+/// the `fitness_*` rows of the `pss` bench: the Table 1 design, 24 uniform
+/// draws from [`paper_bounds`] (seed 7), and two blend-crossover
+/// children of those draws whose fitness evaluations fall back to
+/// settling under `FitnessBudget::default()` — the first at its 0 V seed
+/// point only, the second at both grid points, so that its fitness itself
+/// is a settled cycle average.
+pub fn fitness_cross_check_designs() -> Vec<Vec<f64>> {
+    let mut designs = vec![encode(&HarvesterConfig::unoptimised())];
+    designs.extend(paper_bounds().draws(24, 7));
+    designs.push(vec![
+        0.001059009066180732,
+        1959.731518716053,
+        2600.0,
+        327.9441223549877,
+        1873.4482057536748,
+        572.7805687530831,
+        6119.877330229181,
+    ]);
+    designs.push(vec![
+        0.000987188406365962,
+        2867.8422856831794,
+        1432.1790807346615,
+        536.008565431436,
+        1555.6872113056288,
+        958.1218762593855,
+        7000.0,
+    ]);
+    designs
+}
+
 pub mod report;
 
 pub use report::{write_bench_json, BenchRecord};
@@ -97,6 +124,5 @@ mod tests {
         assert!(bench_fig5_config().generator.is_valid());
         assert!(bench_fig10_config().generator.is_valid());
         assert!(bench_envelope().voltage_points >= 2);
-        assert!(bench_fitness().reference_voltage > 0.0);
     }
 }

@@ -63,8 +63,13 @@
 //! picks the storage:
 //!
 //! * [`SolverBackend::Dense`] — dense LU with partial pivoting, factored
-//!   afresh every time. Fastest for the small systems (tens of unknowns) a
-//!   single harvester produces.
+//!   afresh every time. About as fast as sparse on a small `.tran` run
+//!   (`bench/baselines/BENCH_solver.json` times the 6-stage Villard
+//!   harvester), but not the faster backend of the GA fitness, although
+//!   that circuit has only 14 unknowns: its shooting periods back-substitute
+//!   through every banked factorisation once per GMRES matvec, and there
+//!   the sparse refactorisation and solve win (`fitness_ratio` in
+//!   `bench/baselines/BENCH_pss.json`).
 //! * [`SolverBackend::Sparse`] — CSR storage over the fixed MNA sparsity
 //!   pattern. The first factorisation computes the symbolic analysis (pivot
 //!   order, fill pattern, scatter map, elimination program) **once per
@@ -115,8 +120,10 @@ pub enum IntegrationMethod {
 /// sparse backend exploits this by computing the symbolic factorisation
 /// (pivot order + fill pattern + elimination program) once per circuit and
 /// then refactoring numerically in `O(nnz)` per iteration, while the dense
-/// backend redoes an `O(n³)` factorisation each time — unbeatable for small
-/// `n`, hopeless for large `n`.
+/// backend redoes an `O(n³)` factorisation each time — hopeless for large
+/// `n`, and faster only for small transient runs: shooting, which replays
+/// every banked factorisation once per GMRES matvec, already favours sparse
+/// on the 14-unknown GA fitness (see the [module docs](self)).
 ///
 /// # Example
 ///

@@ -78,6 +78,9 @@ pub mod ga;
 pub use evaluate::{best_index, is_better, nan_last_desc, ParallelEvaluator, Parallelism};
 pub use ga::{GaOptions, GeneticAlgorithm};
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 /// A maximisation objective: higher return values are better designs.
 ///
 /// Implementations are expected to be deterministic for a given gene vector;
@@ -182,6 +185,14 @@ impl Bounds {
             .collect()
     }
 
+    /// `count` uniform draws in a row from a `StdRng` seeded with `seed`, as
+    /// repeated [`Bounds::sample`] calls on it give: a fixed set of designs
+    /// that tests and benches can share without depending on `rand`.
+    pub fn draws(&self, count: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count).map(|_| self.sample(&mut rng)).collect()
+    }
+
     /// Width of each gene's interval (zero for frozen genes).
     pub fn widths(&self) -> Vec<f64> {
         self.lower
@@ -257,8 +268,6 @@ pub trait Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn bounds_accessors_and_clamping() {
@@ -281,6 +290,9 @@ mod tests {
             assert_eq!(s.len(), 4);
             assert!(s.iter().all(|&g| (-1.0..3.0).contains(&g)));
         }
+        let mut rng = StdRng::seed_from_u64(7);
+        let sampled: Vec<Vec<f64>> = (0..3).map(|_| b.sample(&mut rng)).collect();
+        assert_eq!(b.draws(3, 7), sampled);
     }
 
     #[test]

@@ -16,8 +16,6 @@ use energy_harvester::models::{
 };
 use energy_harvester::optim::{GaOptions, GeneticAlgorithm, Objective, Optimizer};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The complete chain charges the storage regardless of which booster is used.
 #[test]
@@ -179,9 +177,10 @@ fn ga_is_competitive_with_random_search_on_a_surrogate() {
     });
     let ga_result = ga.optimise(&surrogate, &bounds, 20, 3);
     // The uniform baseline: one start point plus 20 batches of 30 draws.
-    let mut rng = StdRng::seed_from_u64(3);
-    let random_best = (0..1 + 20 * 30)
-        .map(|_| surrogate(&bounds.sample(&mut rng)))
+    let random_best = bounds
+        .draws(1 + 20 * 30, 3)
+        .iter()
+        .map(|genes| surrogate(genes))
         .fold(f64::NEG_INFINITY, f64::max);
     assert!(ga_result.best_fitness >= random_best - 0.05);
 }

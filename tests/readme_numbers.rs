@@ -1,5 +1,5 @@
 //! The README's solver-backend speed figures must be the ones the committed
-//! bench baseline records, not hand-typed numbers that drift from it.
+//! bench baselines record, not hand-typed numbers that drift from them.
 
 use harvester_bench::report::parse_bench_json;
 
@@ -38,4 +38,19 @@ fn readme_sparse_speedups_match_the_solver_baseline() {
             "README.md should quote \"{phrase}\" from bench/baselines/BENCH_solver.json"
         );
     }
+}
+
+#[test]
+fn readme_fitness_speedup_matches_the_pss_baseline() {
+    let baseline = parse_bench_json(include_str!("../bench/baselines/BENCH_pss.json"))
+        .expect("the committed PSS baseline parses");
+    let speedup = baseline
+        .record("fitness_ratio")
+        .and_then(|r| r.get("sparse_speedup"))
+        .expect("BENCH_pss.json has fitness_ratio.sparse_speedup");
+    let phrase = format!("record sparse at {speedup:.2}× as fast as dense (`fitness_ratio`");
+    assert!(
+        readme().contains(&phrase),
+        "README.md should quote \"{phrase}\" from bench/baselines/BENCH_pss.json"
+    );
 }
