@@ -8,106 +8,73 @@
 //! * `kernel/*` — micro-benchmarks of the simulation substrate (LU solve,
 //!   one transient step of the full harvester netlist).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use harvester_core::system::HarvesterConfig;
-use harvester_core::{BoosterConfig, GeneratorModel, VillardParams};
-use harvester_mna::transient::{IntegrationMethod, TransientAnalysis, TransientOptions};
+use harvester_bench::{report, transformer_harvester, villard_harvester};
+use harvester_core::{BoosterConfig, VillardParams};
+use harvester_mna::transient::{
+    IntegrationMethod, TransientAnalysis, TransientOptions, TransientResult,
+};
 use harvester_numerics::linalg::Matrix;
-use std::hint::black_box;
-use std::time::Duration;
 
-fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(5));
-}
-
-fn small_harvester() -> HarvesterConfig {
-    let mut config = HarvesterConfig::unoptimised();
-    config.storage.capacitance = 100e-6;
-    config
-}
-
-fn integrator_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("integrator");
-    configure(&mut group);
-    let (circuit, nodes) = small_harvester().build();
-    for (label, method) in [
-        ("backward_euler", IntegrationMethod::BackwardEuler),
-        ("trapezoidal", IntegrationMethod::Trapezoidal),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let result = TransientAnalysis::new(TransientOptions {
-                    t_stop: 0.2,
-                    dt: 1e-4,
-                    method,
-                    record_interval: Some(5e-3),
-                    ..TransientOptions::default()
-                })
-                .run(&circuit)
-                .expect("harvester netlist must simulate");
-                black_box(result.final_voltage(nodes.storage))
-            })
-        });
+/// A 0.2 s harvester transient at time step `dt`, recorded every 5 ms.
+fn options(dt: f64) -> TransientOptions {
+    TransientOptions {
+        t_stop: 0.2,
+        dt,
+        record_interval: Some(5e-3),
+        ..TransientOptions::default()
     }
-    group.finish();
 }
 
-fn timestep_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("timestep");
-    configure(&mut group);
-    let (circuit, nodes) = small_harvester().build();
-    for dt in [2e-4, 1e-4, 5e-5] {
-        group.bench_function(format!("dt_{dt:.0e}"), |b| {
-            b.iter(|| {
-                let result = TransientAnalysis::new(TransientOptions {
-                    t_stop: 0.2,
-                    dt,
-                    record_interval: Some(5e-3),
-                    ..TransientOptions::default()
-                })
-                .run(&circuit)
-                .expect("harvester netlist must simulate");
-                black_box(result.final_voltage(nodes.storage))
+fn main() {
+    let (circuit, _) = transformer_harvester().build();
+    let methods = [
+        IntegrationMethod::BackwardEuler,
+        IntegrationMethod::Trapezoidal,
+    ];
+    report::time(
+        ["integrator/backward_euler", "integrator/trapezoidal"],
+        TransientResult::statistics,
+        |k| {
+            TransientAnalysis::new(TransientOptions {
+                method: methods[k],
+                ..options(1e-4)
             })
-        });
-    }
-    group.finish();
-}
+            .run(&circuit)
+            .expect("harvester netlist must simulate")
+        },
+    );
 
-fn villard_stage_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("villard_stages");
-    configure(&mut group);
-    for stages in [2usize, 4, 6] {
-        let mut config = HarvesterConfig::model_comparison(GeneratorModel::Analytical);
-        config.storage.capacitance = 100e-6;
+    let dts = [2e-4, 1e-4, 5e-5];
+    report::time(
+        dts.map(|dt| format!("timestep/dt_{dt:.0e}")),
+        TransientResult::statistics,
+        |k| {
+            TransientAnalysis::new(options(dts[k]))
+                .run(&circuit)
+                .expect("harvester netlist must simulate")
+        },
+    );
+
+    let stages = [2usize, 4, 6];
+    let villards = stages.map(|stages| {
+        let mut config = villard_harvester();
         config.booster = BoosterConfig::Villard(VillardParams {
             stages,
             stage_capacitance: 10e-6,
             ..VillardParams::paper_six_stage()
         });
-        let (circuit, nodes) = config.build();
-        group.bench_function(format!("stages_{stages}"), |b| {
-            b.iter(|| {
-                let result = TransientAnalysis::new(TransientOptions {
-                    t_stop: 0.2,
-                    dt: 1e-4,
-                    record_interval: Some(5e-3),
-                    ..TransientOptions::default()
-                })
-                .run(&circuit)
-                .expect("villard netlist must simulate");
-                black_box(result.final_voltage(nodes.storage))
-            })
-        });
-    }
-    group.finish();
-}
+        config.build().0
+    });
+    report::time(
+        stages.map(|n| format!("villard_stages/stages_{n}")),
+        TransientResult::statistics,
+        |k| {
+            TransientAnalysis::new(options(1e-4))
+                .run(&villards[k])
+                .expect("villard netlist must simulate")
+        },
+    );
 
-fn kernel_microbench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel");
-    configure(&mut group);
     // Dense LU solve at the size of the full harvester system matrix.
     let n = 24;
     let mut a = Matrix::identity(n);
@@ -117,32 +84,24 @@ fn kernel_microbench(c: &mut Criterion) {
         }
     }
     let b = vec![1.0; n];
-    group.bench_function("lu_solve_24x24", |bch| {
-        bch.iter(|| black_box(a.solve(&b).expect("well-conditioned matrix")))
-    });
+    report::time(
+        ["kernel/lu_solve_24x24"],
+        |_| (),
+        |_| a.solve(&b).expect("well-conditioned matrix"),
+    );
     // One thousand transient steps of the full transformer-booster harvester.
-    let (circuit, nodes) = small_harvester().build();
-    group.bench_function("transient_1000_steps", |bch| {
-        bch.iter(|| {
-            let result = TransientAnalysis::new(TransientOptions {
+    report::time(
+        ["kernel/transient_1000_steps"],
+        TransientResult::statistics,
+        |_| {
+            TransientAnalysis::new(TransientOptions {
                 t_stop: 0.05,
                 dt: 5e-5,
                 record_interval: Some(5e-3),
                 ..TransientOptions::default()
             })
             .run(&circuit)
-            .expect("harvester netlist must simulate");
-            black_box(result.final_voltage(nodes.storage))
-        })
-    });
-    group.finish();
+            .expect("harvester netlist must simulate")
+        },
+    );
 }
-
-criterion_group!(
-    ablations,
-    integrator_ablation,
-    timestep_ablation,
-    villard_stage_ablation,
-    kernel_microbench
-);
-criterion_main!(ablations);

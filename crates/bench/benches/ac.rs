@@ -9,13 +9,12 @@
 //! 1 Hz..100 kHz) — regressions here mean the homotopy cascade or the
 //! linearised solve path got more expensive.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use harvester_bench::report::{self, BenchRecord};
 use harvester_mna::analysis::{
-    Analysis, AnalysisEngine, AnalysisPlan, OpOptions, OperatingPointAnalysis,
+    Analysis, AnalysisEngine, AnalysisPlan, AnalysisResults, OpOptions, OpResult,
+    OperatingPointAnalysis,
 };
 use harvester_mna::netlist;
-use std::time::Instant;
 
 fn fixture(name: &str) -> String {
     let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -26,35 +25,42 @@ fn fixture(name: &str) -> String {
 
 /// Deterministic op + AC work counters on the shipped fixtures, emitted as
 /// `BENCH_ac.json`.
-fn ac_work(_c: &mut Criterion) {
-    println!("\ngroup: ac-work (machine readable -> BENCH_ac.json)");
+fn main() {
+    println!("ac (machine readable -> BENCH_ac.json)");
     let mut records: Vec<BenchRecord> = Vec::new();
 
     // DC operating point on each booster frozen at its drive amplitude: the
     // diode chains conduct, so the homotopy cascade does real work.
-    for (name, from, to) in [
-        ("villard", "SIN(0 1 50)", "1"),
-        ("transformer_booster", "SIN(0 1 50)", "1"),
-    ] {
-        let circuit = netlist::build(&fixture(&format!("{name}.cir")).replace(from, to))
-            .expect("frozen fixture must build");
-        // A single solve is microseconds — far below the gate's wall-clock
-        // slack — so time a batch; the work counters still describe one run.
-        const OP_REPS: u32 = 2000;
-        let analysis = OperatingPointAnalysis::new(OpOptions::default());
-        let start = Instant::now();
-        let mut op = analysis
-            .run(&circuit)
-            .expect("frozen fixture must have an operating point");
-        for _ in 1..OP_REPS {
-            op = analysis
-                .run(&circuit)
-                .expect("frozen fixture must have an operating point");
-        }
-        let wall = start.elapsed().as_secs_f64();
+    let names = ["villard", "transformer_booster"];
+    let circuits = names.map(|name| {
+        netlist::build(&fixture(&format!("{name}.cir")).replace("SIN(0 1 50)", "1"))
+            .expect("frozen fixture must build")
+    });
+    // A single solve is microseconds — far below the gate's wall-clock
+    // slack — so each sample is a batch; the work counters still describe
+    // one run.
+    const OP_REPS: u32 = 2000;
+    let analysis = OperatingPointAnalysis::new(OpOptions::default());
+    let runs = report::time(
+        names.map(|name| format!("{name}_op")),
+        OpResult::statistics,
+        |k| {
+            let run = || {
+                analysis
+                    .run(&circuits[k])
+                    .expect("frozen fixture must have an operating point")
+            };
+            let mut op = run();
+            for _ in 1..OP_REPS {
+                op = run();
+            }
+            op
+        },
+    );
+    for (name, (op, wall)) in names.iter().zip(&runs) {
         let stats = op.statistics();
         println!(
-            "  ac-work/{name}_op: {wall:.4}s / {OP_REPS} solves, {} newton iterations, \
+            "  {name}_op: {OP_REPS} solves per sample, {} newton iterations, \
              {} factorisations, {:?}",
             stats.newton_iterations,
             stats.full_factorizations,
@@ -63,7 +69,7 @@ fn ac_work(_c: &mut Criterion) {
         records.push(report::statistics_record(
             format!("{name}_op"),
             &stats,
-            wall,
+            *wall,
         ));
     }
 
@@ -78,20 +84,26 @@ fn ac_work(_c: &mut Criterion) {
         .collect();
     let ac_plan = AnalysisPlan::from_cards(ac_cards).expect("fixture cards are valid");
     const SWEEP_REPS: u32 = 200;
-    let start = Instant::now();
-    let mut results = AnalysisEngine::new()
-        .run(&circuit, &ac_plan)
-        .expect("transformer AC card must run");
-    for _ in 1..SWEEP_REPS {
-        results = AnalysisEngine::new()
-            .run(&circuit, &ac_plan)
-            .expect("transformer AC card must run");
-    }
-    let wall = start.elapsed().as_secs_f64();
+    let [(results, wall)] = report::time(
+        ["transformer_ac_sweep"],
+        AnalysisResults::statistics,
+        |_| {
+            let run = || {
+                AnalysisEngine::new()
+                    .run(&circuit, &ac_plan)
+                    .expect("transformer AC card must run")
+            };
+            let mut results = run();
+            for _ in 1..SWEEP_REPS {
+                results = run();
+            }
+            results
+        },
+    );
     let ac = results.ac().expect("the plan is the fixture's .ac card");
     let stats = results.statistics();
     println!(
-        "  ac-work/transformer_ac_sweep: {wall:.4}s / {SWEEP_REPS} sweeps, {} points, \
+        "  transformer_ac_sweep: {SWEEP_REPS} sweeps per sample, {} points, \
          {} newton iterations (op), {} factorisations",
         ac.len(),
         stats.newton_iterations,
@@ -104,6 +116,3 @@ fn ac_work(_c: &mut Criterion) {
 
     report::emit("ac", &records);
 }
-
-criterion_group!(ac, ac_work);
-criterion_main!(ac);

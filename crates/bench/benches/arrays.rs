@@ -9,23 +9,23 @@
 //! One record per size, `array<n>_matrix_free`: wall time and the work
 //! counters of the fixture's steady-state analysis on the default path.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use harvester_bench::report::{self, BenchRecord};
+use harvester_bench::report;
 use harvester_experiments::arrays::coupled_array;
-use harvester_mna::shooting::SteadyStateAnalysis;
-use std::time::Instant;
+use harvester_mna::shooting::{SteadyStateAnalysis, SteadyStateResult};
 
 /// Deterministic coupled-array shooting work, emitted as `BENCH_arrays.json`.
-fn array_scaling(_c: &mut Criterion) {
-    println!("\ngroup: arrays (machine readable -> BENCH_arrays.json)");
-    let mut records: Vec<BenchRecord> = Vec::new();
-    for n in [4usize, 16, 64] {
-        let array = coupled_array(n);
-        let start = Instant::now();
-        let pss = SteadyStateAnalysis::new(array.steady_state_options())
-            .run(&array.circuit)
-            .expect("coupled array must simulate");
-        let wall = start.elapsed().as_secs_f64();
+fn main() {
+    println!("arrays (machine readable -> BENCH_arrays.json)");
+    let sizes = [4usize, 16, 64];
+    let arrays = sizes.map(coupled_array);
+    let names = sizes.map(|n| format!("array{n}_matrix_free"));
+    let runs = report::time(names.each_ref(), SteadyStateResult::statistics, |k| {
+        SteadyStateAnalysis::new(arrays[k].steady_state_options())
+            .run(&arrays[k].circuit)
+            .expect("coupled array must simulate")
+    });
+    let mut records = Vec::new();
+    for (name, (pss, wall)) in names.iter().zip(&runs) {
         assert!(
             pss.converged,
             "array fixture must close its orbit, error {}",
@@ -33,18 +33,10 @@ fn array_scaling(_c: &mut Criterion) {
         );
         let stats = pss.statistics();
         println!(
-            "  arrays/array{n}_matrix_free: {wall:.3}s, {} shooting iterations, \
-             {} linear solves, {} newton iterations",
+            "  {name}: {} shooting iterations, {} linear solves, {} newton iterations",
             stats.shooting_iterations, stats.linear_solves, stats.newton_iterations
         );
-        records.push(report::statistics_record(
-            format!("array{n}_matrix_free"),
-            &stats,
-            wall,
-        ));
+        records.push(report::statistics_record(name.as_str(), &stats, *wall));
     }
     report::emit("arrays", &records);
 }
-
-criterion_group!(arrays, array_scaling);
-criterion_main!(arrays);

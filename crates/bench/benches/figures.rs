@@ -1,88 +1,65 @@
 //! Benchmarks regenerating the paper's figures at bench scale.
 //!
-//! * `fig5/*` — the Fig. 5 model-comparison charging curves, one benchmark
-//!   per generator model plus the experimental reference.
-//! * `fig7/*` — the Fig. 7 generator-output waveform for the linear and
-//!   analytical models.
-//! * `fig10/*` — the Fig. 10 un-optimised vs optimised charging curves.
+//! * `fig5_model_comparison/*` — the Fig. 5 model-comparison charging
+//!   curves, one benchmark per generator model plus the experimental
+//!   reference.
+//! * `fig7_nonlinear_output/*` — the Fig. 7 generator-output waveform for
+//!   the linear and analytical models.
+//! * `fig10_charging/*` — the Fig. 10 un-optimised vs optimised charging
+//!   curves.
 //!
 //! Each iteration produces the same series the paper plots (at a reduced
 //! horizon/storage size so iterations stay around a second); the absolute
 //! throughput numbers double as a regression guard on the simulation kernel.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use harvester_bench::{bench_envelope, bench_fig10_config, bench_fig5_config};
+use harvester_bench::{bench_envelope, bench_fig10_config, bench_fig5_config, report};
 use harvester_core::envelope::EnvelopeSimulator;
 use harvester_core::reference::ExperimentalReference;
 use harvester_core::system::HarvesterConfig;
 use harvester_core::{BoosterConfig, GeneratorModel, TransformerBoosterParams};
 use harvester_experiments::{run_fig7, Fig7Options};
-use std::hint::black_box;
-use std::time::Duration;
 
-fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(5));
-}
-
-fn fig5_model_comparison(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig5_model_comparison");
-    configure(&mut group);
+fn main() {
     let base = bench_fig5_config();
     let envelope = bench_envelope();
-    for model in [
+    let models = [
         GeneratorModel::IdealSource,
         GeneratorModel::EquivalentCircuit,
         GeneratorModel::Analytical,
-    ] {
-        let config = base.clone().with_model(model);
-        group.bench_function(format!("{model:?}"), |b| {
-            b.iter(|| {
-                let curve = EnvelopeSimulator::new(config.clone(), envelope)
-                    .charge_curve()
-                    .expect("bench configuration must simulate");
-                black_box(curve.final_voltage())
-            })
-        });
-    }
-    group.bench_function("experimental-reference", |b| {
-        b.iter(|| {
-            let curve = ExperimentalReference::new(base.clone())
+    ];
+    let configs = models.map(|model| base.clone().with_model(model));
+    report::time(
+        models.map(|model| format!("fig5_model_comparison/{model:?}")),
+        |_| (),
+        |k| {
+            EnvelopeSimulator::new(configs[k].clone(), envelope)
+                .charge_curve()
+                .expect("bench configuration must simulate")
+        },
+    );
+    report::time(
+        ["fig5_model_comparison/experimental-reference"],
+        |_| (),
+        |_| {
+            ExperimentalReference::new(base.clone())
                 .charging_curve(envelope)
-                .expect("reference must simulate");
-            black_box(curve.final_voltage())
-        })
-    });
-    group.finish();
-}
+                .expect("reference must simulate")
+        },
+    );
 
-fn fig7_nonlinear_output(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig7_nonlinear_output");
-    configure(&mut group);
-    let base = HarvesterConfig::unoptimised();
-    let options = Fig7Options {
+    let fig7_base = HarvesterConfig::unoptimised();
+    let fig7 = Fig7Options {
         analysis_periods: 8,
         settle_periods: 30,
         dt: 1e-4,
         backend: Default::default(),
     };
-    group.bench_function("waveform_and_thd", |b| {
-        b.iter(|| {
-            let result = run_fig7(&base, &options).expect("fig7 must simulate");
-            black_box((
-                result.thd("equivalent-circuit"),
-                result.thd("analytical"),
-                result.thd("experimental"),
-            ))
-        })
-    });
-    group.finish();
-}
+    report::time(
+        ["fig7_nonlinear_output/waveform_and_thd"],
+        |_| (),
+        |_| run_fig7(&fig7_base, &fig7).expect("fig7 must simulate"),
+    );
 
-fn fig10_optimised_vs_unoptimised(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig10_charging");
-    configure(&mut group);
     let unoptimised = bench_fig10_config();
     // A lower-loss design standing in for the GA output (the GA itself is
     // benchmarked in `optimisation.rs`).
@@ -93,24 +70,14 @@ fn fig10_optimised_vs_unoptimised(c: &mut Criterion) {
         ..TransformerBoosterParams::unoptimised()
     });
     optimised.generator.coil_resistance = 1100.0;
-    let envelope = bench_envelope();
-    for (label, config) in [("unoptimised", &unoptimised), ("optimised", &optimised)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let curve = EnvelopeSimulator::new(config.clone(), envelope)
-                    .charge_curve()
-                    .expect("bench configuration must simulate");
-                black_box(curve.final_voltage())
-            })
-        });
-    }
-    group.finish();
+    let configs = [unoptimised, optimised];
+    report::time(
+        ["fig10_charging/unoptimised", "fig10_charging/optimised"],
+        |_| (),
+        |k| {
+            EnvelopeSimulator::new(configs[k].clone(), envelope)
+                .charge_curve()
+                .expect("bench configuration must simulate")
+        },
+    );
 }
-
-criterion_group!(
-    figures,
-    fig5_model_comparison,
-    fig7_nonlinear_output,
-    fig10_optimised_vs_unoptimised
-);
-criterion_main!(figures);

@@ -18,45 +18,17 @@
 //! wall-clock scaling is near-linear in the worker count up to the machine's
 //! core count; `Threads(n)` results are bit-identical to `Serial` (asserted
 //! by the determinism test suites), so the speedup is free of any accuracy
-//! trade. An explicit serial-vs-4-workers speedup summary is printed at the
-//! end (≥ 2× at 4 workers on a ≥ 4-core machine; on fewer cores the measured
-//! ratio degrades towards 1×).
+//! trade. An explicit serial-vs-4-workers speedup summary of the harvester
+//! generation is printed after its rows (≥ 2× at 4 workers on a ≥ 4-core
+//! machine; on fewer cores the measured ratio degrades towards 1×).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use harvester_bench::report;
 use harvester_core::system::HarvesterConfig;
 use harvester_experiments::{encode, paper_bounds, FitnessBudget, HarvesterObjective};
 use harvester_optim::{
-    Bounds, GaOptions, GeneticAlgorithm, Objective, Optimizer, ParallelEvaluator, Parallelism,
+    Bounds, GaOptions, GeneticAlgorithm, Objective, OptimisationResult, Optimizer,
+    ParallelEvaluator, Parallelism,
 };
-use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(5));
-}
-
-fn objective() -> HarvesterObjective {
-    HarvesterObjective::new(HarvesterConfig::unoptimised(), FitnessBudget::coarse())
-}
-
-fn table2_ga_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table2_ga");
-    configure(&mut group);
-    let objective = objective();
-    let bounds = paper_bounds();
-    for population in [8usize, 16] {
-        group.bench_function(format!("one_generation_pop{population}"), |b| {
-            let ga = GeneticAlgorithm::new(GaOptions {
-                population_size: population,
-                ..GaOptions::paper()
-            });
-            b.iter(|| black_box(ga.optimise(&objective, &bounds, 1, 7).best_fitness))
-        });
-    }
-    group.finish();
-}
 
 /// A sphere objective with an artificial per-candidate compute load (~tens
 /// of microseconds), standing in for an expensive simulation while staying
@@ -77,67 +49,73 @@ impl Objective for HeavySphere {
     }
 }
 
-/// The paper's GA at its population of 100.
-fn paper_ga() -> GeneticAlgorithm {
-    GeneticAlgorithm::new(GaOptions::paper())
+/// The evaluator variants every sharded workload is timed on.
+const PARALLELISM: [(&str, Parallelism); 3] = [
+    ("serial", Parallelism::Serial),
+    ("threads2", Parallelism::Threads(2)),
+    ("threads4", Parallelism::Threads(4)),
+];
+
+/// `<prefix>_<variant>` for each [`PARALLELISM`] variant.
+fn variant_names(prefix: &str) -> [String; 3] {
+    PARALLELISM.map(|(label, _)| format!("{prefix}_{label}"))
 }
 
-fn parallelism_variants() -> [(&'static str, Parallelism); 3] {
-    [
-        ("serial", Parallelism::Serial),
-        ("threads2", Parallelism::Threads(2)),
-        ("threads4", Parallelism::Threads(4)),
-    ]
+fn evaluations(result: &OptimisationResult) -> usize {
+    result.evaluations
 }
 
-fn ga_generation_heavy_sphere(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ga_generation_heavy_sphere");
-    configure(&mut group);
-    let objective = HeavySphere {
+fn main() {
+    let objective =
+        HarvesterObjective::new(HarvesterConfig::unoptimised(), FitnessBudget::coarse());
+    let bounds = paper_bounds();
+
+    let populations = [8usize, 16];
+    let gas = populations.map(|population_size| {
+        GeneticAlgorithm::new(GaOptions {
+            population_size,
+            ..GaOptions::paper()
+        })
+    });
+    report::time(
+        populations.map(|population| format!("table2_ga/one_generation_pop{population}")),
+        evaluations,
+        |k| gas[k].optimise(&objective, &bounds, 1, 7),
+    );
+
+    // The paper's GA at its population of 100, one generation per sample.
+    let ga = GeneticAlgorithm::new(GaOptions::paper());
+    let evaluators = PARALLELISM.map(|(_, parallelism)| ParallelEvaluator::new(parallelism));
+    let sphere = HeavySphere {
         inner_iterations: 2000,
     };
-    let bounds = Bounds::uniform(7, -5.0, 5.0);
-    let ga = paper_ga();
-    for (label, parallelism) in parallelism_variants() {
-        let evaluator = ParallelEvaluator::new(parallelism);
-        group.bench_function(format!("pop100_{label}"), |b| {
-            b.iter(|| {
-                black_box(
-                    ga.optimise_with(&evaluator, &objective, &bounds, 1, 7)
-                        .best_fitness,
-                )
-            })
-        });
-    }
-    group.finish();
-}
+    let sphere_bounds = Bounds::uniform(7, -5.0, 5.0);
+    report::time(
+        variant_names("ga_generation_heavy_sphere/pop100"),
+        evaluations,
+        |k| ga.optimise_with(&evaluators[k], &sphere, &sphere_bounds, 1, 7),
+    );
 
-fn ga_generation_harvester(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ga_generation_harvester");
-    configure(&mut group);
-    let objective = objective();
-    let bounds = paper_bounds();
-    let ga = paper_ga();
-    for (label, parallelism) in parallelism_variants() {
-        let evaluator = ParallelEvaluator::new(parallelism);
-        group.bench_function(format!("pop100_{label}"), |b| {
-            b.iter(|| {
-                black_box(
-                    ga.optimise_with(&evaluator, &objective, &bounds, 1, 7)
-                        .best_fitness,
-                )
-            })
-        });
-    }
-    group.finish();
-}
+    let [(serial, serial_s), _, (four, four_s)] = report::time(
+        variant_names("ga_generation_harvester/pop100"),
+        evaluations,
+        |k| ga.optimise_with(&evaluators[k], &objective, &bounds, 1, 7),
+    );
+    assert_eq!(
+        serial.best_fitness.to_bits(),
+        four.best_fitness.to_bits(),
+        "parallel GA must be bit-identical to serial"
+    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "speedup_summary: GA pop 100 harvester generation — serial {serial_s:.2} s, \
+         threads(4) {four_s:.2} s, speedup {:.2}x on {cores} core(s) \
+         (bit-identical results)",
+        serial_s / four_s
+    );
 
-/// The raw evaluator fan-out without any optimiser around it: one
-/// population-sized batch of harvester simulations.
-fn batch_evaluation_harvester(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_evaluation_harvester");
-    configure(&mut group);
-    let objective = objective();
+    // The raw evaluator fan-out without any optimiser around it: one
+    // population-sized batch of harvester simulations.
     let template = encode(&HarvesterConfig::unoptimised());
     let batch: Vec<Vec<f64>> = (0..32)
         .map(|k| {
@@ -146,51 +124,9 @@ fn batch_evaluation_harvester(c: &mut Criterion) {
             genes
         })
         .collect();
-    for (label, parallelism) in parallelism_variants() {
-        let evaluator = ParallelEvaluator::new(parallelism);
-        group.bench_function(format!("batch32_{label}"), |b| {
-            b.iter(|| black_box(evaluator.evaluate(&objective, &batch).len()))
-        });
-    }
-    group.finish();
-}
-
-/// Prints the explicit serial-vs-parallel speedup of one GA generation
-/// (population 100) on the harvester fixture.
-fn speedup_summary(_c: &mut Criterion) {
-    let objective = objective();
-    let bounds = paper_bounds();
-    let ga = paper_ga();
-    let time = |parallelism: Parallelism| -> (f64, f64) {
-        let evaluator = ParallelEvaluator::new(parallelism);
-        // One untimed warm-up generation, so the timed one starts warm.
-        let _ = ga.optimise_with(&evaluator, &objective, &bounds, 1, 7);
-        let start = Instant::now();
-        let result = ga.optimise_with(&evaluator, &objective, &bounds, 1, 7);
-        (start.elapsed().as_secs_f64(), result.best_fitness)
-    };
-    let (serial_s, serial_fitness) = time(Parallelism::Serial);
-    let (four_s, four_fitness) = time(Parallelism::Threads(4));
-    assert_eq!(
-        serial_fitness.to_bits(),
-        four_fitness.to_bits(),
-        "parallel GA must be bit-identical to serial"
-    );
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "\nspeedup_summary: GA pop 100 harvester generation — serial {serial_s:.2} s, \
-         threads(4) {four_s:.2} s, speedup {:.2}x on {cores} core(s) \
-         (bit-identical results)",
-        serial_s / four_s
+    report::time(
+        variant_names("batch_evaluation_harvester/batch32"),
+        Vec::len,
+        |k| evaluators[k].evaluate(&objective, &batch),
     );
 }
-
-criterion_group!(
-    optimisation,
-    table2_ga_generation,
-    ga_generation_heavy_sphere,
-    ga_generation_harvester,
-    batch_evaluation_harvester,
-    speedup_summary
-);
-criterion_main!(optimisation);

@@ -25,11 +25,10 @@
 //! `FitnessBudget::default()`, with every work counter of the summed
 //! measurements plus `factorizations` (all numeric factorisations, comparable
 //! across the backends), and `fitness_ratio` holds the sparse backend's speed
-//! relative to dense (`sparse_speedup`, from the fastest of three alternating
-//! rounds per backend) and the worst relative fitness difference between
-//! them.
+//! relative to dense (`sparse_speedup`, the ratio of the backends' fastest
+//! samples, taken in alternation) and the worst relative fitness difference
+//! between them.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use harvester_bench::fitness_cross_check_designs;
 use harvester_bench::pss_acceptance_envelope as envelope_options;
 use harvester_bench::report::{self, BenchRecord};
@@ -40,15 +39,6 @@ use harvester_core::system::HarvesterConfig;
 use harvester_core::GeneratorModel;
 use harvester_experiments::{decode, FitnessBudget};
 use harvester_mna::transient::{RunStatistics, SolverBackend, StepControl};
-use std::time::Instant;
-
-fn measure(config: &HarvesterConfig, options: EnvelopeOptions) -> (ChargingCharacteristic, f64) {
-    let start = Instant::now();
-    let characteristic = EnvelopeSimulator::new(config.clone(), options)
-        .measure_characteristic()
-        .expect("envelope fixture must simulate");
-    (characteristic, start.elapsed().as_secs_f64())
-}
 
 fn worst_deviation(a: &ChargingCharacteristic, b: &ChargingCharacteristic) -> f64 {
     a.points()
@@ -59,8 +49,8 @@ fn worst_deviation(a: &ChargingCharacteristic, b: &ChargingCharacteristic) -> f6
 
 /// Deterministic comparison on the harvester envelope fixtures, emitted as
 /// `BENCH_pss.json`.
-fn pss_work_comparison(_c: &mut Criterion) {
-    println!("\ngroup: pss-work (machine readable -> BENCH_pss.json)");
+fn main() {
+    println!("pss (machine readable -> BENCH_pss.json)");
     let mut records: Vec<BenchRecord> = Vec::new();
     for (fixture, config) in [
         (
@@ -69,37 +59,41 @@ fn pss_work_comparison(_c: &mut Criterion) {
         ),
         ("transformer_envelope", HarvesterConfig::unoptimised()),
     ] {
-        let (settled, settled_wall) = measure(&config, envelope_options(SteadyState::BruteForce));
         let reference_options = EnvelopeOptions {
             settle_cycles: 1200.0,
             step_control: StepControl::Fixed,
             ..envelope_options(SteadyState::BruteForce)
         };
-        let (reference, reference_wall) = measure(&config, reference_options);
-        let (shooting, shooting_wall) = measure(&config, envelope_options(SteadyState::default()));
+        let options = [
+            envelope_options(SteadyState::BruteForce),
+            reference_options,
+            envelope_options(SteadyState::default()),
+        ];
+        let names = ["settled", "reference", "shooting"].map(|label| format!("{fixture}_{label}"));
+        let [settled, reference, shooting] =
+            report::time(names.each_ref(), ChargingCharacteristic::statistics, |k| {
+                EnvelopeSimulator::new(config.clone(), options[k])
+                    .measure_characteristic()
+                    .expect("envelope fixture must simulate")
+            });
 
-        for (label, characteristic, wall) in [
-            ("settled", &settled, settled_wall),
-            ("reference", &reference, reference_wall),
-            ("shooting", &shooting, shooting_wall),
-        ] {
+        for (name, (characteristic, wall)) in names.iter().zip([&settled, &reference, &shooting]) {
             let stats = characteristic.statistics();
             println!(
-                "  pss-work/{fixture}_{label}: {wall:.3}s, {} cycles, {} shooting iterations, \
-                 {} newton iterations",
+                "  {name}: {} cycles, {} shooting iterations, {} newton iterations",
                 stats.integrated_cycles, stats.shooting_iterations, stats.newton_iterations
             );
             records.push(
-                report::statistics_record(format!("{fixture}_{label}"), &stats, wall)
+                report::statistics_record(name.as_str(), &stats, *wall)
                     .metric("i_at_0v_amperes", characteristic.current_at(0.0)),
             );
         }
 
-        let cycle_reduction = settled.statistics().integrated_cycles as f64
-            / shooting.statistics().integrated_cycles as f64;
-        let deviation = worst_deviation(&shooting, &reference);
+        let cycle_reduction = settled.0.statistics().integrated_cycles as f64
+            / shooting.0.statistics().integrated_cycles as f64;
+        let deviation = worst_deviation(&shooting.0, &reference.0);
         println!(
-            "  pss-work/{fixture}: shooting integrates {cycle_reduction:.1}x fewer cycles than \
+            "  {fixture}: shooting integrates {cycle_reduction:.1}x fewer cycles than \
              the production settling budget, worst deviation {deviation:.3e} A vs the 20x-settled \
              reference"
         );
@@ -107,7 +101,7 @@ fn pss_work_comparison(_c: &mut Criterion) {
             BenchRecord::new(format!("{fixture}_ratio"))
                 .metric("cycle_reduction", cycle_reduction)
                 .metric("worst_deviation_amperes", deviation)
-                .metric("wall_speedup", settled_wall / shooting_wall),
+                .metric("wall_speedup", settled.1 / shooting.1),
         );
     }
     records.extend(fitness_backend_comparison());
@@ -115,15 +109,14 @@ fn pss_work_comparison(_c: &mut Criterion) {
 }
 
 /// Scores every cross-check design under `FitnessBudget::default()` on
-/// `backend`: the fitnesses, the summed work counters and the wall seconds.
-fn score_designs(designs: &[Vec<f64>], backend: SolverBackend) -> (Vec<f64>, RunStatistics, f64) {
+/// `backend`: the fitnesses and the summed work counters.
+fn score_designs(designs: &[Vec<f64>], backend: SolverBackend) -> (Vec<f64>, RunStatistics) {
     let budget = FitnessBudget {
         backend,
         ..FitnessBudget::default()
     };
     let base = HarvesterConfig::unoptimised();
     let mut stats = RunStatistics::default();
-    let start = Instant::now();
     let fitnesses = designs
         .iter()
         .map(|genes| {
@@ -134,50 +127,42 @@ fn score_designs(designs: &[Vec<f64>], backend: SolverBackend) -> (Vec<f64>, Run
             characteristic.current_at(budget.reference_voltage)
         })
         .collect();
-    (fitnesses, stats, start.elapsed().as_secs_f64())
+    (fitnesses, stats)
 }
 
 /// The `fitness_dense`, `fitness_sparse` and `fitness_ratio` records.
 fn fitness_backend_comparison() -> Vec<BenchRecord> {
     let designs = fitness_cross_check_designs();
-    let backends = [
-        ("dense", SolverBackend::Dense),
-        ("sparse", SolverBackend::Sparse),
-    ];
-    let mut walls = [f64::INFINITY; 2];
-    let mut runs = Vec::new();
-    for _ in 0..3 {
-        runs.clear();
-        for (wall, (_, backend)) in walls.iter_mut().zip(backends) {
-            let run = score_designs(&designs, backend);
-            *wall = wall.min(run.2);
-            runs.push(run);
-        }
-    }
+    let backends = [SolverBackend::Dense, SolverBackend::Sparse];
+    let runs = report::time(
+        ["fitness_dense", "fitness_sparse"],
+        |(_, stats): &(Vec<f64>, RunStatistics)| *stats,
+        |k| score_designs(&designs, backends[k]),
+    );
     let mut records = Vec::new();
-    for ((label, _), ((_, stats, _), wall)) in backends.iter().zip(runs.iter().zip(walls)) {
+    for (label, ((_, stats), wall)) in ["dense", "sparse"].iter().zip(&runs) {
         println!(
-            "  pss-work/fitness_{label}: {wall:.3}s for {} designs, {} newton iterations, \
-             {} factorizations, {} gmres fallbacks",
+            "  fitness_{label}: {} designs, {} newton iterations, {} factorizations, \
+             {} gmres fallbacks",
             designs.len(),
             stats.newton_iterations,
             stats.factorizations(),
             stats.gmres_fallbacks
         );
         records.push(
-            report::statistics_record(format!("fitness_{label}"), stats, wall)
+            report::statistics_record(format!("fitness_{label}"), stats, *wall)
                 .metric("factorizations", stats.factorizations() as f64),
         );
     }
-    let deviation = runs[0]
-        .0
+    let [((dense, _), dense_wall), ((sparse, _), sparse_wall)] = &runs;
+    let deviation = dense
         .iter()
-        .zip(&runs[1].0)
+        .zip(sparse)
         .map(|(dense, sparse)| (dense - sparse).abs() / dense.abs())
         .fold(0.0f64, f64::max);
-    let speedup = walls[0] / walls[1];
+    let speedup = dense_wall / sparse_wall;
     println!(
-        "  pss-work/fitness: sparse scores the designs {speedup:.2}x as fast as dense, worst \
+        "  fitness: sparse scores the designs {speedup:.2}x as fast as dense, worst \
          relative fitness difference {deviation:.2e}"
     );
     records.push(
@@ -187,6 +172,3 @@ fn fitness_backend_comparison() -> Vec<BenchRecord> {
     );
     records
 }
-
-criterion_group!(pss, pss_work_comparison);
-criterion_main!(pss);

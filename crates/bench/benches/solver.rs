@@ -1,8 +1,11 @@
-//! Dense vs sparse solver-backend benchmarks.
+//! Dense vs sparse solver-backend benchmarks, emitted as `BENCH_solver.json`.
 //!
-//! * `backend/<fixture>_{dense,sparse}` — identical transients run on both
-//!   backends: RC ladders at several sizes (the crossover study) plus the
-//!   largest paper fixture (the 6-stage Villard harvester).
+//! * `<fixture>_{dense,sparse}` — identical transients run on both
+//!   backends: RC ladders at 8, 32 and 96 sections (the crossover study)
+//!   plus the largest paper fixture, `villard_harvester` (the 6-stage
+//!   Villard harvester). The 96-section ladder and the harvester are
+//!   recorded with every work counter, and `<fixture>_ratio` holds the
+//!   sparse path's speed relative to dense.
 //! * `workspace/*` — cost of a fresh per-run workspace vs reusing one across
 //!   runs (the optimisation-loop pattern).
 //!
@@ -10,48 +13,12 @@
 //! per-step dense factorisation path — that crossover is the point of the
 //! sparse backend.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use harvester_bench::report::{self, BenchRecord};
-use harvester_core::system::HarvesterConfig;
-use harvester_core::GeneratorModel;
-use harvester_mna::circuit::{Circuit, NodeId};
-use harvester_mna::devices::{Capacitor, Resistor, VoltageSource};
+use harvester_bench::{rc_ladder, villard_harvester};
+use harvester_mna::circuit::Circuit;
 use harvester_mna::transient::{
-    SolverBackend, TransientAnalysis, TransientOptions, TransientWorkspace,
+    SolverBackend, TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
 };
-use harvester_mna::waveform::Waveform;
-use std::hint::black_box;
-use std::time::Duration;
-
-fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(4));
-}
-
-fn rc_ladder(sections: usize) -> (Circuit, NodeId) {
-    let mut c = Circuit::new();
-    let vin = c.node("in");
-    c.add(VoltageSource::new(
-        "V",
-        vin,
-        Circuit::GROUND,
-        Waveform::sine(1.0, 1000.0),
-    ));
-    let mut prev = vin;
-    for k in 0..sections {
-        let node = c.node(&format!("n{k}"));
-        c.add(Resistor::new(&format!("R{k}"), prev, node, 100.0));
-        c.add(Capacitor::new(
-            &format!("C{k}"),
-            node,
-            Circuit::GROUND,
-            1e-7,
-        ));
-        prev = node;
-    }
-    (c, prev)
-}
 
 fn ladder_options() -> TransientOptions {
     TransientOptions {
@@ -62,154 +29,95 @@ fn ladder_options() -> TransientOptions {
     }
 }
 
-fn backend_comparison(c: &mut Criterion) {
-    let mut group = c.benchmark_group("backend");
-    configure(&mut group);
-
-    for sections in [8usize, 32, 96] {
-        let (circuit, out) = rc_ladder(sections);
-        for (label, backend) in [
-            ("dense", SolverBackend::Dense),
-            ("sparse", SolverBackend::Sparse),
-        ] {
-            group.bench_function(format!("ladder{sections}_{label}"), |b| {
-                b.iter(|| {
-                    let result = TransientAnalysis::new(TransientOptions {
-                        backend,
-                        ..ladder_options()
-                    })
-                    .run(&circuit)
-                    .expect("ladder must simulate");
-                    black_box(result.final_voltage(out))
-                })
-            });
-        }
-    }
-
-    // The largest paper fixture: the 6-stage Villard harvester.
-    let mut config = HarvesterConfig::model_comparison(GeneratorModel::Analytical);
-    config.storage.capacitance = 100e-6;
-    let (circuit, nodes) = config.build();
-    for (label, backend) in [
-        ("dense", SolverBackend::Dense),
-        ("sparse", SolverBackend::Sparse),
-    ] {
-        group.bench_function(format!("villard_harvester_{label}"), |b| {
-            b.iter(|| {
-                let result = TransientAnalysis::new(TransientOptions {
-                    t_stop: 0.05,
-                    dt: 1e-4,
-                    record_interval: Some(1e-3),
-                    backend,
-                    ..TransientOptions::default()
-                })
-                .run(&circuit)
-                .expect("harvester must simulate");
-                black_box(result.final_voltage(nodes.storage))
-            })
-        });
-    }
-    group.finish();
+/// Times `circuit` under `options` on the dense and on the sparse backend.
+fn on_both_backends(
+    fixture: &str,
+    circuit: &Circuit,
+    options: TransientOptions,
+) -> [(TransientResult, f64); 2] {
+    let backends = [SolverBackend::Dense, SolverBackend::Sparse];
+    let names = [format!("{fixture}_dense"), format!("{fixture}_sparse")];
+    report::time(names, TransientResult::statistics, |k| {
+        TransientAnalysis::new(TransientOptions {
+            backend: backends[k],
+            ..options
+        })
+        .run(circuit)
+        .expect("bench fixture must simulate")
+    })
 }
 
-fn workspace_reuse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("workspace");
-    configure(&mut group);
-    let (circuit, out) = rc_ladder(64);
-    let options = TransientOptions {
+fn workspace_reuse() {
+    let (circuit, _) = rc_ladder(64);
+    let analysis = TransientAnalysis::new(TransientOptions {
         backend: SolverBackend::Sparse,
         ..ladder_options()
-    };
-    let analysis = TransientAnalysis::new(options);
-
-    group.bench_function("fresh_per_run", |b| {
-        b.iter(|| {
-            let result = analysis.run(&circuit).expect("ladder must simulate");
-            black_box(result.final_voltage(out))
-        })
     });
     let mut ws = TransientWorkspace::for_circuit(&circuit, analysis.options())
         .expect("workspace builds for the ladder");
-    group.bench_function("reused_across_runs", |b| {
-        b.iter(|| {
-            let result = analysis
-                .run_with(&circuit, &mut ws)
-                .expect("ladder must simulate");
-            black_box(result.final_voltage(out))
-        })
-    });
-    group.finish();
+    // One untimed run leaves the workspace's symbolic analysis in place, as
+    // every later run of an optimisation loop finds it.
+    analysis
+        .run_with(&circuit, &mut ws)
+        .expect("ladder must simulate");
+    report::time(
+        ["workspace/fresh_per_run", "workspace/reused_across_runs"],
+        TransientResult::statistics,
+        |k| {
+            if k == 0 {
+                analysis.run(&circuit)
+            } else {
+                analysis.run_with(&circuit, &mut ws)
+            }
+            .expect("ladder must simulate")
+        },
+    );
 }
 
-/// Deterministic dense-vs-sparse work counts on the ladder and harvester
-/// fixtures, emitted as `BENCH_solver.json` through the shared report
-/// helper so CI can track the solver backends' perf trajectory alongside
-/// the transient and PSS artefacts.
-fn backend_work_comparison(_c: &mut Criterion) {
-    use std::time::Instant;
-    println!("\ngroup: solver-work (machine readable -> BENCH_solver.json)");
-    let mut records: Vec<BenchRecord> = Vec::new();
-    let fixtures: Vec<(String, Circuit, NodeId, TransientOptions)> = {
-        let (ladder, ladder_out) = rc_ladder(96);
-        let mut config = HarvesterConfig::model_comparison(GeneratorModel::Analytical);
-        config.storage.capacitance = 100e-6;
-        let (villard, nodes) = config.build();
-        vec![
-            ("ladder96".to_string(), ladder, ladder_out, ladder_options()),
-            (
-                "villard_harvester".to_string(),
-                villard,
-                nodes.storage,
-                TransientOptions {
-                    t_stop: 0.05,
-                    dt: 1e-4,
-                    record_interval: Some(1e-3),
-                    ..TransientOptions::default()
-                },
-            ),
-        ]
-    };
-    for (fixture, circuit, probe, base) in &fixtures {
-        let mut wall = [0.0f64; 2];
-        for (k, (label, backend)) in [
-            ("dense", SolverBackend::Dense),
-            ("sparse", SolverBackend::Sparse),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let start = Instant::now();
-            let result = TransientAnalysis::new(TransientOptions { backend, ..*base })
-                .run(circuit)
-                .expect("bench fixture must simulate");
-            wall[k] = start.elapsed().as_secs_f64();
+fn main() {
+    println!("solver (machine readable -> BENCH_solver.json)");
+    for sections in [8, 32] {
+        let (circuit, _) = rc_ladder(sections);
+        on_both_backends(&format!("ladder{sections}"), &circuit, ladder_options());
+    }
+    let mut records = Vec::new();
+    let (ladder, ladder_out) = rc_ladder(96);
+    let (villard, nodes) = villard_harvester().build();
+    for (fixture, circuit, probe, options) in [
+        ("ladder96", &ladder, ladder_out, ladder_options()),
+        (
+            "villard_harvester",
+            &villard,
+            nodes.storage,
+            TransientOptions {
+                t_stop: 0.05,
+                dt: 1e-4,
+                record_interval: Some(1e-3),
+                ..TransientOptions::default()
+            },
+        ),
+    ] {
+        let runs = on_both_backends(fixture, circuit, options);
+        for ((result, wall), label) in runs.iter().zip(["dense", "sparse"]) {
             let stats = result.statistics();
             println!(
-                "  solver-work/{fixture}_{label}: {:.3}s, {} linear solves, \
-                 {} full + {} re-pivot factorisations + {} refactorisations",
-                wall[k],
+                "  {fixture}_{label}: {} linear solves, {} full + {} re-pivot factorisations \
+                 + {} refactorisations",
                 stats.linear_solves,
                 stats.full_factorizations,
                 stats.repivot_factorizations,
                 stats.refactorizations
             );
             records.push(
-                report::statistics_record(format!("{fixture}_{label}"), &stats, wall[k])
-                    .metric("final_voltage", result.final_voltage(*probe)),
+                report::statistics_record(format!("{fixture}_{label}"), &stats, *wall)
+                    .metric("final_voltage", result.final_voltage(probe)),
             );
         }
-        let speedup = wall[0] / wall[1];
-        println!("  solver-work/{fixture}: sparse is {speedup:.2}x vs dense");
+        let speedup = runs[0].1 / runs[1].1;
+        println!("  {fixture}: sparse is {speedup:.2}x vs dense");
         records
             .push(BenchRecord::new(format!("{fixture}_ratio")).metric("sparse_speedup", speedup));
     }
+    workspace_reuse();
     report::emit("solver", &records);
 }
-
-criterion_group!(
-    solver,
-    backend_comparison,
-    workspace_reuse,
-    backend_work_comparison
-);
-criterion_main!(solver);

@@ -2,9 +2,8 @@
 //!
 //! Two layers:
 //!
-//! * criterion-style wall-time groups (`transient/<fixture>_{fixed,adaptive}`)
-//!   on the RC ladder, the half-wave diode rectifier, the Villard harvester
-//!   and the transformer harvester;
+//! * `<fixture>_{fixed,adaptive}` transients on the RC ladder, the half-wave
+//!   diode rectifier, the Villard harvester and the transformer harvester;
 //! * a deterministic work-count comparison on the two harvester **envelope
 //!   fixtures** (the hot loop of every optimisation run), written to
 //!   `BENCH_transient.json` so CI archives the perf trajectory across PRs:
@@ -16,49 +15,19 @@
 //! accuracy (also asserted, with slack, by `tests/adaptive_golden.rs` in
 //! release mode).
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use harvester_bench::report::{self, BenchRecord};
-use harvester_core::envelope::{EnvelopeOptions, EnvelopeSimulator, SteadyState};
+use harvester_bench::{rc_ladder, transformer_harvester, villard_harvester};
+use harvester_core::envelope::{
+    ChargingCharacteristic, EnvelopeOptions, EnvelopeSimulator, SteadyState,
+};
 use harvester_core::system::HarvesterConfig;
 use harvester_core::GeneratorModel;
 use harvester_mna::circuit::{Circuit, NodeId};
 use harvester_mna::devices::{Capacitor, Diode, Resistor, VoltageSource};
 use harvester_mna::transient::{
-    RunStatistics, SolverBackend, StepControl, TransientAnalysis, TransientOptions,
+    SolverBackend, StepControl, TransientAnalysis, TransientOptions, TransientResult,
 };
 use harvester_mna::waveform::Waveform;
-use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-fn configure(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(4));
-}
-
-fn rc_ladder(sections: usize) -> (Circuit, NodeId) {
-    let mut c = Circuit::new();
-    let vin = c.node("in");
-    c.add(VoltageSource::new(
-        "V",
-        vin,
-        Circuit::GROUND,
-        Waveform::sine(1.0, 1000.0),
-    ));
-    let mut prev = vin;
-    for k in 0..sections {
-        let node = c.node(&format!("n{k}"));
-        c.add(Resistor::new(&format!("R{k}"), prev, node, 100.0));
-        c.add(Capacitor::new(
-            &format!("C{k}"),
-            node,
-            Circuit::GROUND,
-            1e-7,
-        ));
-        prev = node;
-    }
-    (c, prev)
-}
 
 fn rectifier() -> (Circuit, NodeId) {
     let mut c = Circuit::new();
@@ -86,68 +55,34 @@ fn options(step_control: StepControl) -> TransientOptions {
     }
 }
 
-fn step_control_comparison(c: &mut Criterion) {
-    let mut group = c.benchmark_group("transient");
-    configure(&mut group);
-
-    let fixtures: Vec<(&str, Circuit, NodeId, TransientOptions)> = {
-        let (ladder, ladder_out) = rc_ladder(16);
-        let (rect, rect_out) = rectifier();
-        let mut villard = HarvesterConfig::model_comparison(GeneratorModel::Analytical);
-        villard.storage.capacitance = 100e-6;
-        let (villard_c, villard_nodes) = villard.build();
-        let mut transformer = HarvesterConfig::unoptimised();
-        transformer.storage.capacitance = 100e-6;
-        let (transformer_c, transformer_nodes) = transformer.build();
-        let harvester_options = TransientOptions {
-            t_stop: 0.1,
-            dt: 1e-4,
-            record_interval: Some(1e-3),
-            ..TransientOptions::default()
-        };
-        vec![
-            (
-                "rc_ladder16",
-                ladder,
-                ladder_out,
-                options(StepControl::Fixed),
-            ),
-            ("rectifier", rect, rect_out, options(StepControl::Fixed)),
-            (
-                "villard_harvester",
-                villard_c,
-                villard_nodes.storage,
-                harvester_options,
-            ),
-            (
-                "transformer_harvester",
-                transformer_c,
-                transformer_nodes.storage,
-                harvester_options,
-            ),
-        ]
+fn step_control_comparison() {
+    let (ladder, _) = rc_ladder(16);
+    let (rect, _) = rectifier();
+    let (villard, _) = villard_harvester().build();
+    let (transformer, _) = transformer_harvester().build();
+    let harvester_options = TransientOptions {
+        t_stop: 0.1,
+        dt: 1e-4,
+        record_interval: Some(1e-3),
+        ..TransientOptions::default()
     };
-
-    for (name, circuit, probe, base_options) in &fixtures {
-        for (label, step_control) in [
-            ("fixed", StepControl::Fixed),
-            ("adaptive", StepControl::adaptive()),
-        ] {
-            let opts = TransientOptions {
-                step_control,
-                ..*base_options
-            };
-            group.bench_function(format!("{name}_{label}"), |b| {
-                b.iter(|| {
-                    let result = TransientAnalysis::new(opts)
-                        .run(circuit)
-                        .expect("bench fixture must simulate");
-                    black_box(result.final_voltage(*probe))
-                })
-            });
-        }
+    for (name, circuit, base_options) in [
+        ("rc_ladder16", &ladder, options(StepControl::Fixed)),
+        ("rectifier", &rect, options(StepControl::Fixed)),
+        ("villard_harvester", &villard, harvester_options),
+        ("transformer_harvester", &transformer, harvester_options),
+    ] {
+        let controls = [StepControl::Fixed, StepControl::adaptive()];
+        let names = [format!("{name}_fixed"), format!("{name}_adaptive")];
+        report::time(names, TransientResult::statistics, |k| {
+            TransientAnalysis::new(TransientOptions {
+                step_control: controls[k],
+                ..base_options
+            })
+            .run(circuit)
+            .expect("bench fixture must simulate")
+        });
     }
-    group.finish();
 }
 
 fn envelope_options(step_control: StepControl) -> EnvelopeOptions {
@@ -168,14 +103,9 @@ fn envelope_options(step_control: StepControl) -> EnvelopeOptions {
     }
 }
 
-fn record(name: &str, stats: RunStatistics, wall: f64, current: f64) -> BenchRecord {
-    report::statistics_record(name, &stats, wall).metric("i_at_0v_amperes", current)
-}
-
 /// Deterministic work-count comparison on the harvester envelope fixtures,
 /// emitted as `BENCH_transient.json`.
-fn envelope_work_comparison(_c: &mut Criterion) {
-    println!("\ngroup: envelope-work (machine readable -> BENCH_transient.json)");
+fn envelope_work_comparison() {
     let mut records = Vec::new();
     for (fixture, config) in [
         (
@@ -184,41 +114,36 @@ fn envelope_work_comparison(_c: &mut Criterion) {
         ),
         ("transformer_envelope", HarvesterConfig::unoptimised()),
     ] {
-        let mut newton = [0usize; 2];
-        for (k, (label, control)) in [
-            ("fixed", StepControl::Fixed),
-            ("adaptive", StepControl::adaptive_averaging()),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let sim = EnvelopeSimulator::new(config.clone(), envelope_options(control));
-            let start = Instant::now();
-            let characteristic = sim
+        let controls = [StepControl::Fixed, StepControl::adaptive_averaging()];
+        let names = [format!("{fixture}_fixed"), format!("{fixture}_adaptive")];
+        let runs = report::time(names.each_ref(), ChargingCharacteristic::statistics, |k| {
+            EnvelopeSimulator::new(config.clone(), envelope_options(controls[k]))
                 .measure_characteristic()
-                .expect("envelope fixture must simulate");
-            let wall = start.elapsed().as_secs_f64();
+                .expect("envelope fixture must simulate")
+        });
+        let mut newton = [0usize; 2];
+        for (k, (name, (characteristic, wall))) in names.iter().zip(&runs).enumerate() {
             let stats = characteristic.statistics();
             newton[k] = stats.newton_iterations;
             println!(
-                "  envelope-work/{fixture}_{label}: {wall:.3}s, {} newton iterations, \
-                 {} accepted steps, {} LTE rejections",
+                "  {name}: {} newton iterations, {} accepted steps, {} LTE rejections",
                 stats.newton_iterations, stats.accepted_steps, stats.lte_rejections
             );
-            records.push(record(
-                &format!("{fixture}_{label}"),
-                stats,
-                wall,
-                characteristic.current_at(0.0),
-            ));
+            records.push(
+                report::statistics_record(name.as_str(), &stats, *wall)
+                    .metric("i_at_0v_amperes", characteristic.current_at(0.0)),
+            );
         }
         let ratio = newton[0] as f64 / newton[1] as f64;
-        println!("  envelope-work/{fixture}: adaptive cuts Newton work {ratio:.2}x");
+        println!("  {fixture}: adaptive cuts Newton work {ratio:.2}x");
         records
             .push(BenchRecord::new(format!("{fixture}_ratio")).metric("newton_reduction", ratio));
     }
     report::emit("transient", &records);
 }
 
-criterion_group!(transient, step_control_comparison, envelope_work_comparison);
-criterion_main!(transient);
+fn main() {
+    println!("transient (machine readable -> BENCH_transient.json)");
+    step_control_comparison();
+    envelope_work_comparison();
+}

@@ -15,7 +15,10 @@ use harvester_core::params::StorageParams;
 use harvester_core::system::HarvesterConfig;
 use harvester_core::GeneratorModel;
 use harvester_experiments::{encode, paper_bounds};
+use harvester_mna::circuit::{Circuit, NodeId};
+use harvester_mna::devices::{Capacitor, Resistor, VoltageSource};
 use harvester_mna::transient::{SolverBackend, StepControl};
+use harvester_mna::waveform::Waveform;
 
 /// A reduced-size storage element so bench iterations stay in the
 /// sub-second range.
@@ -38,6 +41,47 @@ pub fn bench_fig10_config() -> HarvesterConfig {
     let mut config = HarvesterConfig::unoptimised();
     config.storage = bench_storage();
     config
+}
+
+/// The 6-stage Villard harvester of Fig. 5 (analytical generator) with a
+/// 100 µF store: the largest paper fixture of the transient benches.
+pub fn villard_harvester() -> HarvesterConfig {
+    let mut config = HarvesterConfig::model_comparison(GeneratorModel::Analytical);
+    config.storage.capacitance = 100e-6;
+    config
+}
+
+/// The un-optimised transformer-booster harvester with a 100 µF store.
+pub fn transformer_harvester() -> HarvesterConfig {
+    let mut config = HarvesterConfig::unoptimised();
+    config.storage.capacitance = 100e-6;
+    config
+}
+
+/// An RC ladder of `sections` 100 Ω / 100 nF sections driven by a 1 V,
+/// 1 kHz sine; returns the circuit and its last node.
+pub fn rc_ladder(sections: usize) -> (Circuit, NodeId) {
+    let mut c = Circuit::new();
+    let vin = c.node("in");
+    c.add(VoltageSource::new(
+        "V",
+        vin,
+        Circuit::GROUND,
+        Waveform::sine(1.0, 1000.0),
+    ));
+    let mut prev = vin;
+    for k in 0..sections {
+        let node = c.node(&format!("n{k}"));
+        c.add(Resistor::new(&format!("R{k}"), prev, node, 100.0));
+        c.add(Capacitor::new(
+            &format!("C{k}"),
+            node,
+            Circuit::GROUND,
+            1e-7,
+        ));
+        prev = node;
+    }
+    (c, prev)
 }
 
 /// Envelope options shared by the figure benches.
@@ -111,8 +155,6 @@ pub fn fitness_cross_check_designs() -> Vec<Vec<f64>> {
 }
 
 pub mod report;
-
-pub use report::{write_bench_json, BenchRecord};
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,11 @@
-//! Shared machine-readable benchmark reporting.
+//! The one benchmark harness: timing and machine-readable reporting.
 //!
-//! Every bench target that produces deterministic work counters emits a
-//! `BENCH_<name>.json` artefact at the workspace root through this module, so
-//! CI can archive the per-PR perf trajectory (and compare it against the
-//! committed snapshots under `bench/baselines/`) without pulling a serde
-//! dependency into the workspace. The format is deliberately tiny:
+//! Every bench target times its fixtures through [`time`]. The targets that
+//! produce deterministic work counters also emit a `BENCH_<name>.json`
+//! artefact at the workspace root through this module, so CI can archive the
+//! per-PR perf trajectory (and compare it against the committed snapshots
+//! under `bench/baselines/`) without pulling a serde dependency into the
+//! workspace. The format is deliberately tiny:
 //!
 //! ```json
 //! {
@@ -16,6 +17,16 @@
 //! ```
 
 use harvester_mna::transient::RunStatistics;
+use std::fmt::Debug;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Most samples [`time`] takes of one fixture.
+const MAX_SAMPLES: usize = 10;
+
+/// [`time`] stops sampling a fixture once its samples add up to this, so a
+/// fixture slower than that runs once.
+const SAMPLE_TIME: Duration = Duration::from_secs(2);
 
 /// One record of a machine-readable benchmark artefact: a benchmark name
 /// plus flat numeric metrics (wall seconds, work counters, ratios).
@@ -58,21 +69,96 @@ pub fn statistics_record(name: impl Into<String>, stats: &RunStatistics, wall: f
     )
 }
 
-/// Absolute path of `file` anchored at the workspace root, whatever cargo
-/// sets as the bench's working directory — so CI's `BENCH_*.json` glob finds
-/// every artefact.
-pub fn workspace_file(file: &str) -> String {
-    format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
+/// Times the fixtures `names`, round by round, and prints the fastest,
+/// median and slowest sample of each.
+///
+/// `run(k)` runs fixture `k` once. Each fixture is sampled up to 10 times
+/// and stops once its samples add up to 2 s; the fixtures still sampling run
+/// in alternation, so a drift in machine speed hits both sides of a ratio
+/// alike. `counters` reads the work counters of one output.
+///
+/// Returns, per fixture, the output of its first sample and its fastest
+/// sample in seconds: the `wall_seconds` of a `BENCH_*.json` row.
+///
+/// # Panics
+///
+/// Panics if a sample's work counters differ from the first sample's: such
+/// a fixture is not deterministic, so its counters cannot be gated.
+pub fn time<S, T, C, const N: usize>(
+    names: [S; N],
+    counters: impl Fn(&T) -> C,
+    mut run: impl FnMut(usize) -> T,
+) -> [(T, f64); N]
+where
+    S: AsRef<str>,
+    C: PartialEq + Debug,
+{
+    let mut samples: [Vec<Duration>; N] = std::array::from_fn(|_| Vec::new());
+    let mut firsts: [Option<(T, C)>; N] = std::array::from_fn(|_| None);
+    while samples.iter().any(|s| sampling(s)) {
+        for k in 0..N {
+            if !sampling(&samples[k]) {
+                continue;
+            }
+            let start = Instant::now();
+            let output = black_box(run(k));
+            samples[k].push(start.elapsed());
+            let work = counters(&output);
+            match &firsts[k] {
+                None => firsts[k] = Some((output, work)),
+                Some((_, first)) => assert!(
+                    *first == work,
+                    "{}: sample {} disagrees with the first on its work counters: \
+                     {first:?} vs {work:?}",
+                    names[k].as_ref(),
+                    samples[k].len()
+                ),
+            }
+        }
+    }
+    std::array::from_fn(|k| {
+        let [fastest, median, slowest] = spread(&samples[k]);
+        println!(
+            "  {}: fastest {fastest:.3?}, median {median:.3?}, slowest {slowest:.3?} \
+             ({} samples)",
+            names[k].as_ref(),
+            samples[k].len()
+        );
+        let (output, _) = firsts[k].take().expect("every fixture runs at least once");
+        (output, fastest.as_secs_f64())
+    })
 }
 
-/// Emits `records` as `BENCH_<bench>.json` at the workspace root.
+/// Whether [`time`] samples a fixture again after `samples`: fewer than 10
+/// so far, adding up to less than 2 s.
+fn sampling(samples: &[Duration]) -> bool {
+    samples.len() < MAX_SAMPLES && samples.iter().sum::<Duration>() < SAMPLE_TIME
+}
+
+/// The fastest, median and slowest of `samples` (the median of an even
+/// count is the mean of the middle two).
+fn spread(samples: &[Duration]) -> [Duration; 3] {
+    let mut sorted = samples.to_vec();
+    sorted.sort();
+    let n = sorted.len();
+    let median = if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2
+    };
+    [sorted[0], median, sorted[n - 1]]
+}
+
+/// Emits `records` as `BENCH_<bench>.json` at the workspace root, whatever
+/// cargo sets as the bench's working directory — so CI's `BENCH_*.json` glob
+/// finds every artefact.
 ///
 /// # Panics
 ///
 /// Panics if the artefact cannot be written — a benchmark that cannot record
 /// its results should fail loudly, not silently.
 pub fn emit(bench: &str, records: &[BenchRecord]) {
-    let path = workspace_file(&format!("BENCH_{bench}.json"));
+    let path = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
     write_bench_json(&path, bench, records);
 }
 
@@ -211,6 +297,64 @@ mod tests {
             assert_eq!(record.get(name), Some(value as f64), "{name}");
         }
         assert_eq!(record.get("nope"), None);
+    }
+
+    #[test]
+    fn spread_reads_the_fastest_median_and_slowest_sample() {
+        let ms = Duration::from_millis;
+        assert_eq!(
+            spread(&[ms(300), ms(100), ms(200)]),
+            [ms(100), ms(200), ms(300)]
+        );
+        assert_eq!(
+            spread(&[ms(400), ms(100), ms(300), ms(200)]),
+            [ms(100), ms(250), ms(400)]
+        );
+        assert_eq!(spread(&[ms(700)]), [ms(700); 3]);
+    }
+
+    #[test]
+    fn sampling_stops_at_ten_samples_or_two_seconds() {
+        let ms = Duration::from_millis;
+        assert!(sampling(&[]));
+        assert!(sampling(&[ms(1); 9]));
+        assert!(!sampling(&[ms(1); 10]));
+        assert!(sampling(&[ms(900); 2]));
+        assert!(!sampling(&[ms(900); 3]));
+        // A fixture slower than the cap runs once.
+        assert!(!sampling(&[ms(14_300)]));
+    }
+
+    #[test]
+    fn fixtures_alternate_and_return_their_first_output() {
+        let mut order = Vec::new();
+        let [(a, _), (b, _)] = time(
+            ["a", "b"],
+            |_| (),
+            |k| {
+                order.push(k);
+                order.len()
+            },
+        );
+        assert_eq!(order, [0, 1].repeat(MAX_SAMPLES));
+        assert_eq!((a, b), (1, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "drifting: sample 2 disagrees with the first on its work counters")]
+    fn samples_disagreeing_on_a_counter_panic() {
+        let mut newton_iterations = 100;
+        time(
+            ["drifting"],
+            |stats: &RunStatistics| stats.newton_iterations,
+            |_| {
+                newton_iterations += 1;
+                RunStatistics {
+                    newton_iterations,
+                    ..RunStatistics::default()
+                }
+            },
+        );
     }
 
     #[test]

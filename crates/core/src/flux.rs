@@ -154,11 +154,6 @@ impl CouplingFunction {
     pub fn peak(&self) -> f64 {
         self.value(0.0)
     }
-
-    /// Largest displacement with any coupling (`H + R`).
-    pub fn extent(&self) -> f64 {
-        self.magnet_height + self.outer_radius
-    }
 }
 
 #[cfg(test)]
@@ -286,9 +281,12 @@ mod tests {
 
     #[test]
     fn coupling_vanishes_beyond_the_structure() {
+        let p = MicroGeneratorParams::unoptimised();
         let k = coupling();
-        assert_eq!(k.value(k.extent() * 1.01), 0.0);
-        assert_eq!(k.value(-k.extent() * 2.0), 0.0);
+        // The coil has fully left the structure beyond |z| = H + R.
+        let extent = p.magnet_height + p.outer_radius;
+        assert_eq!(k.value(extent * 1.01), 0.0);
+        assert_eq!(k.value(-extent * 2.0), 0.0);
     }
 
     #[test]

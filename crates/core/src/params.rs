@@ -66,11 +66,6 @@ impl MicroGeneratorParams {
         (self.stiffness / self.mass).sqrt() / (2.0 * std::f64::consts::PI)
     }
 
-    /// Mechanical quality factor of the unloaded resonator.
-    pub fn mechanical_q(&self) -> f64 {
-        (self.mass * self.stiffness).sqrt() / self.damping
-    }
-
     /// Electromagnetic coupling factor at rest, `k(0) = 2·B·N·(R + r)` in
     /// V·s/m — the peak of the piecewise coupling function of the paper's
     /// Eq. (3).
@@ -350,7 +345,6 @@ mod tests {
             f > 40.0 && f < 70.0,
             "resonance should be tens of Hz, got {f}"
         );
-        assert!(g.mechanical_q() > 20.0);
         assert!(g.coupling_at_rest() > 1.0 && g.coupling_at_rest() < 10.0);
         assert!(g.is_valid());
         assert!(g.minimum_coil_resistance() > 100.0);

@@ -204,9 +204,10 @@ impl SolverBackend {
 ///   (diode commutation) the estimate does not improve with h and the small
 ///   step is accepted as the best available resolution of the corner;
 /// * the step size then grows or shrinks with the classic
-///   `err^(−1/(order+1))` controller between [`TransientOptions::min_dt`]
-///   and `max_dt` — in particular it grows **past** the nominal `dt` on
-///   smooth stretches, which is where the speed-up comes from;
+///   `err^(−1/(order+1))` controller, never below
+///   [`TransientOptions::min_dt`] and with no upper cap — in particular it
+///   grows **past** the nominal `dt` on smooth stretches, which is where the
+///   speed-up comes from;
 /// * accepted steps land exactly on every source breakpoint
 ///   ([`crate::waveform::Waveform::breakpoints`]) so discontinuities are
 ///   resolved by construction instead of by rejection cascades.
@@ -223,8 +224,9 @@ pub enum StepControl {
     /// only.
     #[default]
     Fixed,
-    /// Predictor–corrector LTE-controlled stepping between
-    /// [`TransientOptions::min_dt`] and `max_dt`.
+    /// Predictor–corrector LTE-controlled stepping down to
+    /// [`TransientOptions::min_dt`]; growth is bounded by the LTE controller
+    /// and the breakpoint/stop-time geometry alone.
     Adaptive {
         /// Relative LTE tolerance per unknown (dimensionless, > 0). The
         /// engine-recommended default is [`StepControl::DEFAULT_RELTOL`].
@@ -233,10 +235,6 @@ pub enum StepControl {
         /// (volts, amperes, metres, …). Protects unknowns sitting near zero
         /// from an impossible pure-relative criterion.
         abstol: f64,
-        /// Largest step the controller may grow to (≥ `dt`;
-        /// `f64::INFINITY` leaves growth bounded only by the LTE controller
-        /// and the breakpoint/stop-time geometry).
-        max_dt: f64,
     },
 }
 
@@ -257,7 +255,6 @@ impl StepControl {
         StepControl::Adaptive {
             reltol: Self::DEFAULT_RELTOL,
             abstol: Self::DEFAULT_ABSTOL,
-            max_dt: f64::INFINITY,
         }
     }
 
@@ -276,7 +273,6 @@ impl StepControl {
         StepControl::Adaptive {
             reltol: Self::AVERAGING_RELTOL,
             abstol: Self::AVERAGING_ABSTOL,
-            max_dt: f64::INFINITY,
         }
     }
 
@@ -593,12 +589,7 @@ impl TransientOptions {
                 "min_dt must be positive and no larger than dt",
             ));
         }
-        if let StepControl::Adaptive {
-            reltol,
-            abstol,
-            max_dt,
-        } = self.step_control
-        {
+        if let StepControl::Adaptive { reltol, abstol } = self.step_control {
             if reltol <= 0.0 || !reltol.is_finite() {
                 return Err(crate::options::invalid(format!(
                     "adaptive reltol must be positive and finite, got {reltol}; typical values \
@@ -611,13 +602,6 @@ impl TransientOptions {
                     "adaptive abstol must be positive and finite, got {abstol}; set it to the \
                      smallest signal level you care about (default {})",
                     StepControl::DEFAULT_ABSTOL
-                )));
-            }
-            if max_dt < self.dt || max_dt.is_nan() {
-                return Err(crate::options::invalid(format!(
-                    "adaptive max_dt ({max_dt}) must be at least the nominal dt ({}); use \
-                     f64::INFINITY to leave growth bounded by the error controller alone",
-                    self.dt
                 )));
             }
         }
@@ -1974,11 +1958,7 @@ impl TransientAnalysis {
         let mut attempted_dts: Vec<f64> = Vec::new();
         let lte = match opts.step_control {
             StepControl::Fixed => None,
-            StepControl::Adaptive {
-                reltol,
-                abstol,
-                max_dt,
-            } => Some((reltol, abstol, max_dt)),
+            StepControl::Adaptive { reltol, abstol } => Some((reltol, abstol)),
         };
         // The predictor order is capped at the corrector's order so the
         // predictor–corrector gap is a genuine estimate of the corrector's
@@ -1995,10 +1975,10 @@ impl TransientAnalysis {
         // The next step to try; an infinite one takes the next grid interval
         // whole.
         let mut h = match lte {
-            Some((_, _, max_dt)) => {
+            Some(_) => {
                 ws.collect_breakpoints(circuit, t_stop);
                 ws.restart_predictor(t0);
-                opts.dt.clamp(opts.min_dt, max_dt)
+                opts.dt.max(opts.min_dt)
             }
             None => f64::INFINITY,
         };
@@ -2055,8 +2035,8 @@ impl TransientAnalysis {
                 // sliver step is numerically hopeless for large capacitances.
                 None if remaining < 1.5 * h => (remaining, boundary),
                 None => (h, t + h),
-                Some((_, _, max_dt)) => {
-                    let h_step = h.clamp(opts.min_dt, max_dt);
+                Some(_) => {
+                    let h_step = h.max(opts.min_dt);
                     if remaining <= h_step {
                         (remaining, boundary)
                     } else if remaining < 1.5 * h_step {
@@ -2131,7 +2111,7 @@ impl TransientAnalysis {
             // a restart→reject→restart limit cycle. Under-order start-up
             // steps (at most two per smooth segment) simply hold the step.
             let err_ratio = match lte {
-                Some((reltol, abstol, _)) if order == method_order => {
+                Some((reltol, abstol)) if order == method_order => {
                     ws.lte_ratio(opts.method, reltol, abstol)
                 }
                 _ => 0.0,
@@ -2200,7 +2180,7 @@ impl TransientAnalysis {
                 stats.predicted_steps += 1;
             }
 
-            let Some((_, _, max_dt)) = lte else {
+            if lte.is_none() {
                 // A landing opens the next grid interval, taken whole; inside
                 // a halved interval the step regrows ×2 (once it reaches the
                 // remainder it lands on the interval's end).
@@ -2211,7 +2191,7 @@ impl TransientAnalysis {
                     h *= 2.0;
                 }
                 continue;
-            };
+            }
             if landing || recovered {
                 // The source forced a derivative discontinuity here, or a
                 // homotopy-recovered solution is no polynomial continuation
@@ -2220,7 +2200,7 @@ impl TransientAnalysis {
                 // nominal dt, exactly as at t = 0; after a recovery it stays
                 // at the (small) step size the emergency was crossed at.
                 ws.restart_predictor(t);
-                h = if landing { opts.dt } else { h_step }.clamp(opts.min_dt, max_dt);
+                h = if landing { opts.dt } else { h_step }.max(opts.min_dt);
                 continue;
             }
             ws.hist_push(t);
@@ -2246,7 +2226,7 @@ impl TransientAnalysis {
             // predictor–corrector gap is floating-point noise that reads as
             // "still inaccurate" forever, and acting on it would walk h
             // into the 1/dt-overflow regime one accepted step at a time.
-            h = (h_step * factor).clamp(dip_floor, max_dt);
+            h = (h_step * factor).max(dip_floor);
         }
 
         // The final accepted state is always part of the result (the
@@ -3185,7 +3165,6 @@ mod tests {
                 StepControl::Adaptive {
                     reltol: 0.0,
                     abstol: 1e-6,
-                    max_dt: 1e-3,
                 },
                 "reltol",
             ),
@@ -3193,23 +3172,13 @@ mod tests {
                 StepControl::Adaptive {
                     reltol: 1e-3,
                     abstol: -1.0,
-                    max_dt: 1e-3,
                 },
                 "abstol",
             ),
             (
                 StepControl::Adaptive {
-                    reltol: 1e-3,
-                    abstol: 1e-6,
-                    max_dt: 1e-9,
-                },
-                "max_dt",
-            ),
-            (
-                StepControl::Adaptive {
                     reltol: f64::NAN,
                     abstol: 1e-6,
-                    max_dt: 1e-3,
                 },
                 "reltol",
             ),
@@ -3225,14 +3194,6 @@ mod tests {
                 other => panic!("expected InvalidOptions naming {needle}, got {other:?}"),
             }
         }
-        // Infinite max_dt is explicitly legal.
-        let ok = TransientAnalysis::new(TransientOptions {
-            t_stop: 1e-4,
-            step_control: StepControl::adaptive(),
-            ..TransientOptions::default()
-        })
-        .run(&c);
-        assert!(ok.is_ok());
     }
 
     #[test]

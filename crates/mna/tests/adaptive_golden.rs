@@ -162,7 +162,6 @@ fn tightening_reltol_monotonically_reduces_rc_error() {
             step_control: StepControl::Adaptive {
                 reltol,
                 abstol: 1e-9,
-                max_dt: f64::INFINITY,
             },
             ..TransientOptions::default()
         })

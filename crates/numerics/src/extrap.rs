@@ -18,36 +18,6 @@
 /// a small fixed bound keeps every helper allocation-free.
 pub const MAX_POINTS: usize = 4;
 
-/// Evaluates the polynomial through the points `(ts[k], ys[k])` at `t` using
-/// Newton divided differences.
-///
-/// `ts` and `ys` must have the same length, between 1 and [`MAX_POINTS`]
-/// entries, with pairwise-distinct abscissae. With one point this is the
-/// constant predictor, with two the linear extrapolant, with three the
-/// quadratic one.
-///
-/// # Panics
-///
-/// Panics if the lengths differ, are zero, exceed [`MAX_POINTS`], or two
-/// abscissae coincide exactly.
-///
-/// # Example
-///
-/// ```
-/// use harvester_numerics::extrap::extrapolate;
-///
-/// // A quadratic is reproduced exactly from any three of its points.
-/// let f = |t: f64| 2.0 - 3.0 * t + 0.5 * t * t;
-/// let ts = [0.0, 0.7, 1.1];
-/// let ys = [f(0.0), f(0.7), f(1.1)];
-/// assert!((extrapolate(&ts, &ys, 2.0) - f(2.0)).abs() < 1e-12);
-/// ```
-pub fn extrapolate(ts: &[f64], ys: &[f64], t: f64) -> f64 {
-    let mut coeffs = [0.0f64; MAX_POINTS];
-    let n = divided_differences(ts, ys, &mut coeffs);
-    newton_eval(&ts[..n], &coeffs[..n], t)
-}
-
 /// Computes the Newton divided-difference coefficients of the interpolating
 /// polynomial through `(ts[k], ys[k])` into `coeffs`, returning the number of
 /// coefficients written (`ts.len()`).
@@ -58,7 +28,8 @@ pub fn extrapolate(ts: &[f64], ys: &[f64], t: f64) -> f64 {
 ///
 /// # Panics
 ///
-/// As [`extrapolate`]; additionally panics if `coeffs` is shorter than `ts`.
+/// Panics if the lengths differ, are zero, exceed [`MAX_POINTS`], two
+/// abscissae coincide exactly, or `coeffs` is shorter than `ts`.
 pub fn divided_differences(ts: &[f64], ys: &[f64], coeffs: &mut [f64]) -> usize {
     let n = ts.len();
     assert!(
@@ -108,7 +79,7 @@ pub fn newton_eval(ts: &[f64], coeffs: &[f64], t: f64) -> f64 {
 ///
 /// # Panics
 ///
-/// As [`extrapolate`]; additionally panics if `rows` is not
+/// As [`divided_differences`]; additionally panics if `rows` is not
 /// `ts.len() * width` long or `out` is shorter than `width`.
 pub fn extrapolate_rows(ts: &[f64], rows: &[f64], width: usize, t: f64, out: &mut [f64]) {
     let n = ts.len();
@@ -132,6 +103,13 @@ pub fn extrapolate_rows(ts: &[f64], rows: &[f64], width: usize, t: f64, out: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scalar predictor: a one-column history block.
+    fn extrapolate(ts: &[f64], ys: &[f64], t: f64) -> f64 {
+        let mut out = [0.0];
+        extrapolate_rows(ts, ys, 1, t, &mut out);
+        out[0]
+    }
 
     #[test]
     fn constant_linear_and_quadratic_predictors_are_exact() {
@@ -193,7 +171,6 @@ mod tests {
     #[should_panic(expected = "points")]
     fn too_many_points_panic() {
         let ts = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let ys = ts;
-        let _ = extrapolate(&ts, &ys, 5.0);
+        let _ = divided_differences(&ts, &ts, &mut [0.0; 5]);
     }
 }

@@ -98,7 +98,7 @@ pub struct FaultEvent {
     pub occurrence: usize,
 }
 
-/// Deterministic, seedable fault injector (see the [module docs](self)).
+/// Deterministic fault injector (see the [module docs](self)).
 ///
 /// Cloning an injector clones its plans *and* its counters, so a clone
 /// replays identically from its current position.
@@ -142,15 +142,6 @@ impl FaultInjector {
         self
     }
 
-    /// Arms `fault` at a pseudo-random occurrence in `[1, window]` derived
-    /// deterministically from `seed` (SplitMix64) — the same seed always
-    /// picks the same occurrence, so a failing fuzz case is replayable from
-    /// its seed alone.
-    pub fn arm_seeded(&mut self, fault: Fault, seed: u64, window: usize) -> &mut Self {
-        let occurrence = 1 + (splitmix64(seed) % window.max(1) as u64) as usize;
-        self.arm(fault, occurrence)
-    }
-
     /// Consults the injector: counts one occurrence of `fault` and returns
     /// `true` when an armed plan covers it. Firing occurrences are recorded
     /// in [`FaultInjector::events`].
@@ -179,15 +170,6 @@ impl FaultInjector {
     pub fn events(&self) -> &[FaultEvent] {
         &self.log
     }
-}
-
-/// SplitMix64 — the same tiny deterministic generator the workspace's fuzz
-/// harnesses use to expand a case seed.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -242,26 +224,6 @@ mod tests {
         let mut always = FaultInjector::new();
         always.arm_always(Fault::KrylovStagnation);
         assert!((0..10).all(|_| always.should_fire(Fault::KrylovStagnation)));
-    }
-
-    #[test]
-    fn seeded_arming_is_deterministic_and_in_window() {
-        let a = {
-            let mut inj = FaultInjector::new();
-            inj.arm_seeded(Fault::NanResidual, 42, 8);
-            inj
-        };
-        let b = {
-            let mut inj = FaultInjector::new();
-            inj.arm_seeded(Fault::NanResidual, 42, 8);
-            inj
-        };
-        assert_eq!(a, b);
-        let mut inj = a;
-        let fired = (0..8)
-            .filter(|_| inj.should_fire(Fault::NanResidual))
-            .count();
-        assert_eq!(fired, 1, "seeded plan must land inside the window");
     }
 
     #[test]

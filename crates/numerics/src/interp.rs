@@ -119,39 +119,6 @@ impl MonotoneCubic {
         Ok(MonotoneCubic { xs, ys, slopes })
     }
 
-    /// Creates the interpolant with caller-specified endpoint slopes, which
-    /// lets the flux-linkage bridge match the analytic derivative of the
-    /// published sections at the section boundaries.
-    ///
-    /// The requested slopes are honoured only as far as monotonicity allows:
-    /// each is clamped into the Fritsch–Carlson box `[0, 3Δ]` of its end
-    /// interval's secant slope `Δ` (a slope of opposite sign to the data
-    /// becomes 0, a too-steep slope becomes `3Δ`). Writing the slopes in
-    /// unclamped *after* the limiter ran used to let an end interval
-    /// overshoot — exactly the spurious wiggle the monotone interpolant
-    /// exists to prevent.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MonotoneCubic::new`].
-    pub fn with_end_slopes(
-        xs: Vec<f64>,
-        ys: Vec<f64>,
-        start_slope: f64,
-        end_slope: f64,
-    ) -> Result<Self, NumericsError> {
-        let mut interp = MonotoneCubic::new(xs, ys)?;
-        let n = interp.slopes.len();
-        interp.slopes[0] = clamp_to_monotone_box(start_slope, interp.deltas(0));
-        interp.slopes[n - 1] = clamp_to_monotone_box(end_slope, interp.deltas(n - 2));
-        Ok(interp)
-    }
-
-    /// Secant slope of interval `i`.
-    fn deltas(&self, i: usize) -> f64 {
-        (self.ys[i + 1] - self.ys[i]) / (self.xs[i + 1] - self.xs[i])
-    }
-
     /// Interpolated value at `x`; extrapolates linearly using the endpoint
     /// slopes outside the table range.
     pub fn value(&self, x: f64) -> f64 {
@@ -197,27 +164,6 @@ impl MonotoneCubic {
         let dh01 = (-6.0 * t2 + 6.0 * t) / h;
         let dh11 = 3.0 * t2 - 2.0 * t;
         dh00 * self.ys[lo] + dh10 * self.slopes[lo] + dh01 * self.ys[hi] + dh11 * self.slopes[hi]
-    }
-}
-
-/// Clamps a requested endpoint slope into the Fritsch–Carlson monotonicity
-/// box of an interval with secant slope `delta`: `slope/delta` must lie in
-/// `[0, 3]`. The box `0 ≤ α, β ≤ 3` is a sufficient monotonicity region
-/// (Fritsch & Carlson 1980, §4), and the interval's interior slope already
-/// satisfies `β ∈ [0, 3]` after the circle limiter in
-/// [`MonotoneCubic::new`], so clamping the end slope alone keeps the end
-/// interval monotone. A flat interval admits only a flat slope.
-fn clamp_to_monotone_box(slope: f64, delta: f64) -> f64 {
-    if delta == 0.0 {
-        return 0.0;
-    }
-    let alpha = slope / delta;
-    if alpha <= 0.0 {
-        0.0
-    } else if alpha > 3.0 {
-        3.0 * delta
-    } else {
-        slope
     }
 }
 
@@ -303,49 +249,5 @@ mod tests {
         let h = 1e-6;
         let numeric = (mc.value(x + h) - mc.value(x - h)) / (2.0 * h);
         assert!((mc.derivative(x) - numeric).abs() < 1e-5);
-    }
-
-    #[test]
-    fn end_slopes_are_honoured() {
-        let mc = MonotoneCubic::with_end_slopes(vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 2.0], 0.0, 3.0)
-            .unwrap();
-        assert!((mc.derivative(0.0) - 0.0).abs() < 1e-12);
-        assert!((mc.derivative(2.0) - 3.0).abs() < 1e-12);
-        // Outside the range it extrapolates with those slopes.
-        assert!((mc.value(-1.0) - 0.0).abs() < 1e-12);
-        assert!((mc.value(3.0) - (2.0 + 3.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn end_slopes_cannot_break_monotonicity() {
-        // Regression: `with_end_slopes` used to write the caller's slopes in
-        // *after* the Fritsch–Carlson limiter had run, so a steep or
-        // wrong-signed boundary derivative made the end interval overshoot —
-        // on a flux-linkage-like bridge table the interpolant dipped below
-        // the data it was supposed to bridge monotonically.
-        let xs = vec![0.0, 0.5, 1.0, 2.0];
-        let ys = vec![0.0, 0.05, 0.1, 1.0];
-        for (start, end) in [(50.0, 50.0), (-10.0, -10.0), (0.0, 1e6)] {
-            let mc = MonotoneCubic::with_end_slopes(xs.clone(), ys.clone(), start, end).unwrap();
-            let mut prev = mc.value(0.0);
-            let mut x = 0.0;
-            while x <= 2.0 {
-                let v = mc.value(x);
-                assert!(
-                    v + 1e-12 >= prev,
-                    "slopes ({start}, {end}): overshoot at x={x}: {v} < {prev}"
-                );
-                prev = v;
-                x += 1e-3;
-            }
-        }
-        // Slopes inside the monotone box still pass through verbatim.
-        let mc = MonotoneCubic::with_end_slopes(xs.clone(), ys.clone(), 0.05, 1.2).unwrap();
-        assert_eq!(mc.derivative(0.0), 0.05);
-        assert_eq!(mc.derivative(2.0), 1.2);
-        // A flat end interval admits only a flat end slope.
-        let mc = MonotoneCubic::with_end_slopes(vec![0.0, 1.0, 2.0], vec![0.0, 1.0, 1.0], 1.0, 2.0)
-            .unwrap();
-        assert_eq!(mc.derivative(2.0), 0.0);
     }
 }

@@ -163,7 +163,6 @@ proptest! {
                 step_control: StepControl::Adaptive {
                     reltol,
                     abstol: 1e-9,
-                    max_dt: f64::INFINITY,
                 },
                 ..TransientOptions::default()
             })
