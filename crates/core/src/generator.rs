@@ -479,6 +479,7 @@ mod tests {
     #[test]
     fn shooting_engine_refuses_incommensurate_periods() {
         use harvester_mna::shooting::{SteadyStateAnalysis, SteadyStateOptions};
+        use harvester_mna::MnaError;
         // Every generator model carries the sinusoidal base excitation, so
         // the periodic steady-state engine must accept the vibration period
         // (and its multiples) and refuse anything incommensurate — the
@@ -490,15 +491,21 @@ mod tests {
             GeneratorModel::IdealSource,
         ] {
             let (circuit, _) = loaded_generator(model, 1e3);
-            let commensurate = SteadyStateAnalysis::new(SteadyStateOptions::new(period));
-            assert!(commensurate.supports(&circuit), "{model:?} at 1x period");
-            let double = SteadyStateAnalysis::new(SteadyStateOptions::new(2.0 * period));
-            assert!(double.supports(&circuit), "{model:?} at 2x period");
-            let incommensurate = SteadyStateAnalysis::new(SteadyStateOptions::new(0.7 * period));
-            assert!(
-                !incommensurate.supports(&circuit),
-                "{model:?} must be refused at 0.7x period"
-            );
+            // A refusal comes before any integration; an accepted period
+            // runs one coarse warm-up cycle and one shooting update.
+            let refused = |multiple: f64| {
+                let mut options = SteadyStateOptions::new(multiple * period);
+                options.warmup_cycles = 1.0;
+                options.max_iterations = 1;
+                options.transient.dt = period / 16.0;
+                matches!(
+                    SteadyStateAnalysis::new(options).run(&circuit),
+                    Err(MnaError::InvalidOptions(_))
+                )
+            };
+            assert!(!refused(1.0), "{model:?} at 1x period");
+            assert!(!refused(2.0), "{model:?} at 2x period");
+            assert!(refused(0.7), "{model:?} must be refused at 0.7x period");
         }
     }
 }

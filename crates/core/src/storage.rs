@@ -140,7 +140,7 @@ mod tests {
         .run(&c)
         .unwrap();
         let tau = 100.0 * 1e-3;
-        let t_end = result.final_time();
+        let t_end = *result.times().last().unwrap();
         let expected = 2.0 * (1.0 - (-t_end / tau).exp());
         assert!((result.final_voltage(out) - expected).abs() < 0.02);
     }
@@ -171,7 +171,7 @@ mod tests {
         // vector), so check the first solved point instead.
         assert!((v_int[1] - 1.0).abs() < 0.05);
         let tau = 100.0 * 1e-3;
-        let expected = (-result.final_time() / tau).exp();
+        let expected = (-result.times().last().unwrap() / tau).exp();
         assert!((v_int.last().unwrap() - expected).abs() < 0.05);
     }
 

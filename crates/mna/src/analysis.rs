@@ -1048,16 +1048,6 @@ impl AnalysisEngine {
     }
 }
 
-/// Runs `plan` against `circuit` with a fresh [`AnalysisEngine`] — the
-/// one-shot convenience entry point.
-///
-/// # Errors
-///
-/// As [`AnalysisEngine::run`].
-pub fn run_plan(circuit: &Circuit, plan: &AnalysisPlan) -> Result<AnalysisResults, MnaError> {
-    AnalysisEngine::new().run(circuit, plan)
-}
-
 /// Transient options whose only purpose is shaping a workspace for the
 /// static analyses (the backend is all that matters for layout).
 fn workspace_options(backend: SolverBackend) -> TransientOptions {
@@ -1104,6 +1094,7 @@ fn run_op(
         residual_tolerance: opts.residual_tolerance,
         reuse_jacobian: false,
         fault: Some(Fault::NanStaticResidual),
+        commit_jacobian: false,
     };
     let mut stats = RunStatistics::default();
     ws.invalidate_factors();
@@ -1133,7 +1124,7 @@ fn run_op(
         if opts.source_steps > 0 {
             stats.homotopy_escalations += 1;
             ws.reset(circuit);
-            ws.assemble_candidate(circuit, STATIC_POINT);
+            ws.assemble_candidate(circuit, STATIC_POINT, false);
             let f0 = ws.residual.clone();
             let converged = (1..=opts.source_steps).all(|s| {
                 let w = 1.0 - s as f64 / opts.source_steps as f64;
@@ -1244,6 +1235,7 @@ fn run_ac(
     }
 
     let (g, c) = small_signal_matrices(circuit, ws, op, states);
+    stats.jacobian_assemblies += 2;
     // The real-equivalent system is 2n×2n; resolve the backend against that.
     let sparse = opts.backend.resolve(2 * n) == SolverBackend::Sparse;
     let mut solver = HarmonicSolver::new(&g, &c, sparse)?;
@@ -1511,7 +1503,7 @@ mod tests {
 
         let direct = TransientAnalysis::new(opts).run(&circuit).unwrap();
         let plan = AnalysisPlan::from_cards(vec![Analysis::Tran(opts)]).unwrap();
-        let results = run_plan(&circuit, &plan).unwrap();
+        let results = AnalysisEngine::new().run(&circuit, &plan).unwrap();
         let card = results.transient().unwrap();
 
         assert_eq!(direct.times(), card.times());
@@ -1538,7 +1530,7 @@ mod tests {
             }),
         ])
         .unwrap();
-        let results = run_plan(&circuit, &plan).unwrap();
+        let results = AnalysisEngine::new().run(&circuit, &plan).unwrap();
         let op = results.op().unwrap();
         let tran = results.transient().unwrap();
 
@@ -1571,7 +1563,7 @@ mod tests {
 
         let direct = SteadyStateAnalysis::new(opts).run(&circuit).unwrap();
         let plan = AnalysisPlan::from_cards(vec![Analysis::Pss(opts)]).unwrap();
-        let results = run_plan(&circuit, &plan).unwrap();
+        let results = AnalysisEngine::new().run(&circuit, &plan).unwrap();
         let card = results.steady_state().unwrap();
 
         assert_eq!(direct.converged, card.converged);
@@ -1602,7 +1594,7 @@ mod tests {
             Analysis::Ac(AcOptions::new(FrequencySweep::Dec, 5, 1.0, 1e4)),
         ])
         .unwrap();
-        let results = run_plan(&circuit, &plan).unwrap();
+        let results = AnalysisEngine::new().run(&circuit, &plan).unwrap();
         let chained = results.ac().unwrap();
 
         assert_eq!(standalone.frequencies(), chained.frequencies());

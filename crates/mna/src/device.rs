@@ -13,10 +13,13 @@
 //!   manages the per-device history state automatically — the moral
 //!   equivalent of VHDL-AMS `'dot`.
 //!
-//! One crate-internal loop, `assemble`, stamps a whole circuit. It runs
-//! under every analysis, and once more at the zero iterate with a recording
-//! view to derive the sparse backend's Jacobian pattern from the stamps
-//! themselves.
+//! One crate-internal loop, `assemble`, stamps a whole circuit through one
+//! of four Jacobian views: the dense or the sparse backend's matrix, a
+//! recording view that runs once at the zero iterate to derive the sparse
+//! backend's pattern from the stamps themselves, and a discarding view for
+//! the assemblies whose Jacobian nothing reads (a modified-Newton iteration
+//! on stale factors, the residual and state probes), which compute the
+//! residual, `new_states` and `ddt` bookkeeping exactly as the others do.
 
 use crate::circuit::{Circuit, NodeId};
 use crate::transient::{IntegrationMethod, SystemLayout};
@@ -176,6 +179,9 @@ pub(crate) enum JacobianView<'a> {
     /// is dropped. The sparse backend derives its pattern from one assembly
     /// through this view.
     Record(&'a mut Vec<(usize, usize)>),
+    /// Residual-only assembly: every write and the clear are dropped, so
+    /// the matrix behind the other views keeps whatever it held.
+    Discard,
 }
 
 impl JacobianView<'_> {
@@ -184,6 +190,7 @@ impl JacobianView<'_> {
             JacobianView::Dense(m) => m[(row, col)] += value,
             JacobianView::Sparse { matrix, slots } => slots.add(matrix, row, col, value),
             JacobianView::Record(entries) => record(entries, row, col),
+            JacobianView::Discard => {}
         }
     }
 
@@ -197,6 +204,7 @@ impl JacobianView<'_> {
                 slots.rewind();
             }
             JacobianView::Record(entries) => entries.clear(),
+            JacobianView::Discard => {}
         }
     }
 
@@ -206,6 +214,7 @@ impl JacobianView<'_> {
             JacobianView::Dense(m) => JacobianView::Dense(m),
             JacobianView::Sparse { matrix, slots } => JacobianView::Sparse { matrix, slots },
             JacobianView::Record(entries) => JacobianView::Record(entries),
+            JacobianView::Discard => JacobianView::Discard,
         }
     }
 }
@@ -369,7 +378,8 @@ impl StampPoint {
 ///
 /// This is the one assembly loop of the engine: every analysis runs it on
 /// its workspace buffers, and the sparse backend runs it through a recording
-/// [`JacobianView`] to derive its pattern. `ddt_mask` (length
+/// [`JacobianView`] to derive its pattern. A discarding view makes it a
+/// residual-only assembly with the same residual and states. `ddt_mask` (length
 /// `layout.total_states`), when given, records which state slots each
 /// device's [`StampContext::ddt`] calls manage, the layout probe behind the
 /// shooting engine's period restarts.

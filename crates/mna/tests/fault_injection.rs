@@ -132,9 +132,10 @@ fn nan_residual_without_recovery_fails_with_the_bare_step_error() {
     inj.arm_always(Fault::NanResidual);
     let (result, inj) = run_injected(&circuit, short_options(), inj);
     match result {
-        Err(MnaError::StepFailed { time, dt, .. }) => {
+        Err(MnaError::StepFailed { time, dt, residual }) => {
             assert!(time > 0.0 && time.is_finite());
             assert!(dt < 2e-6, "halving must have exhausted below min_dt");
+            assert!(residual.is_nan(), "the failed solve's poisoned residual");
         }
         other => panic!("expected the bare StepFailed, got {other:?}"),
     }

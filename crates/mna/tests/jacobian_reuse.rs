@@ -1,15 +1,17 @@
 //! Regression tests for the modified-Newton Jacobian bypass: the factor
 //! counters must honour the documented contract (`full_factorizations +
 //! repivot_factorizations + refactorizations <= newton_iterations` for plain
-//! transients, plus one per accepted step for shooting runs),
-//! the bypass must actually decouple factorisations from iterations, and
-//! it must not move the converged trace beyond the Newton tolerances.
+//! transients, plus one per accepted step for shooting runs), a transient
+//! must stamp a Jacobian only where it factors one
+//! (`jacobian_assemblies == factorizations()`), the bypass must actually
+//! decouple factorisations from iterations, and it must not move the
+//! converged trace beyond the Newton tolerances.
 
 use harvester_mna::circuit::{Circuit, NodeId};
 use harvester_mna::devices::{Capacitor, Diode, Resistor, VoltageSource};
 use harvester_mna::shooting::{SteadyStateAnalysis, SteadyStateOptions};
 use harvester_mna::transient::{
-    SolverBackend, TransientAnalysis, TransientOptions, TransientResult,
+    SolverBackend, StepControl, TransientAnalysis, TransientOptions, TransientResult,
 };
 use harvester_mna::waveform::Waveform;
 
@@ -71,6 +73,48 @@ fn factor_counters_never_exceed_newton_iterations() {
         totals[0], totals[1],
         "dense vs sparse (newton, factorizations)"
     );
+}
+
+#[test]
+fn jacobians_are_stamped_only_where_they_are_factored() {
+    let (circuit, _) = rectifier();
+    for step_control in [StepControl::Fixed, StepControl::adaptive()] {
+        for reuse in [true, false] {
+            let mut assemblies = Vec::new();
+            for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+                let options = TransientOptions {
+                    step_control,
+                    ..options(backend, reuse)
+                };
+                let stats = run(&circuit, options).statistics();
+                let label = format!("{step_control:?}, {backend:?}, reuse_jacobian {reuse}");
+                assert_eq!(
+                    stats.jacobian_assemblies,
+                    stats.factorizations(),
+                    "{label}: every stamped Jacobian is factored, and only those"
+                );
+                if reuse {
+                    // Iterations on stale factors assemble the residual alone.
+                    assert!(
+                        stats.jacobian_assemblies < stats.newton_iterations,
+                        "{label}: {} Jacobian assemblies for {} iterations",
+                        stats.jacobian_assemblies,
+                        stats.newton_iterations
+                    );
+                } else {
+                    assert_eq!(
+                        stats.jacobian_assemblies, stats.newton_iterations,
+                        "{label}: full Newton stamps every iteration"
+                    );
+                }
+                assemblies.push(stats.jacobian_assemblies);
+            }
+            assert_eq!(
+                assemblies[0], assemblies[1],
+                "{step_control:?}, reuse_jacobian {reuse}: dense vs sparse"
+            );
+        }
+    }
 }
 
 #[test]

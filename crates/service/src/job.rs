@@ -20,20 +20,6 @@ use crate::panic_inject::PanicInjector;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub(crate) u64);
 
-impl JobId {
-    /// Reconstructs an id from its wire value (for remote transports that
-    /// serialise ids; an unknown value is answered with `None` by
-    /// status/wait, never an error).
-    pub fn from_raw(raw: u64) -> JobId {
-        JobId(raw)
-    }
-
-    /// The wire value of this id.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job-{}", self.0)

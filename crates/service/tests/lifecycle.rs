@@ -289,7 +289,10 @@ fn status_reports_unknown_jobs_as_none() {
     let service = single_worker();
     let id = service.submit(JobSpec::new(RECTIFIER));
     service.wait(id);
-    assert!(service
-        .status(harvester_service::JobId::from_raw(u64::MAX))
-        .is_none());
+    // An id this service never issued: another service's second one.
+    let other = single_worker();
+    other.submit(JobSpec::new(RECTIFIER));
+    let foreign = other.submit(JobSpec::new(RECTIFIER));
+    assert!(service.status(foreign).is_none());
+    assert!(service.wait(foreign).is_none());
 }

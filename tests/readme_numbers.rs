@@ -1,5 +1,6 @@
-//! The README's solver-backend speed figures must be the ones the committed
-//! bench baselines record, not hand-typed numbers that drift from them.
+//! The README's solver-backend speed figures and its Jacobian-assembly
+//! share must be the ones the committed bench baselines record, not
+//! hand-typed numbers that drift from them.
 
 use harvester_bench::report::parse_bench_json;
 
@@ -52,5 +53,25 @@ fn readme_fitness_speedup_matches_the_pss_baseline() {
     assert!(
         readme().contains(&phrase),
         "README.md should quote \"{phrase}\" from bench/baselines/BENCH_pss.json"
+    );
+}
+
+#[test]
+fn readme_jacobian_assembly_share_matches_the_transient_baseline() {
+    let baseline = parse_bench_json(include_str!("../bench/baselines/BENCH_transient.json"))
+        .expect("the committed transient baseline parses");
+    let record = baseline
+        .record("villard_envelope_fixed")
+        .expect("BENCH_transient.json has villard_envelope_fixed");
+    let counter = |name: &str| {
+        record
+            .get(name)
+            .unwrap_or_else(|| panic!("villard_envelope_fixed has no {name}"))
+    };
+    let share = 100.0 * counter("jacobian_assemblies") / counter("newton_iterations");
+    let phrase = format!("stamping a Jacobian on {share:.1} % of its Newton iterations");
+    assert!(
+        readme().contains(&phrase),
+        "README.md should quote \"{phrase}\" from bench/baselines/BENCH_transient.json"
     );
 }
