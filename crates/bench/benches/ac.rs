@@ -10,10 +10,7 @@
 //! linearised solve path got more expensive.
 
 use harvester_bench::report::{self, BenchRecord};
-use harvester_mna::analysis::{
-    Analysis, AnalysisEngine, AnalysisPlan, AnalysisResults, OpOptions, OpResult,
-    OperatingPointAnalysis,
-};
+use harvester_mna::analysis::{Analysis, AnalysisEngine, AnalysisPlan, AnalysisResults, OpOptions};
 use harvester_mna::netlist;
 
 fn fixture(name: &str) -> String {
@@ -38,27 +35,30 @@ fn main() {
     });
     // A single solve is microseconds — far below the gate's wall-clock
     // slack — so each sample is a batch; the work counters still describe
-    // one run.
+    // one run. Every solve runs on a fresh engine, so it builds its own
+    // workspace.
     const OP_REPS: u32 = 2000;
-    let analysis = OperatingPointAnalysis::new(OpOptions::default());
+    let op_plan = AnalysisPlan::from_cards(vec![Analysis::Op(OpOptions::default())])
+        .expect("default op options are valid");
     let runs = report::time(
         names.map(|name| format!("{name}_op")),
-        OpResult::statistics,
+        AnalysisResults::statistics,
         |k| {
             let run = || {
-                analysis
-                    .run(&circuits[k])
+                AnalysisEngine::new()
+                    .run(&circuits[k], &op_plan)
                     .expect("frozen fixture must have an operating point")
             };
-            let mut op = run();
+            let mut results = run();
             for _ in 1..OP_REPS {
-                op = run();
+                results = run();
             }
-            op
+            results
         },
     );
-    for (name, (op, wall)) in names.iter().zip(&runs) {
-        let stats = op.statistics();
+    for (name, (results, wall)) in names.iter().zip(&runs) {
+        let stats = results.statistics();
+        let op = results.op().expect("the plan is one .op card");
         println!(
             "  {name}_op: {OP_REPS} solves per sample, {} newton iterations, \
              {} factorisations, {:?}",

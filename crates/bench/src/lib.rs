@@ -22,7 +22,7 @@ use harvester_mna::waveform::Waveform;
 
 /// A reduced-size storage element so bench iterations stay in the
 /// sub-second range.
-pub fn bench_storage() -> StorageParams {
+pub(crate) fn bench_storage() -> StorageParams {
     StorageParams {
         capacitance: 0.02,
         ..StorageParams::paper_supercap()

@@ -24,20 +24,6 @@ pub enum BoosterConfig {
     Villard(VillardParams),
     /// Transformer-based booster with a full-wave rectifier (Fig. 9).
     Transformer(TransformerBoosterParams),
-    /// A single series diode (half-wave rectifier) — the simplest possible
-    /// "booster", useful as an ablation baseline.
-    HalfWaveRectifier,
-}
-
-impl BoosterConfig {
-    /// Short, human-readable label used in experiment reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BoosterConfig::Villard(_) => "villard-multiplier",
-            BoosterConfig::Transformer(_) => "transformer-booster",
-            BoosterConfig::HalfWaveRectifier => "half-wave-rectifier",
-        }
-    }
 }
 
 /// Adds an N-stage Villard voltage multiplier between `input` (AC, referenced
@@ -219,26 +205,8 @@ pub fn add_transformer_booster(
     vec![prim, sec_raw, sec, bridge_neg]
 }
 
-/// Adds a single-diode half-wave rectifier between `input` and `output`
-/// (ablation baseline "booster").
-pub fn add_half_wave_rectifier(
-    circuit: &mut Circuit,
-    prefix: &str,
-    input: NodeId,
-    output: NodeId,
-) -> Vec<String> {
-    circuit.add(Diode::with_parameters(
-        &format!("{prefix}_D"),
-        input,
-        output,
-        1e-8,
-        1.05,
-    ));
-    Vec::new()
-}
-
 /// Adds the booster described by `config` between `input` and `output`.
-pub fn add_booster(
+pub(crate) fn add_booster(
     circuit: &mut Circuit,
     prefix: &str,
     input: NodeId,
@@ -248,7 +216,6 @@ pub fn add_booster(
     match config {
         BoosterConfig::Villard(p) => add_villard_multiplier(circuit, prefix, input, output, p),
         BoosterConfig::Transformer(p) => add_transformer_booster(circuit, prefix, input, output, p),
-        BoosterConfig::HalfWaveRectifier => add_half_wave_rectifier(circuit, prefix, input, output),
     }
 }
 
@@ -349,28 +316,6 @@ mod tests {
             40.0,
         );
         assert!(v > 0.8 && v < 2.0, "optimised booster output: {v}");
-    }
-
-    #[test]
-    fn half_wave_rectifier_passes_only_the_positive_peak() {
-        let v = driven_booster(&BoosterConfig::HalfWaveRectifier, 1.0, 40.0);
-        assert!(v > 0.4 && v < 1.0, "half-wave output: {v}");
-    }
-
-    #[test]
-    fn labels_are_stable() {
-        assert_eq!(
-            BoosterConfig::Villard(VillardParams::paper_six_stage()).label(),
-            "villard-multiplier"
-        );
-        assert_eq!(
-            BoosterConfig::Transformer(TransformerBoosterParams::unoptimised()).label(),
-            "transformer-booster"
-        );
-        assert_eq!(
-            BoosterConfig::HalfWaveRectifier.label(),
-            "half-wave-rectifier"
-        );
     }
 
     #[test]

@@ -219,7 +219,7 @@ impl Device for ElectromechanicalGenerator {
 /// Steady-state velocity amplitude of the *unloaded* (open-circuit) linear
 /// generator under the given vibration — the classic forced-oscillator
 /// response `|U| = m·A·ω / √((ks − m·ω²)² + (cp·ω)²)`.
-pub fn open_circuit_velocity_amplitude(
+pub(crate) fn open_circuit_velocity_amplitude(
     params: &MicroGeneratorParams,
     vibration: &Vibration,
 ) -> f64 {
@@ -233,7 +233,10 @@ pub fn open_circuit_velocity_amplitude(
 /// Peak open-circuit EMF of the linearised generator,
 /// `k(0) · |U_open-circuit|` — the amplitude the ideal-source model of
 /// Fig. 2(a) uses.
-pub fn open_circuit_emf_amplitude(params: &MicroGeneratorParams, vibration: &Vibration) -> f64 {
+pub(crate) fn open_circuit_emf_amplitude(
+    params: &MicroGeneratorParams,
+    vibration: &Vibration,
+) -> f64 {
     params.coupling_at_rest() * open_circuit_velocity_amplitude(params, vibration)
 }
 

@@ -34,7 +34,7 @@ pub fn improvement_percent(baseline: f64, improved: f64) -> f64 {
 }
 
 /// Energy stored in a capacitor charged from `v_start` to `v_end`.
-pub fn capacitor_energy(capacitance: f64, v_start: f64, v_end: f64) -> f64 {
+pub(crate) fn capacitor_energy(capacitance: f64, v_start: f64, v_end: f64) -> f64 {
     0.5 * capacitance * (v_end * v_end - v_start * v_start)
 }
 

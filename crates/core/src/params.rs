@@ -286,7 +286,7 @@ impl Vibration {
     }
 
     /// Angular frequency in rad/s.
-    pub fn angular_frequency(&self) -> f64 {
+    pub(crate) fn angular_frequency(&self) -> f64 {
         2.0 * std::f64::consts::PI * self.frequency_hz
     }
 

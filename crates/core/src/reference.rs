@@ -11,7 +11,8 @@
 //!   losses the nominal model ignores),
 //! * a slightly weaker electromagnetic coupling (flux-density tolerance),
 //! * a leakier storage capacitor,
-//! * zero-mean Gaussian measurement noise on every sample.
+//! * measurement noise on every sample: a relative error drawn uniformly
+//!   from ±1 % (a standard deviation of 1 %/√3 ≈ 0.58 %) from a fixed seed.
 //!
 //! What matters for the paper's claims is the *ranking* of the three model
 //! families against this ground truth (analytical ≫ equivalent-circuit ≫
@@ -26,69 +27,43 @@ use harvester_mna::MnaError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// How far the "real device" deviates from the nominal design used by the
-/// models, and how noisy the measurement chain is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReferencePerturbation {
-    /// Multiplier applied to the mechanical damping (> 1 = lossier device).
-    pub damping_factor: f64,
-    /// Multiplier applied to the magnet flux density (< 1 = weaker magnets).
-    pub flux_density_factor: f64,
-    /// Multiplier applied to the storage leakage resistance (< 1 = leakier).
-    pub leakage_factor: f64,
-    /// Standard deviation of the relative measurement noise.
-    pub noise_relative: f64,
-}
+// How far the "real device" deviates from the nominal design used by the
+// models, and how noisy the measurement chain is.
 
-impl Default for ReferencePerturbation {
-    fn default() -> Self {
-        ReferencePerturbation {
-            damping_factor: 1.15,
-            flux_density_factor: 0.95,
-            leakage_factor: 0.6,
-            noise_relative: 0.01,
-        }
-    }
-}
+/// Multiplier applied to the mechanical damping (> 1 = lossier device).
+const DAMPING_FACTOR: f64 = 1.15;
+/// Multiplier applied to the magnet flux density (< 1 = weaker magnets).
+const FLUX_DENSITY_FACTOR: f64 = 0.95;
+/// Multiplier applied to the storage leakage resistance (< 1 = leakier).
+const LEAKAGE_FACTOR: f64 = 0.6;
+/// Half-width of the uniform relative measurement noise (a standard
+/// deviation of `NOISE_RELATIVE/√3`).
+const NOISE_RELATIVE: f64 = 0.01;
+/// Seed of the noise draws (reproducible runs).
+const SEED: u64 = 20080310;
 
 /// Generator of synthetic experimental reference data.
 #[derive(Debug, Clone)]
 pub struct ExperimentalReference {
     config: HarvesterConfig,
-    perturbation: ReferencePerturbation,
-    seed: u64,
 }
 
 impl ExperimentalReference {
-    /// Creates a reference generator for the given nominal configuration,
-    /// using the default perturbation and a fixed seed (reproducible runs).
+    /// Creates a reference generator for the given nominal configuration.
     pub fn new(config: HarvesterConfig) -> Self {
-        Self::with_perturbation(config, ReferencePerturbation::default(), 20080310)
-    }
-
-    /// Creates a reference generator with explicit perturbation and seed.
-    pub fn with_perturbation(
-        config: HarvesterConfig,
-        perturbation: ReferencePerturbation,
-        seed: u64,
-    ) -> Self {
-        ExperimentalReference {
-            config,
-            perturbation,
-            seed,
-        }
+        ExperimentalReference { config }
     }
 
     /// The perturbed ("as-built") configuration the reference is generated
     /// from. Always uses the analytical generator model — the point of the
     /// reference is to stand in for the real coupled device.
-    pub fn perturbed_config(&self) -> HarvesterConfig {
+    pub(crate) fn perturbed_config(&self) -> HarvesterConfig {
         let mut cfg = self.config.clone();
         cfg.model = crate::generator::GeneratorModel::Analytical;
-        cfg.generator.damping *= self.perturbation.damping_factor;
-        cfg.generator.flux_density *= self.perturbation.flux_density_factor;
+        cfg.generator.damping *= DAMPING_FACTOR;
+        cfg.generator.flux_density *= FLUX_DENSITY_FACTOR;
         cfg.storage = StorageParams {
-            leakage_resistance: cfg.storage.leakage_resistance * self.perturbation.leakage_factor,
+            leakage_resistance: cfg.storage.leakage_resistance * LEAKAGE_FACTOR,
             ..cfg.storage
         };
         cfg
@@ -103,9 +78,9 @@ impl ExperimentalReference {
     pub fn charging_curve(&self, envelope: EnvelopeOptions) -> Result<ChargingCurve, MnaError> {
         let sim = EnvelopeSimulator::new(self.perturbed_config(), envelope);
         let mut curve = sim.charge_curve()?;
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         for v in &mut curve.voltages {
-            let noise: f64 = rng.gen_range(-1.0..1.0) * self.perturbation.noise_relative;
+            let noise: f64 = rng.gen_range(-1.0..1.0) * NOISE_RELATIVE;
             *v *= 1.0 + noise;
             *v = v.max(0.0);
         }
@@ -123,13 +98,13 @@ impl ExperimentalReference {
         options: TransientOptions,
     ) -> Result<(Vec<f64>, Vec<f64>), MnaError> {
         let run = self.perturbed_config().simulate(options)?;
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1));
+        let mut rng = StdRng::seed_from_u64(SEED.wrapping_add(1));
         let times = run.times().to_vec();
         let volts: Vec<f64> = run
             .generator_voltage()
             .into_iter()
             .map(|v| {
-                let noise: f64 = rng.gen_range(-1.0..1.0) * self.perturbation.noise_relative;
+                let noise: f64 = rng.gen_range(-1.0..1.0) * NOISE_RELATIVE;
                 v + noise * v.abs().max(1e-3)
             })
             .collect();
@@ -183,22 +158,26 @@ mod tests {
     }
 
     #[test]
-    fn different_seeds_give_different_noise_but_similar_trend() {
+    fn noise_stays_within_one_percent_of_the_perturbed_curve() {
         let mut config = HarvesterConfig::unoptimised();
         config.storage.capacitance = 0.01;
-        let a = ExperimentalReference::with_perturbation(
-            config.clone(),
-            ReferencePerturbation::default(),
-            1,
-        )
-        .charging_curve(quick_envelope())
-        .unwrap();
-        let b =
-            ExperimentalReference::with_perturbation(config, ReferencePerturbation::default(), 2)
-                .charging_curve(quick_envelope())
-                .unwrap();
-        assert_ne!(a.voltages, b.voltages);
-        assert!((a.final_voltage() - b.final_voltage()).abs() < 0.1 * a.final_voltage());
+        let reference = ExperimentalReference::new(config);
+        let noisy = reference.charging_curve(quick_envelope()).unwrap();
+        let clean = EnvelopeSimulator::new(reference.perturbed_config(), quick_envelope())
+            .charge_curve()
+            .unwrap();
+        assert_eq!(noisy.times, clean.times);
+        let mut perturbed = 0;
+        for (n, c) in noisy.voltages.iter().zip(&clean.voltages) {
+            // One rounding of slack on the ±1 % bound.
+            assert!(
+                (n - c).abs() <= NOISE_RELATIVE * (1.0 + 1e-12) * c,
+                "noisy {n} vs clean {c}"
+            );
+            perturbed += usize::from(n != c);
+        }
+        // Every sample but the uncharged first one carries noise.
+        assert_eq!(perturbed, noisy.voltages.len() - 1);
     }
 
     #[test]

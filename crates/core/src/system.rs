@@ -192,7 +192,7 @@ impl HarvesterRun {
     }
 
     /// Storage (super-capacitor) terminal voltage waveform.
-    pub fn storage_voltage(&self) -> Vec<f64> {
+    pub(crate) fn storage_voltage(&self) -> Vec<f64> {
         self.result.voltage(self.nodes.storage)
     }
 
@@ -220,7 +220,7 @@ impl HarvesterRun {
 
     /// Coil current waveform (positive when the generator delivers current to
     /// the booster).
-    pub fn coil_current(&self) -> Vec<f64> {
+    pub(crate) fn coil_current(&self) -> Vec<f64> {
         // The generator's internal branch current flows from + to −; the
         // delivered current is its negation.
         self.result

@@ -68,7 +68,7 @@ pub struct CpuTimeBreakdown {
 impl CpuTimeBreakdown {
     /// Seconds of the run spent in the GA itself: selection, crossover,
     /// mutation and ranking.
-    pub fn breeding_seconds(&self) -> f64 {
+    pub(crate) fn breeding_seconds(&self) -> f64 {
         self.total_seconds - self.evaluation_seconds
     }
 

@@ -228,7 +228,7 @@ impl HarvesterObjective {
 
     /// Evaluates the charging figure of merit (average charging current in
     /// amperes into the reference-voltage storage) for a full configuration.
-    pub fn charging_current(&self, config: &HarvesterConfig) -> f64 {
+    pub(crate) fn charging_current(&self, config: &HarvesterConfig) -> f64 {
         match EnvelopeSimulator::new(config.clone(), self.budget.envelope())
             .measure_characteristic()
         {

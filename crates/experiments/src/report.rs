@@ -30,7 +30,7 @@ impl Table {
     /// # Panics
     ///
     /// Panics if the row length does not match the header.
-    pub fn push_row(&mut self, row: Vec<String>) {
+    pub(crate) fn push_row(&mut self, row: Vec<String>) {
         assert_eq!(
             row.len(),
             self.header.len(),

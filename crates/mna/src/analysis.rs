@@ -30,7 +30,7 @@
 //!
 //! # DC operating point
 //!
-//! [`OperatingPointAnalysis`] solves the static system `f(x) = 0` — the
+//! An [`Analysis::Op`] card solves the static system `f(x) = 0` — the
 //! transient residual assembled with an infinite step, which zeroes every
 //! companion-model conductance exactly — with three strategies in order:
 //! plain Newton, **gmin stepping** (a shunt conductance on every node
@@ -44,7 +44,8 @@
 //!
 //! # AC small-signal analysis
 //!
-//! [`AcAnalysis`] linearises the circuit at the operating point and solves
+//! An [`Analysis::Ac`] card linearises the circuit at the operating point
+//! (a preceding `.op` card's, or one it solves itself) and solves
 //! the complex phasor system `(G + jωC)·x̂ = b̂` per sweep frequency with
 //! [`HarmonicSolver`]. `G` and
 //! `C` are extracted from two static Jacobian assemblies at unit and half
@@ -223,40 +224,6 @@ impl OpResult {
     /// does not exist.
     pub fn probe(&self, device: &str, unknown: &str) -> Result<f64, MnaError> {
         Ok(self.solution[self.names.probe(device, unknown)?])
-    }
-}
-
-/// The standalone DC operating-point driver. Plans run the same solver
-/// through their `.op` cards; this type is the direct entry point.
-#[derive(Debug, Clone, Default)]
-pub struct OperatingPointAnalysis {
-    options: OpOptions,
-}
-
-impl OperatingPointAnalysis {
-    /// Creates an analysis with the given options.
-    pub fn new(options: OpOptions) -> Self {
-        OperatingPointAnalysis { options }
-    }
-
-    /// The analysis options.
-    pub fn options(&self) -> &OpOptions {
-        &self.options
-    }
-
-    /// Solves the DC operating point of `circuit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MnaError::InvalidOptions`] for nonsensical options,
-    /// [`MnaError::InvalidNetlist`] for an empty circuit, and
-    /// [`MnaError::StepFailed`] (at `t = 0`, `dt = ∞`) when every homotopy
-    /// strategy fails to converge.
-    pub fn run(&self, circuit: &Circuit) -> Result<OpResult, MnaError> {
-        self.options.validate()?;
-        let mut ws =
-            TransientWorkspace::for_circuit(circuit, &workspace_options(self.options.backend))?;
-        run_op(circuit, &mut ws, &self.options)
     }
 }
 
@@ -476,44 +443,6 @@ impl AcResult {
     }
 }
 
-/// The standalone AC small-signal driver: solves its own operating point,
-/// linearises there and sweeps. Plans run the same solver through their
-/// `.ac` cards, reusing a preceding `.op` card's point when present.
-#[derive(Debug, Clone, Default)]
-pub struct AcAnalysis {
-    options: AcOptions,
-}
-
-impl AcAnalysis {
-    /// Creates an analysis with the given options.
-    pub fn new(options: AcOptions) -> Self {
-        AcAnalysis { options }
-    }
-
-    /// The analysis options.
-    pub fn options(&self) -> &AcOptions {
-        &self.options
-    }
-
-    /// Runs the AC analysis on `circuit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MnaError::InvalidOptions`] for nonsensical options or a
-    /// circuit without any AC-specified source, and the operating-point
-    /// errors of [`OperatingPointAnalysis::run`].
-    pub fn run(&self, circuit: &Circuit) -> Result<AcResult, MnaError> {
-        self.options.validate()?;
-        let mut ws =
-            TransientWorkspace::for_circuit(circuit, &workspace_options(self.options.op.backend))?;
-        let mut stats = RunStatistics::default();
-        let op = run_op(circuit, &mut ws, &self.options.op)?;
-        stats.merge(&op.statistics());
-        let states = ws.states.clone();
-        run_ac(circuit, &ws, &self.options, op.solution(), &states, stats)
-    }
-}
-
 /// One analysis card of a plan, with its typed options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Analysis {
@@ -528,8 +457,7 @@ pub enum Analysis {
 }
 
 impl Analysis {
-    /// Validates the card's options through the same checkers the
-    /// standalone drivers use.
+    /// Validates the card's options through their shared checkers.
     ///
     /// # Errors
     ///
@@ -1283,10 +1211,31 @@ mod tests {
         (circuit, vin, mid)
     }
 
+    /// The operating point of a one-`.op`-card plan on a fresh engine.
+    fn op(circuit: &Circuit, options: OpOptions) -> Result<OpResult, MnaError> {
+        let plan = AnalysisPlan::from_cards(vec![Analysis::Op(options)])?;
+        let results = AnalysisEngine::new().run(circuit, &plan)?;
+        Ok(results
+            .op()
+            .expect("an .op card yields an op result")
+            .clone())
+    }
+
+    /// The sweep of a one-`.ac`-card plan on a fresh engine (the card
+    /// solves its own operating point).
+    fn ac(circuit: &Circuit, options: AcOptions) -> Result<AcResult, MnaError> {
+        let plan = AnalysisPlan::from_cards(vec![Analysis::Ac(options)])?;
+        let results = AnalysisEngine::new().run(circuit, &plan)?;
+        Ok(results
+            .ac()
+            .expect("an .ac card yields an AC result")
+            .clone())
+    }
+
     #[test]
     fn op_solves_a_resistive_divider_directly() {
         let (circuit, vin, mid) = rc_divider();
-        let op = OperatingPointAnalysis::default().run(&circuit).unwrap();
+        let op = op(&circuit, OpOptions::default()).unwrap();
         assert_eq!(op.strategy(), OpStrategy::Direct);
         assert!((op.voltage(vin) - 5.0).abs() < 1e-12);
         assert!((op.voltage(mid) - 2.5).abs() < 1e-12);
@@ -1311,7 +1260,7 @@ mod tests {
         circuit.add(Diode::new("D1", out, Circuit::GROUND));
         circuit.add(Capacitor::new("C1", out, Circuit::GROUND, 1e-6));
 
-        let op = OperatingPointAnalysis::default().run(&circuit).unwrap();
+        let op = op(&circuit, OpOptions::default()).unwrap();
         let tran = TransientAnalysis::new(TransientOptions {
             t_stop: 5e-3,
             dt: 1e-6,
@@ -1340,11 +1289,13 @@ mod tests {
         ));
         circuit.add(Diode::new("D1", a, Circuit::GROUND));
         // One Newton iteration per stage cannot converge an exponential.
-        let err = OperatingPointAnalysis::new(OpOptions {
-            max_newton_iterations: 1,
-            ..OpOptions::default()
-        })
-        .run(&circuit)
+        let err = op(
+            &circuit,
+            OpOptions {
+                max_newton_iterations: 1,
+                ..OpOptions::default()
+            },
+        )
         .unwrap_err();
         assert!(matches!(err, MnaError::StepFailed { time, .. } if time == 0.0));
     }
@@ -1397,9 +1348,7 @@ mod tests {
         circuit.add(Resistor::new("R1", vin, out, r));
         circuit.add(Capacitor::new("C1", out, Circuit::GROUND, c));
 
-        let ac = AcAnalysis::new(AcOptions::new(FrequencySweep::Dec, 5, 1.0, 1e5))
-            .run(&circuit)
-            .unwrap();
+        let ac = ac(&circuit, AcOptions::new(FrequencySweep::Dec, 5, 1.0, 1e5)).unwrap();
         let v = ac.voltage(out);
         for (k, &f) in ac.frequencies().iter().enumerate() {
             let omega = 2.0 * std::f64::consts::PI * f;
@@ -1430,9 +1379,7 @@ mod tests {
         circuit.add(Resistor::new("R1", out, Circuit::GROUND, r));
         circuit.add(Capacitor::new("C1", out, Circuit::GROUND, c));
 
-        let ac = AcAnalysis::new(AcOptions::new(FrequencySweep::Dec, 3, 1e3, 1e6))
-            .run(&circuit)
-            .unwrap();
+        let ac = ac(&circuit, AcOptions::new(FrequencySweep::Dec, 3, 1e3, 1e6)).unwrap();
         let v = ac.voltage(out);
         for (k, &f) in ac.frequencies().iter().enumerate() {
             let omega = 2.0 * std::f64::consts::PI * f;
@@ -1449,9 +1396,7 @@ mod tests {
     #[test]
     fn ac_without_an_ac_source_is_rejected() {
         let (circuit, _, _) = rc_divider();
-        let err = AcAnalysis::new(AcOptions::new(FrequencySweep::Dec, 5, 1.0, 1e3))
-            .run(&circuit)
-            .unwrap_err();
+        let err = ac(&circuit, AcOptions::new(FrequencySweep::Dec, 5, 1.0, 1e3)).unwrap_err();
         assert!(matches!(err, MnaError::InvalidOptions(msg) if msg.contains("AC specification")));
     }
 
@@ -1586,9 +1531,7 @@ mod tests {
         circuit.add(Resistor::new("R1", vin, out, 1_000.0));
         circuit.add(Capacitor::new("C1", out, Circuit::GROUND, 1e-6));
 
-        let standalone = AcAnalysis::new(AcOptions::new(FrequencySweep::Dec, 5, 1.0, 1e4))
-            .run(&circuit)
-            .unwrap();
+        let unchained = ac(&circuit, AcOptions::new(FrequencySweep::Dec, 5, 1.0, 1e4)).unwrap();
         let plan = AnalysisPlan::from_cards(vec![
             Analysis::Op(OpOptions::default()),
             Analysis::Ac(AcOptions::new(FrequencySweep::Dec, 5, 1.0, 1e4)),
@@ -1597,8 +1540,8 @@ mod tests {
         let results = AnalysisEngine::new().run(&circuit, &plan).unwrap();
         let chained = results.ac().unwrap();
 
-        assert_eq!(standalone.frequencies(), chained.frequencies());
-        let a = standalone.voltage(out);
+        assert_eq!(unchained.frequencies(), chained.frequencies());
+        let a = unchained.voltage(out);
         let b = chained.voltage(out);
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.re.to_bits(), y.re.to_bits());

@@ -323,7 +323,7 @@ impl<'a> AcStampContext<'a> {
 
     /// Injects `phasor` amperes of small-signal current **into** `node`
     /// (contributions to ground are discarded, as during stamping).
-    pub fn inject_current(&mut self, node: NodeId, phasor: Complex64) {
+    pub(crate) fn inject_current(&mut self, node: NodeId, phasor: Complex64) {
         if let Some(row) = self.global_index(Unknown::Node(node)) {
             self.rhs[row] += phasor;
         }
@@ -332,7 +332,7 @@ impl<'a> AcStampContext<'a> {
     /// Drives the right-hand side of the device's `equation`-th behavioural
     /// equation with `phasor` — for a voltage source whose transient
     /// equation is `v(a) − v(b) − V(t) = 0`, the AC drive is `+V̂` here.
-    pub fn drive_equation(&mut self, equation: usize, phasor: Complex64) {
+    pub(crate) fn drive_equation(&mut self, equation: usize, phasor: Complex64) {
         self.rhs[self.extra_base + equation] += phasor;
     }
 }
@@ -592,7 +592,7 @@ impl<'a> StampContext<'a> {
     /// Convenience: stamps a conductance `g` between nodes `a` and `b`
     /// carrying current `g·(v(a) − v(b))`, including all four Jacobian
     /// entries. Returns the branch current.
-    pub fn stamp_conductance(&mut self, a: NodeId, b: NodeId, g: f64) -> f64 {
+    pub(crate) fn stamp_conductance(&mut self, a: NodeId, b: NodeId, g: f64) -> f64 {
         let v = self.voltage_between(a, b);
         let i = g * v;
         self.add_current(a, i);

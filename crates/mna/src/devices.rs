@@ -233,7 +233,7 @@ impl Inductor {
     }
 
     /// Initial current from `a` to `b` at `t = 0`.
-    pub fn initial_current(&self) -> f64 {
+    pub(crate) fn initial_current(&self) -> f64 {
         self.initial_current
     }
 
@@ -535,7 +535,7 @@ impl Diode {
     }
 
     /// Diode current and small-signal conductance at junction voltage `v`.
-    pub fn current_and_conductance(&self, v: f64) -> (f64, f64) {
+    pub(crate) fn current_and_conductance(&self, v: f64) -> (f64, f64) {
         let (i, g) = if v <= self.vcrit {
             // Clamp the reverse exponent as well to avoid underflow noise.
             let e = (v / self.nvt).max(-80.0).exp();
@@ -556,7 +556,7 @@ impl Diode {
     /// the exponential currents during wild Newton excursions. Inside the
     /// limit the two models are identical, so a converged solution whose
     /// junction voltage sits within the limit is exact.
-    pub fn limited_current_and_conductance(&self, v: f64, limit: f64) -> (f64, f64) {
+    pub(crate) fn limited_current_and_conductance(&self, v: f64, limit: f64) -> (f64, f64) {
         let clamped = v.clamp(-limit, limit);
         let (i0, g0) = self.current_and_conductance(clamped);
         (i0 + g0 * (v - clamped), g0)

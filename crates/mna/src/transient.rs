@@ -298,14 +298,14 @@ impl StepControl {
 ///
 /// 1. **gmin ramp** ([`RecoveryPolicy::gmin_ramp`]) — re-solve the failing
 ///    step with a shunt conductance `gmin` on every node diagonal, ramping
-///    it from [`RecoveryPolicy::gmin_start`] down to zero over
-///    [`RecoveryPolicy::gmin_stages`] stages (the operating point's gmin
-///    stepping, run on the step); each stage's solution seeds the next, and
-///    only the final `gmin = 0` solution (an exact solution of the
-///    unmodified system) is ever committed.
-/// 2. **junction limiting** ([`RecoveryPolicy::junction_limit`]) — re-solve
-///    the failing step with SPICE-style junction-voltage limiting in the
-///    junction-device stamps (see
+///    it from [`GMIN_START`](crate::analysis::GMIN_START) down by a decade
+///    per stage over ten stages (the operating point's gmin stepping, run
+///    on the step); each stage's solution seeds the next, and only the
+///    final `gmin = 0` solution (an exact solution of the unmodified
+///    system) is ever committed.
+/// 2. **junction limiting** ([`RecoveryPolicy::junction_limiting`]) —
+///    re-solve the failing step with SPICE-style junction-voltage limiting
+///    at 0.8 V in the junction-device stamps (see
 ///    [`StampContext::junction_limit`](crate::device::StampContext::junction_limit)):
 ///    junction voltages beyond the limit are evaluated at the limit and
 ///    linearised, which bounds the exponential currents during wild Newton
@@ -326,70 +326,48 @@ impl StepControl {
 pub struct RecoveryPolicy {
     /// Enable the transient gmin-ramp recovery leg.
     pub gmin_ramp: bool,
-    /// Initial shunt conductance (siemens) of the gmin ramp.
-    pub gmin_start: f64,
-    /// Number of shrinking gmin stages (each divides `gmin` by 10) before
-    /// the final exact `gmin = 0` solve.
-    pub gmin_stages: usize,
-    /// Junction-voltage limit in volts for the junction-limiting leg, or
-    /// `None` to disable it. Any limit at or above the usual forward drop
-    /// (≈ 0.8 V covers every silicon junction in the fixture set) is
-    /// solution-exact: the converged junction voltages sit inside the limit,
-    /// where the limited and unlimited models are identical.
-    pub junction_limit: Option<f64>,
+    /// Enable the junction-limiting recovery leg.
+    pub junction_limiting: bool,
     /// Fail with a structured [`ConvergenceReport`] instead of the bare
     /// [`MnaError::StepFailed`] when the whole cascade is exhausted.
     pub detailed_report: bool,
 }
 
-impl RecoveryPolicy {
-    /// Default starting shunt conductance of the gmin ramp: the operating
-    /// point's [`crate::analysis::GMIN_START`], since both run one ramp.
-    pub const DEFAULT_GMIN_START: f64 = crate::analysis::GMIN_START;
-    /// Default number of gmin ramp stages.
-    pub const DEFAULT_GMIN_STAGES: usize = 10;
-    /// Default junction-voltage limit of [`RecoveryPolicy::aggressive`].
-    pub const DEFAULT_JUNCTION_LIMIT: f64 = 0.8;
+/// Number of shrinking gmin stages of the recovery ramp (each divides
+/// `gmin` by 10) before the final exact `gmin = 0` solve.
+const RECOVERY_GMIN_STAGES: usize = 10;
 
+/// Junction-voltage limit (volts) of the junction-limiting leg. Any limit
+/// at or above the usual forward drop (0.8 V covers every silicon junction
+/// in the fixture set) is solution-exact: the converged junction voltages
+/// sit inside the limit, where the limited and unlimited models are
+/// identical.
+const RECOVERY_JUNCTION_LIMIT: f64 = 0.8;
+
+impl RecoveryPolicy {
     /// The fully disabled policy (the default): bare `StepFailed` on
     /// exhausted step halving.
     pub fn none() -> Self {
         RecoveryPolicy {
             gmin_ramp: false,
-            gmin_start: Self::DEFAULT_GMIN_START,
-            gmin_stages: Self::DEFAULT_GMIN_STAGES,
-            junction_limit: None,
+            junction_limiting: false,
             detailed_report: false,
         }
     }
 
-    /// Every recovery leg enabled at the engine-recommended settings, with
-    /// structured failure reports.
+    /// Every recovery leg enabled, with structured failure reports.
     pub fn aggressive() -> Self {
         RecoveryPolicy {
             gmin_ramp: true,
-            gmin_start: Self::DEFAULT_GMIN_START,
-            gmin_stages: Self::DEFAULT_GMIN_STAGES,
-            junction_limit: Some(Self::DEFAULT_JUNCTION_LIMIT),
+            junction_limiting: true,
             detailed_report: true,
         }
     }
 
     /// `true` when any part of the policy changes the failure path (a
     /// recovery leg or the structured report).
-    pub fn is_enabled(&self) -> bool {
-        self.gmin_ramp || self.junction_limit.is_some() || self.detailed_report
-    }
-
-    fn validate(&self) -> Result<(), MnaError> {
-        if self.gmin_ramp {
-            crate::options::positive_finite("recovery gmin_start", self.gmin_start)?;
-            crate::options::at_least("recovery gmin_stages", self.gmin_stages, 1)?;
-        }
-        if let Some(limit) = self.junction_limit {
-            crate::options::positive_finite("recovery junction_limit", limit)?;
-        }
-        Ok(())
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.gmin_ramp || self.junction_limiting || self.detailed_report
     }
 }
 
@@ -430,7 +408,7 @@ impl SimulationBudget {
     };
 
     /// `true` when no limit is set (budget checks short-circuit away).
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         *self == Self::UNLIMITED
     }
 
@@ -461,7 +439,7 @@ impl SimulationBudget {
     /// The budget left over once the work in `stats` has been spent
     /// (saturating at zero per axis): the card-boundary arithmetic of
     /// [`AnalysisEngine::run_budgeted`](crate::analysis::AnalysisEngine::run_budgeted).
-    pub fn remaining_after(&self, stats: &RunStatistics) -> SimulationBudget {
+    pub(crate) fn remaining_after(&self, stats: &RunStatistics) -> SimulationBudget {
         SimulationBudget {
             max_newton_iterations: self
                 .max_newton_iterations
@@ -613,7 +591,6 @@ impl TransientOptions {
                 )));
             }
         }
-        self.recovery.validate()?;
         Ok(())
     }
 
@@ -1229,7 +1206,7 @@ impl TransientWorkspace {
     }
 
     /// Size of the global system (node voltages + extra unknowns).
-    pub fn unknown_count(&self) -> usize {
+    pub(crate) fn unknown_count(&self) -> usize {
         self.layout.n
     }
 
@@ -2335,8 +2312,8 @@ impl TransientAnalysis {
             if ws.gmin_ramp(
                 circuit,
                 point,
-                policy.gmin_start,
-                policy.gmin_stages,
+                crate::analysis::GMIN_START,
+                RECOVERY_GMIN_STAGES,
                 &newton,
                 stats,
             ) {
@@ -2344,14 +2321,14 @@ impl TransientAnalysis {
                 return Ok(());
             }
         }
-        if let Some(limit) = policy.junction_limit {
+        if policy.junction_limiting {
             strategies.push(RecoveryStrategy::JunctionLimiting);
             ws.candidate.copy_from_slice(&ws.x);
             // The limited solve tames the exponential excursions enough to
             // land near the solution; a clean polish from there guarantees
             // the committed point solves the *unlimited* system.
             let limited = StampPoint {
-                junction_limit: Some(limit),
+                junction_limit: Some(RECOVERY_JUNCTION_LIMIT),
                 ..point
             };
             if ws
@@ -3146,10 +3123,11 @@ mod tests {
 
     #[test]
     fn a_cold_started_high_voltage_rectifier_settles_on_its_operating_point() {
+        use crate::analysis::{Analysis, AnalysisEngine, AnalysisPlan, OpOptions};
         let (c, out) = half_wave_rectifier(Waveform::dc(100.0));
-        let op = crate::analysis::OperatingPointAnalysis::default()
-            .run(&c)
-            .unwrap();
+        let plan = AnalysisPlan::from_cards(vec![Analysis::Op(OpOptions::default())]).unwrap();
+        let results = AnalysisEngine::new().run(&c, &plan).unwrap();
+        let op = results.op().unwrap();
         let settled = TransientAnalysis::new(TransientOptions {
             t_stop: 0.2,
             dt: 1e-4,

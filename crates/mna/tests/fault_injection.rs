@@ -184,7 +184,7 @@ fn junction_limiting_recovers_steps_whose_newton_always_diverges() {
 
     let mut options = short_options();
     options.recovery = RecoveryPolicy {
-        junction_limit: Some(RecoveryPolicy::DEFAULT_JUNCTION_LIMIT),
+        junction_limiting: true,
         ..RecoveryPolicy::none()
     };
     let mut inj = FaultInjector::new();

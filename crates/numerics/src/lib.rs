@@ -30,8 +30,6 @@
 //!   ([`fault::FaultInjector`]) the solver layer consults at factorisation,
 //!   residual and Krylov sites, so every recovery/fallback path is directly
 //!   testable instead of only incidentally reachable.
-//! * [`ode`] — the fixed-step RK4 integrator of the envelope simulator's
-//!   slow charging ODE.
 //! * [`interp`] — linear and monotone-cubic (PCHIP) interpolation, used to
 //!   bridge the unspecified sections of the piecewise flux-linkage function.
 //! * [`extrap`] — Newton divided-difference polynomial extrapolation over
@@ -69,7 +67,6 @@ pub mod gmres;
 pub mod interp;
 pub mod linalg;
 pub mod monodromy;
-pub mod ode;
 pub mod sparse;
 pub mod stats;
 pub mod system;

@@ -95,24 +95,24 @@ impl Matrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Returns `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
     /// The entries as one row-major slice: row `i` occupies
     /// `[i·cols, (i + 1)·cols)`.
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// The entries as one mutable row-major slice (see
     /// [`Matrix::as_slice`]).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
@@ -131,29 +131,6 @@ impl Matrix {
     /// Panics if the indices are out of bounds.
     pub fn add_at(&mut self, row: usize, col: usize, value: f64) {
         self[(row, col)] += value;
-    }
-
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] if `x.len() != self.cols()`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, NumericsError> {
-        if x.len() != self.cols {
-            return Err(NumericsError::DimensionMismatch {
-                expected: format!("vector of length {}", self.cols),
-                found: format!("vector of length {}", x.len()),
-            });
-        }
-        let mut y = vec![0.0; self.rows];
-        for i in 0..self.rows {
-            let mut acc = 0.0;
-            for j in 0..self.cols {
-                acc += self[(i, j)] * x[j];
-            }
-            y[i] = acc;
-        }
-        Ok(y)
     }
 
     /// LU factorisation with partial pivoting.
@@ -190,7 +167,7 @@ impl Matrix {
     /// half-eliminated: [`LuFactors::solve_into`] cannot tell and returns
     /// meaningless (typically non-finite) values, so do not solve against
     /// `factors` again until a later `lu_into` succeeds.
-    pub fn lu_into(&self, factors: &mut LuFactors) -> Result<(), NumericsError> {
+    pub(crate) fn lu_into(&self, factors: &mut LuFactors) -> Result<(), NumericsError> {
         if !self.is_square() {
             return Err(NumericsError::DimensionMismatch {
                 expected: "square matrix".to_string(),
@@ -399,7 +376,7 @@ impl LuFactors {
 }
 
 /// Euclidean (L2) norm of a vector.
-pub fn norm2(v: &[f64]) -> f64 {
+pub(crate) fn norm2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
@@ -421,6 +398,13 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The matrix–vector product `A·x`, the oracle of the solve tests.
+    fn product(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..a.rows())
+            .map(|i| (0..a.cols()).map(|j| a[(i, j)] * x[j]).sum())
+            .collect()
+    }
 
     #[test]
     fn identity_solves_trivially() {
@@ -477,19 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_matches_manual() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let y = a.mul_vec(&[1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![3.0, 7.0]);
-    }
-
-    #[test]
-    fn mul_vec_dimension_mismatch() {
-        let a = Matrix::identity(2);
-        assert!(a.mul_vec(&[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
     fn vector_helpers() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(norm_inf(&[-3.0, 2.0]), 3.0);
@@ -502,8 +473,7 @@ mod tests {
         let f = a.lu().unwrap();
         let x1 = f.solve(&[10.0, 12.0]).unwrap();
         let x2 = f.solve(&[1.0, 0.0]).unwrap();
-        let r1 = a.mul_vec(&x1).unwrap();
-        let r2 = a.mul_vec(&x2).unwrap();
+        let (r1, r2) = (product(&a, &x1), product(&a, &x2));
         assert!((r1[0] - 10.0).abs() < 1e-12 && (r1[1] - 12.0).abs() < 1e-12);
         assert!((r2[0] - 1.0).abs() < 1e-12 && (r2[1]).abs() < 1e-12);
     }
@@ -516,7 +486,7 @@ mod tests {
         b.lu_into(&mut factors).unwrap();
         let mut x = Vec::new();
         factors.solve_into(&[4.0, 7.0], &mut x).unwrap();
-        let y = b.mul_vec(&x).unwrap();
+        let y = product(&b, &x);
         assert!((y[0] - 4.0).abs() < 1e-12 && (y[1] - 7.0).abs() < 1e-12);
         // A singular refill reports the error without poisoning the API.
         let s = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);

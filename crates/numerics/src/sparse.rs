@@ -108,11 +108,6 @@ impl TripletMatrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of stored triplets (before duplicate coalescing).
     pub fn nnz(&self) -> usize {
         self.triplets.len()
@@ -243,13 +238,8 @@ impl SparseMatrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Returns `true` if the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -357,29 +347,6 @@ impl SparseMatrix {
             .binary_search(&col)
             .ok()
             .map(|p| lo + p)
-    }
-
-    /// Matrix–vector product `A·x`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericsError::DimensionMismatch`] if `x.len() != self.cols()`.
-    pub fn mul_vec(&self, x: &[f64]) -> Result<Vec<f64>, NumericsError> {
-        if x.len() != self.cols {
-            return Err(NumericsError::DimensionMismatch {
-                expected: format!("vector of length {}", self.cols),
-                found: format!("vector of length {}", x.len()),
-            });
-        }
-        let mut y = vec![0.0; self.rows];
-        for (r, yr) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k]];
-            }
-            *yr = acc;
-        }
-        Ok(y)
     }
 
     /// Performs the first (fully pivoted, symbolic + numeric) LU
@@ -837,7 +804,6 @@ mod tests {
         t.push(1, 2, -1.0);
         assert_eq!(t.nnz(), 4);
         assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 3);
         let csr = t.to_csr();
         assert_eq!(csr.nnz(), 3);
         assert_eq!(csr.get(0, 0), 3.0);
@@ -866,17 +832,8 @@ mod tests {
         assert_eq!(sparse.nnz(), 2);
         assert_eq!(sparse.get(1, 1), 0.0);
         assert_eq!(sparse.get(3, 3), 2.0);
-        let y = sparse.mul_vec(&[1.0, 1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(y, vec![1.0, 0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn mul_vec_checks_dimensions() {
-        let sparse = SparseMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]);
-        assert!(matches!(
-            sparse.mul_vec(&[1.0]),
-            Err(NumericsError::DimensionMismatch { .. })
-        ));
+        let entries: Vec<_> = sparse.entries().collect();
+        assert_eq!(entries, vec![(0, 0, 1.0), (3, 3, 2.0)]);
     }
 
     #[test]

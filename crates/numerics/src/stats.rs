@@ -59,7 +59,7 @@ pub fn linear_regression(xs: &[f64], ys: &[f64]) -> Result<(f64, f64), NumericsE
 /// waveform: returns the amplitude of the component at `frequency_hz`.
 ///
 /// `dt` is the sampling interval in seconds.
-pub fn fourier_amplitude(samples: &[f64], dt: f64, frequency_hz: f64) -> f64 {
+pub(crate) fn fourier_amplitude(samples: &[f64], dt: f64, frequency_hz: f64) -> f64 {
     if samples.is_empty() || dt <= 0.0 {
         return 0.0;
     }

@@ -6,7 +6,7 @@
 //! embarrassingly parallel workload. This module turns that observation into
 //! infrastructure:
 //!
-//! * [`nan_last_desc`], [`is_better`] and [`best_index`] — NaN-last ranking
+//! * `nan_last_desc`, `is_better` and `best_index` — NaN-last ranking
 //!   of raw objective values, so one failed simulation (a non-converged
 //!   transient, an out-of-domain design) ranks as the worst possible design
 //!   instead of panicking a sort or poisoning an argmax.
@@ -24,7 +24,7 @@ use std::thread;
 /// Total ordering over fitness values that sorts **higher (better) fitness
 /// first and NaN last**, i.e. a NaN fitness is worse than any real value,
 /// including `-inf`. The GA ranks, selects and keeps its best by it.
-pub fn nan_last_desc(a: f64, b: f64) -> Ordering {
+pub(crate) fn nan_last_desc(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,
         (true, false) => Ordering::Greater, // a sorts after b
@@ -35,13 +35,13 @@ pub fn nan_last_desc(a: f64, b: f64) -> Ordering {
 
 /// Returns `true` when `candidate` is a strictly better (NaN-last) fitness
 /// than `incumbent`. Any real value beats NaN; NaN never beats anything.
-pub fn is_better(candidate: f64, incumbent: f64) -> bool {
+pub(crate) fn is_better(candidate: f64, incumbent: f64) -> bool {
     nan_last_desc(candidate, incumbent) == Ordering::Less
 }
 
 /// Index of the best fitness under the NaN-last ordering (first index wins
 /// ties). Returns 0 for an empty slice.
-pub fn best_index(values: &[f64]) -> usize {
+pub(crate) fn best_index(values: &[f64]) -> usize {
     let mut best = 0;
     for (i, &v) in values.iter().enumerate().skip(1) {
         if is_better(v, values[best]) {

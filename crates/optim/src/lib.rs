@@ -21,7 +21,7 @@
 //! order, and `Threads(n)` runs are **bit-identical** to `Serial` runs for
 //! the same seed — parallelism trades wall-clock time only, never
 //! reproducibility. A NaN objective value (e.g. a simulation that failed to
-//! converge) ranks below every real fitness ([`nan_last_desc`]) instead of
+//! converge) ranks below every real fitness instead of
 //! panicking the run, and bounds may be degenerate (`lo == hi`) to freeze a
 //! design parameter.
 //!
@@ -75,7 +75,7 @@
 pub mod evaluate;
 pub mod ga;
 
-pub use evaluate::{best_index, is_better, nan_last_desc, ParallelEvaluator, Parallelism};
+pub use evaluate::{ParallelEvaluator, Parallelism};
 pub use ga::{GaOptions, GeneticAlgorithm};
 
 use rand::rngs::StdRng;
@@ -86,8 +86,7 @@ use rand::SeedableRng;
 /// Implementations are expected to be deterministic for a given gene vector;
 /// the harvester objective satisfies this because the underlying transient
 /// simulation is deterministic. A NaN return value is interpreted as a
-/// failed evaluation and ranked below every real fitness (see
-/// [`evaluate::nan_last_desc`]).
+/// failed evaluation and ranked below every real fitness.
 pub trait Objective {
     /// Evaluates the fitness of a candidate gene vector.
     fn evaluate(&self, genes: &[f64]) -> f64;

@@ -27,7 +27,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// A simulation job: netlist text plus its execution envelope (budget,
-/// wall-clock deadline, retry cap and the test-only fault hooks).
+/// wall-clock deadline and the test-only fault hooks).
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Netlist source, including `.op`/`.tran`/`.pss`/`.ac` analysis cards.
@@ -35,18 +35,13 @@ pub struct JobSpec {
     /// (for validation and cache identity) and again by the worker that
     /// runs each attempt.
     pub netlist: String,
-    /// Work budget for the whole plan. Deadline slicing
-    /// ([`crate::service::ServiceConfig::work_rate`]) can only tighten it.
+    /// Work budget for the whole plan.
     pub budget: SimulationBudget,
     /// Wall-clock deadline measured from submission, or `None` for no
     /// deadline. A job past its deadline finishes
     /// [`JobState::TimedOut`] — immediately when still queued, at the next
     /// cancellation point when running.
     pub deadline: Option<Duration>,
-    /// Total attempts allowed (first run plus retries); clamped to at
-    /// least 1. Only retryable failures ([`ErrorKind::is_retryable`])
-    /// consume extra attempts.
-    pub max_attempts: u32,
     /// Solver-layer fault injector threaded into the worker's engine for
     /// this job (testing). Occurrence counters persist across retry
     /// attempts, so a fault armed for its first occurrence fires once and
@@ -59,18 +54,12 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// Default number of attempts: one escalated retry after the first
-    /// failure.
-    pub const DEFAULT_MAX_ATTEMPTS: u32 = 2;
-
-    /// A job for `netlist` with an unlimited budget, no deadline and the
-    /// default retry cap.
+    /// A job for `netlist` with an unlimited budget and no deadline.
     pub fn new(netlist: impl Into<String>) -> Self {
         JobSpec {
             netlist: netlist.into(),
             budget: SimulationBudget::UNLIMITED,
             deadline: None,
-            max_attempts: Self::DEFAULT_MAX_ATTEMPTS,
             fault: None,
             panic: None,
         }
@@ -79,7 +68,7 @@ impl JobSpec {
     /// `true` when the job carries a test-only injector and must bypass
     /// the design-point cache (its result is not a pure function of the
     /// netlist and budget).
-    pub fn is_injected(&self) -> bool {
+    pub(crate) fn is_injected(&self) -> bool {
         self.fault.is_some() || self.panic.is_some()
     }
 }

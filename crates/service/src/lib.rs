@@ -11,13 +11,11 @@
 //!   netlist text plus an execution envelope ([`job::JobSpec`]); workers
 //!   own warm engines and evaluate attempts under panic isolation.
 //! * **deadlines** — wall-clock deadlines fire the engine's cooperative
-//!   [`CancelToken`](harvester_mna::cancel::CancelToken) (and can be
-//!   mapped onto [`SimulationBudget`](harvester_mna::transient::SimulationBudget)
-//!   slices), finishing the job [`job::JobState::TimedOut`] with its
-//!   trace-so-far.
+//!   [`CancelToken`](harvester_mna::cancel::CancelToken), finishing the job
+//!   [`job::JobState::TimedOut`] with its trace-so-far.
 //! * **retry with escalation** — failures classified retryable by the
 //!   stable [`ErrorKind`](harvester_mna::ErrorKind) taxonomy are re-queued
-//!   with exponential backoff; the retry runs with the aggressive
+//!   once, after a backoff; the retry runs with the aggressive
 //!   [`RecoveryPolicy`](harvester_mna::transient::RecoveryPolicy) and a
 //!   tightened budget. The full attempt history lands on the
 //!   [`job::JobReport`].

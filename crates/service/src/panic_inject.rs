@@ -62,7 +62,7 @@ impl PanicInjector {
     ///
     /// On the armed consultation, with a payload containing
     /// [`PANIC_MARKER`].
-    pub fn consult(&self) {
+    pub(crate) fn consult(&self) {
         let n = self.inner.consultations.fetch_add(1, Ordering::AcqRel) + 1;
         if n == self.inner.fire_at.load(Ordering::Acquire) {
             panic!("{PANIC_MARKER} injected panic on consultation {n}");

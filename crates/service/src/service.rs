@@ -43,18 +43,15 @@ use crate::cache::CacheKey;
 use crate::job::{AttemptFailure, AttemptRecord, JobId, JobReport, JobSpec, JobState};
 use crate::panic_inject::PanicInjector;
 
+/// Attempts a job gets: the first run plus one escalated retry. Only
+/// retryable failures ([`ErrorKind::is_retryable`]) lead to the retry.
+const MAX_ATTEMPTS: u32 = 2;
+
 /// Tuning knobs of a [`SimulationService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Deadline-to-budget slicing rate in **Newton iterations per
-    /// millisecond** of remaining deadline, or `None` to enforce deadlines
-    /// purely by wall clock. When set, an attempt's budget is
-    /// `spec.budget.min(slice)` so a job provably cannot overrun its
-    /// deadline by more than one step even if the wall-clock monitor is
-    /// starved. Off by default because an honest rate is machine-specific.
-    pub work_rate: Option<f64>,
     /// Backoff before the second attempt; attempt `n` waits
     /// `base_backoff * 2^(n-1)`, capped at [`ServiceConfig::max_backoff`].
     pub base_backoff: Duration,
@@ -66,7 +63,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 2,
-            work_rate: None,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_secs(1),
         }
@@ -586,27 +582,6 @@ fn backoff_for(config: &ServiceConfig, failed_attempt: u32) -> Duration {
     (config.base_backoff * factor).min(config.max_backoff)
 }
 
-/// Maps a wall-clock deadline onto a [`SimulationBudget`] slice via the
-/// configured work rate, then takes the axis-wise minimum with the spec's
-/// own budget.
-fn sliced_budget(
-    budget: SimulationBudget,
-    deadline_at: Option<Instant>,
-    work_rate: Option<f64>,
-    now: Instant,
-) -> SimulationBudget {
-    let (Some(deadline_at), Some(rate)) = (deadline_at, work_rate) else {
-        return budget;
-    };
-    let remaining_ms = deadline_at.saturating_duration_since(now).as_secs_f64() * 1e3;
-    let iterations = (remaining_ms * rate).ceil().max(1.0);
-    let slice = SimulationBudget {
-        max_newton_iterations: Some(iterations as usize),
-        ..SimulationBudget::UNLIMITED
-    };
-    budget.min(&slice)
-}
-
 /// One attempt, run on the worker's warm engine. Returns the engine's
 /// verdict together with the reclaimed fault injector (its counters have
 /// advanced, so the next attempt continues — not replays — the schedule).
@@ -691,7 +666,6 @@ fn worker_loop(shared: Arc<Shared>) {
         if escalated {
             budget = tightened(budget);
         }
-        let budget = sliced_budget(budget, record.deadline_at, shared.config.work_rate, now);
         let fault = record.spec.fault.take();
         let panic_probe = record.spec.panic.clone();
         st.stats.evaluations += 1;
@@ -771,7 +745,7 @@ fn worker_loop(shared: Arc<Shared>) {
                     .expect("running jobs stay in the table");
                 record.spec.fault = fault;
                 let retry = kind.is_retryable()
-                    && attempt < record.spec.max_attempts.max(1)
+                    && attempt < MAX_ATTEMPTS
                     && !record.cancel_requested
                     && !record.deadline_fired;
                 let backoff = retry.then(|| backoff_for(&shared.config, attempt));

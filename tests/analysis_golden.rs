@@ -7,8 +7,7 @@
 
 use energy_harvester::experiments::arrays::coupled_array_netlist;
 use energy_harvester::mna::analysis::{
-    AcAnalysis, AcOptions, Analysis, AnalysisEngine, AnalysisPlan, FrequencySweep, OpOptions,
-    OperatingPointAnalysis,
+    AcOptions, Analysis, AnalysisEngine, AnalysisPlan, AnalysisResults, FrequencySweep, OpOptions,
 };
 use energy_harvester::mna::circuit::{Circuit, NodeId};
 use energy_harvester::mna::devices::{Capacitor, Diode, Resistor, VoltageSource};
@@ -26,6 +25,14 @@ fn netlist_file(name: &str) -> String {
         .join("examples/netlists")
         .join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Runs a one-card plan on a fresh engine.
+fn run_card(circuit: &Circuit, card: Analysis) -> AnalysisResults {
+    let plan = AnalysisPlan::from_cards(vec![card]).expect("the card is valid");
+    AnalysisEngine::new()
+        .run(circuit, &plan)
+        .unwrap_or_else(|e| panic!(".{} card must run: {e}", card.kind()))
 }
 
 /// Complex amplitude of the `frequency` component of a node trace, projected
@@ -65,9 +72,11 @@ fn assert_ac_matches_transient(
     let node_in = circuit.find_node("in").expect("fixture has an 'in' node");
     let node_out = circuit.find_node("out").expect("fixture has an 'out' node");
 
-    let ac = AcAnalysis::new(AcOptions::new(FrequencySweep::Lin, 1, frequency, frequency))
-        .run(circuit)
-        .expect("AC analysis must run");
+    let results = run_card(
+        circuit,
+        Analysis::Ac(AcOptions::new(FrequencySweep::Lin, 1, frequency, frequency)),
+    );
+    let ac = results.ac().expect("an .ac card yields an AC result");
     assert_eq!(ac.frequencies(), &[frequency]);
     let h_ac = ac.voltage(node_out)[0] / ac.voltage(node_in)[0];
 
@@ -113,9 +122,11 @@ fn ac_matches_transient_small_signal_on_rc_lowpass() {
 
     // Sanity: the AC path itself must reproduce the textbook pole.
     let f = 100.0;
-    let ac = AcAnalysis::new(AcOptions::new(FrequencySweep::Lin, 1, f, f))
-        .run(&c)
-        .expect("AC analysis must run");
+    let results = run_card(
+        &c,
+        Analysis::Ac(AcOptions::new(FrequencySweep::Lin, 1, f, f)),
+    );
+    let ac = results.ac().expect("an .ac card yields an AC result");
     let h = ac.voltage(n_out)[0] / ac.voltage(n_in)[0];
     let wrc = 2.0 * PI * f * 1e3 * 1e-6;
     let analytic = Complex64::ONE / Complex64::new(1.0, wrc);
@@ -172,9 +183,8 @@ fn operating_point_matches_long_settle_transient_on_shipped_fixtures() {
         assert_ne!(frozen, text, "{name}: source freeze must substitute");
         let circuit = netlist::build(&frozen).expect("frozen fixture must build");
 
-        let op = OperatingPointAnalysis::new(OpOptions::default())
-            .run(&circuit)
-            .expect("frozen fixture must have an operating point");
+        let results = run_card(&circuit, Analysis::Op(OpOptions::default()));
+        let op = results.op().expect("an .op card yields an op result");
         let settle = TransientAnalysis::new(TransientOptions {
             dt: 1e4,
             t_stop: 2e7,
