@@ -8,13 +8,13 @@
 //! blend-crossover children whose evaluations fall back to settling.
 //!
 //! Measured (release build, x86-64): the 26 fitnesses that come from a
-//! converged shooting orbit agree to ≤ 6.0e-9 relative across the backends;
+//! converged shooting orbit agree to ≤ 2.3e-9 relative across the backends;
 //! [`SHOT_FITNESS_RTOL`] allows 1e-7. (Among 40 blend-crossover children
 //! probed to pick the two below, one shot fitness differed by 6.4e-8.) A
 //! fitness whose every grid point fell back is a settled cycle average under
 //! adaptive step control. The two backends round differently, which flips
-//! step-control decisions, so that average reads 4.278e-6 A dense and
-//! 4.325e-6 A sparse (1.09 % apart); [`SETTLED_FITNESS_RTOL`] allows 2 %.
+//! step-control decisions, so that average reads 4.295e-6 A dense and
+//! 4.310e-6 A sparse (0.34 % apart); [`SETTLED_FITNESS_RTOL`] allows 2 %.
 //!
 //! Release-scale work (54 fitness evaluations), so `#[ignore]`d in debug
 //! builds.

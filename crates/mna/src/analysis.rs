@@ -633,19 +633,18 @@ impl AnalysisResults {
 }
 
 /// A stored operating point awaiting consumption by a later card: the
-/// converged solution (inside the [`OpResult`]) plus the matching device
-/// states with the `ddt` value slots seeded and the derivative slots
-/// zeroed.
-#[derive(Debug, Clone)]
+/// converged solution plus the matching device states with the `ddt` value
+/// slots seeded and the derivative slots zeroed.
+#[derive(Debug)]
 struct OpSeed {
+    solution: Vec<f64>,
     states: Vec<f64>,
-    result: OpResult,
 }
 
 impl OpSeed {
     /// `true` when the stored point matches the layout of `ws`.
     fn fits(&self, ws: &TransientWorkspace) -> bool {
-        self.result.solution().len() == ws.x.len() && self.states.len() == ws.states.len()
+        self.solution.len() == ws.x.len() && self.states.len() == ws.states.len()
     }
 
     /// Loads the stored point into `ws` as its starting state if it fits,
@@ -653,7 +652,7 @@ impl OpSeed {
     fn seed(&self, ws: &mut TransientWorkspace) -> bool {
         let fits = self.fits(ws);
         if fits {
-            ws.x.copy_from_slice(self.result.solution());
+            ws.x.copy_from_slice(&self.solution);
             ws.states.copy_from_slice(&self.states);
         }
         fits
@@ -896,10 +895,9 @@ impl AnalysisEngine {
             Analysis::Op(opts) => {
                 let ws = self.workspace_for(circuit, &workspace_options(opts.backend))?;
                 let op = run_op(circuit, ws, opts)?;
-                let states = ws.states.clone();
                 self.op_seed = Some(OpSeed {
-                    states,
-                    result: op.clone(),
+                    solution: op.solution().to_vec(),
+                    states: ws.states.clone(),
                 });
                 AnalysisResult::Op(op)
             }
@@ -922,19 +920,33 @@ impl AnalysisEngine {
                 AnalysisResult::Pss(pss)
             }
             Analysis::Ac(opts) => {
-                let seed = self.op_seed.clone();
+                // The seed stays for later cards: it is only lent out here,
+                // while the workspace borrows the engine.
+                let seed = self.op_seed.take();
                 let ws = self.workspace_for(circuit, &workspace_options(opts.op.backend))?;
-                let mut stats = RunStatistics::default();
-                let (op, states) = match seed {
-                    Some(s) if s.fits(ws) => (s.result, s.states),
+                let ac = match &seed {
+                    Some(s) if s.fits(ws) => run_ac(
+                        circuit,
+                        ws,
+                        opts,
+                        &s.solution,
+                        &s.states,
+                        RunStatistics::default(),
+                    ),
                     _ => {
                         let op = run_op(circuit, ws, &opts.op)?;
-                        stats.merge(&op.statistics());
-                        (op, ws.states.clone())
+                        run_ac(
+                            circuit,
+                            ws,
+                            opts,
+                            op.solution(),
+                            &ws.states,
+                            op.statistics(),
+                        )
                     }
                 };
-                let ac = run_ac(circuit, ws, opts, op.solution(), &states, stats)?;
-                AnalysisResult::Ac(ac)
+                self.op_seed = seed;
+                AnalysisResult::Ac(ac?)
             }
         };
         Ok(result)

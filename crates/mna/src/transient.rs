@@ -29,6 +29,29 @@
 //! * only time steps reuse a factored Jacobian across iterations (the
 //!   modified-Newton bypass of [`TransientOptions::reuse_jacobian`]);
 //!   recovery legs and operating-point stages factor on every iteration;
+//! * under the bypass every step solve, on either grid, follows one
+//!   iteration policy (classical full Newton, `reuse_jacobian = false`,
+//!   starts a fixed-grid step from the previous solution instead, and stops
+//!   on the update alone):
+//!   - it starts from the divided-difference extrapolation of the last
+//!     accepted states, of order at most the method's (the ring restarts at
+//!     each march start and after a recovered step);
+//!   - it reuses the previous step's factors until one step of the march
+//!     has refactored after an iteration on stale factors; from then on
+//!     every predicted step stamps and factors its Jacobian at the
+//!     prediction on its first iteration (on a linear circuit reuse never
+//!     fails, so its steps keep back-substituting through the same
+//!     factors);
+//!   - with θ = ‖δₖ‖/‖δₖ₋₁‖ the observed contraction between undamped
+//!     updates, it refactors when θ of a stale iteration exceeds ½ or
+//!     predicts more than two further iterations to the tolerance
+//!     (`θ²·‖δₖ‖` above it), after four stale iterations, and when a stale
+//!     back-substitution fails;
+//!   - it also converges once `θ < ½` and the estimated error left,
+//!     `θ/(1 − θ)·‖δₖ‖`, is within `delta_tolerance·(1 + ‖x‖∞)`. The
+//!     accepted point then meets `delta_tolerance` by estimate, where a
+//!     last full-Newton update usually leaves the error far below it (see
+//!     [`TransientOptions::delta_tolerance`]);
 //! * an iteration decides before it assembles whether it will factor, and
 //!   only one that does stamps the Jacobian: an iteration on stale factors
 //!   assembles the residual alone (counted in
@@ -71,9 +94,9 @@
 //! picks the storage:
 //!
 //! * [`SolverBackend::Dense`] — dense LU with partial pivoting, factored
-//!   afresh every time. About as fast as sparse on a small `.tran` run
-//!   (`bench/baselines/BENCH_solver.json` times the 6-stage Villard
-//!   harvester), but not the faster backend of the GA fitness, although
+//!   afresh every time. A little slower than sparse even on a small `.tran`
+//!   run (`bench/baselines/BENCH_solver.json` times the 6-stage Villard
+//!   harvester), and not the faster backend of the GA fitness, although
 //!   that circuit has only 14 unknowns: its shooting periods back-substitute
 //!   through every banked factorisation once per GMRES matvec, and there
 //!   the sparse refactorisation and solve win (`fitness_ratio` in
@@ -189,10 +212,11 @@ impl SolverBackend {
 /// indexed grid `t_k = k·dt` of the nominal [`TransientOptions::dt`] and
 /// finally on `t_stop`, halving the step only when Newton fails and only
 /// inside the current grid interval, so a failure never shifts a later
-/// sample off the grid. The predictor is pinned at order 0 (no LTE
-/// control), source breakpoints are not stepped onto, and only grid
-/// landings are recorded: the trace is uniformly sampled by construction,
-/// as THD analysis over an FFT-style window (Fig. 7) needs.
+/// sample off the grid. The predictor only warm-starts Newton (no LTE
+/// control; classical full Newton pins it at order 0), source breakpoints
+/// are not stepped onto, and only grid landings are recorded: the trace is
+/// uniformly sampled by construction, as THD analysis over an FFT-style
+/// window (Fig. 7) needs.
 ///
 /// # Adaptive stepping
 ///
@@ -484,6 +508,17 @@ pub struct TransientOptions {
     pub max_newton_iterations: usize,
     /// Relative convergence tolerance on the Newton update: a step converges
     /// once its capped update is at most `delta_tolerance·(1 + ‖x‖∞)`.
+    ///
+    /// With [`TransientOptions::reuse_jacobian`] a step also converges once
+    /// the observed contraction puts the error left after its last update
+    /// within that bound (see the [module docs](self#the-newton-solve)), so
+    /// a step is accurate to about `delta_tolerance` relative, where the
+    /// last, quadratically shrunk update of classical full Newton usually
+    /// leaves it far below. Against classical full Newton at `1e-12`, the
+    /// worst relative sample deviation of the shipped Villard and
+    /// transformer `.tran` cards reads 2.2e-9 and 2.8e-8 at the default
+    /// `1e-9` (2.5e-10 and 1.6e-10 under classical full Newton): no longer
+    /// far below this tolerance.
     pub delta_tolerance: f64,
     /// Convergence tolerance on the residual (infinity norm); used as a
     /// secondary acceptance criterion.
@@ -510,13 +545,16 @@ pub struct TransientOptions {
     /// Jacobian across Newton iterations — and across nearby accepted steps
     /// taken at (nearly) the same step size — refactoring only when the
     /// observed Newton contraction turns slow (a convergence-rate test) or
-    /// the companion-model gains change. The Newton *fixed point* is
-    /// unchanged (the residual is
-    /// always exact), only the iteration path, so converged results agree to
-    /// the Newton tolerances while
+    /// the companion-model gains change. Every step then starts from the
+    /// polynomial predictor, on the fixed grid too, and stops on the
+    /// contraction estimate as well as on the update (the policy in the
+    /// [module docs](self#the-newton-solve)). The Newton *fixed point* is
+    /// unchanged (the residual is always exact), only the iteration path,
+    /// so converged results agree to the Newton tolerances while
     /// [`RunStatistics::full_factorizations`] decouples from
     /// [`RunStatistics::newton_iterations`]. Set to `false` to refactor on
-    /// every iteration (classical full Newton).
+    /// every iteration and, on the fixed grid, to start every step from the
+    /// previous solution (classical full Newton).
     pub reuse_jacobian: bool,
     /// Convergence-recovery escalation once step halving is exhausted.
     /// Disabled by default ([`RecoveryPolicy::none`]): a step that exhausts
@@ -718,9 +756,9 @@ run_statistics! {
         ///
         /// With the modified-Newton Jacobian bypass
         /// ([`TransientOptions::reuse_jacobian`], the default) a factorisation
-        /// happens only on the first iteration of an incompatible step or after
-        /// a convergence-rate refactor, never once per iteration, so for a plain
-        /// transient run
+        /// happens only on the first iteration of an incompatible step or of a
+        /// step factored at its prediction, or after a convergence-rate
+        /// refactor, never once per iteration, so for a plain transient run
         ///
         /// ```text
         /// full_factorizations + repivot_factorizations + refactorizations
@@ -773,7 +811,10 @@ run_statistics! {
         lte_rejections,
         /// Accepted steps whose Newton iteration was warm-started from a
         /// polynomial predictor of order ≥ 1 (i.e. at least two accepted states
-        /// of history were available). Always zero under [`StepControl::Fixed`].
+        /// of history were available), on either grid. Always zero under
+        /// [`StepControl::Fixed`] with [`TransientOptions::reuse_jacobian`]
+        /// off: classical full Newton starts each fixed-grid step from the
+        /// previous solution.
         predicted_steps,
         /// Shooting-Newton closure updates applied by the periodic steady-state
         /// engine ([`crate::shooting::SteadyStateAnalysis`]). Zero for plain
@@ -1087,6 +1128,10 @@ pub struct TransientWorkspace {
     pub(crate) factored_h: f64,
     /// Whether the cached factors carry the start-up-step companion gains.
     pub(crate) factored_first: bool,
+    /// Whether a Newton solve has refactored after an iteration on stale
+    /// factors since the current march began: from then on the march
+    /// factors every predicted step at its prediction.
+    reuse_failed: bool,
     pub(crate) residual: Vec<f64>,
     rhs: Vec<f64>,
     delta: Vec<f64>,
@@ -1096,8 +1141,8 @@ pub struct TransientWorkspace {
     pub(crate) new_states: Vec<f64>,
     pub(crate) times: Vec<f64>,
     pub(crate) history: Vec<f64>,
-    /// Times of the predictor ring entries (oldest first, adaptive mode
-    /// only; at most [`PREDICTOR_HISTORY`] entries).
+    /// Times of the predictor ring entries (oldest first; at most
+    /// [`PREDICTOR_HISTORY`] entries).
     hist_times: Vec<f64>,
     /// Accepted solution snapshots matching `hist_times`, flat row-major.
     hist_states: Vec<f64>,
@@ -1116,8 +1161,8 @@ pub struct TransientWorkspace {
     pub(crate) cancel: Option<CancelToken>,
 }
 
-/// Number of accepted states the adaptive predictor ring retains: three
-/// support points give the quadratic predictor that matches the order of the
+/// Number of accepted states the predictor ring retains: three support
+/// points give the quadratic predictor that matches the order of the
 /// trapezoidal corrector.
 const PREDICTOR_HISTORY: usize = 3;
 
@@ -1148,6 +1193,7 @@ impl TransientWorkspace {
             },
             factored_h: f64::NAN,
             factored_first: false,
+            reuse_failed: false,
             residual: vec![0.0; n],
             rhs: vec![0.0; n],
             delta: vec![0.0; n],
@@ -1542,8 +1588,9 @@ impl TransientWorkspace {
     /// modified-Newton mode: the factored Jacobian is carried across
     /// iterations — and across steps whose size and companion gains match the
     /// factors' — and refactored only when the update norms stop contracting
-    /// (the residual is always assembled exactly, so stale factors change the
-    /// iteration path but never the fixed point it converges to). An
+    /// briskly (the residual is always assembled exactly, so stale factors
+    /// change the iteration path but never the fixed point it converges to),
+    /// and the solve also stops on the contraction's error estimate. An
     /// iteration on stale factors stamps no Jacobian.
     pub(crate) fn newton(
         &mut self,
@@ -1563,6 +1610,9 @@ impl TransientWorkspace {
             && self.factored_first == point.first_step
             && (point.dt - self.factored_h).abs() <= JACOBIAN_REUSE_H_RTOL * point.dt;
         let mut prev_delta_norm = f64::INFINITY;
+        // The previous update's norm if it was undamped, NaN otherwise: the
+        // contraction θ = ‖δₖ‖/‖δₖ₋₁‖ is taken between undamped updates.
+        let mut prev_undamped_norm = f64::NAN;
         let mut stale_iterations = 0usize;
         // ‖candidate‖∞ as of the last convergence test; before the first
         // one it is measured only if an update needs capping.
@@ -1599,6 +1649,7 @@ impl TransientWorkspace {
                     break;
                 }
                 have_factors = true;
+                self.reuse_failed |= stale_iterations > 0;
             } else {
                 stale_iterations += 1;
             }
@@ -1615,6 +1666,7 @@ impl TransientWorkspace {
                 if !self.factor_at(point, reuse, stats) {
                     break;
                 }
+                self.reuse_failed = true;
                 fresh = true;
                 if !self.jacobian.solve_factored(&self.rhs, &mut self.delta) {
                     break;
@@ -1639,19 +1691,39 @@ impl TransientWorkspace {
                 *xi += step * di;
             }
             x_norm = norm_inf(&self.candidate);
-            if delta_norm * step <= settings.delta_tolerance * (1.0 + x_norm) {
+            let tolerance = settings.delta_tolerance * (1.0 + x_norm);
+            if delta_norm * step <= tolerance {
                 converged = true;
                 break;
             }
-            // Convergence-rate test of the modified-Newton bypass: stale
-            // factors are tolerated while the update norms keep contracting
-            // briskly; once an iteration shrinks its predecessor by less
-            // than 1/SLOW_CONVERGENCE_RATIO, the next iteration refactors
-            // the freshly assembled Jacobian. Never triggered by factors
-            // computed this very iteration — slow contraction under an exact
-            // Jacobian is the nonlinearity's fault, not the factors'.
-            if reuse && !fresh && delta_norm > SLOW_CONVERGENCE_RATIO * prev_delta_norm {
-                have_factors = false;
+            if reuse {
+                // The observed contraction θ (NaN unless this update and the
+                // last were undamped) puts the error left after this update
+                // at θ/(1 − θ)·‖δₖ‖: a brisk contraction stops on that
+                // estimate.
+                let undamped_norm = if step == 1.0 { delta_norm } else { f64::NAN };
+                let theta = undamped_norm / prev_undamped_norm;
+                if theta < SLOW_CONVERGENCE_RATIO && theta / (1.0 - theta) * delta_norm <= tolerance
+                {
+                    converged = true;
+                    break;
+                }
+                // Convergence-rate test of the bypass: stale factors are
+                // tolerated while the updates contract briskly enough to
+                // reach the tolerance within two more iterations. Once an
+                // iteration shrinks its predecessor by less than
+                // 1/SLOW_CONVERGENCE_RATIO, or θ²·‖δₖ‖ still exceeds the
+                // tolerance, the next iteration refactors the freshly
+                // assembled Jacobian. Never triggered by factors computed
+                // this very iteration — slow contraction under an exact
+                // Jacobian is the nonlinearity's fault, not the factors'.
+                if !fresh
+                    && (delta_norm > SLOW_CONVERGENCE_RATIO * prev_delta_norm
+                        || theta * theta * delta_norm > tolerance)
+                {
+                    have_factors = false;
+                }
+                prev_undamped_norm = undamped_norm;
             }
             prev_delta_norm = delta_norm;
         }
@@ -1848,15 +1920,17 @@ const JACOBIAN_REUSE_H_RTOL: f64 = 0.25;
 
 /// Modified-Newton contraction threshold: an iteration whose update norm
 /// exceeds this fraction of its predecessor's is converging too slowly for
-/// the stale factors, and the next iteration refactors.
+/// the stale factors, and the next iteration refactors. Only a contraction
+/// below it is trusted to stop a solve on its error estimate.
 const SLOW_CONVERGENCE_RATIO: f64 = 0.5;
 
 /// Budget of Newton iterations a single step may spend on stale factors.
-/// The convergence-rate test alone admits steady linear contraction (a rate
-/// just under [`SLOW_CONVERGENCE_RATIO`] passes every check), which on a
-/// tight tolerance means many cheap-but-slow iterations; the budget caps
-/// that at a few iterations before forcing an exact Jacobian, keeping
-/// the iteration count within a small constant of full Newton.
+/// The contraction test refactors once the observed rate predicts more than
+/// two further iterations to the tolerance, but it needs two undamped
+/// updates to measure a rate, and damped updates never measure one; the
+/// budget caps the stale iterations a step spends that way at a few before
+/// forcing an exact Jacobian, keeping the iteration count within a small
+/// constant of full Newton.
 const MAX_STALE_ITERATIONS: usize = 4;
 
 /// The transient analysis driver.
@@ -1990,13 +2064,19 @@ impl TransientAnalysis {
         };
         // The predictor order is capped at the corrector's order so the
         // predictor–corrector gap is a genuine estimate of the corrector's
-        // truncation error. Fixed stepping pins it at 0, which also leaves
-        // the LTE control off.
+        // truncation error. Classical full Newton on the fixed grid pins it
+        // at 0, starting each step from the previous solution.
         let method_order = match opts.method {
             IntegrationMethod::BackwardEuler => 1,
             IntegrationMethod::Trapezoidal => 2,
         };
-        let max_order = if lte.is_some() { method_order } else { 0 };
+        let max_order = if lte.is_some() || opts.reuse_jacobian {
+            method_order
+        } else {
+            0
+        };
+        ws.restart_predictor(t0);
+        ws.reuse_failed = false;
         // Fixed stepping lands on `t₀ + k·dt` for `k < steps`, then on t_stop.
         let steps = ((t_stop - t0) / opts.dt).round().max(1.0) as usize;
         let mut landings = 0usize;
@@ -2005,7 +2085,6 @@ impl TransientAnalysis {
         let mut h = match lte {
             Some(_) => {
                 ws.collect_breakpoints(circuit, t_stop);
-                ws.restart_predictor(t0);
                 opts.dt.max(opts.min_dt)
             }
             None => f64::INFINITY,
@@ -2096,8 +2175,9 @@ impl TransientAnalysis {
             }
 
             // Warm-start Newton from the divided-difference predictor over
-            // the most recent accepted states (order 0 under fixed stepping:
-            // the previous solution).
+            // the most recent accepted states (order 0: the previous
+            // solution). Once reusing factors has failed in this march, a
+            // predicted step factors its Jacobian at the prediction.
             let order = ws.hist_times.len().saturating_sub(1).min(max_order);
             if order >= 1 {
                 let n = ws.layout.n;
@@ -2110,6 +2190,9 @@ impl TransientAnalysis {
                     &mut ws.predicted,
                 );
                 ws.candidate.copy_from_slice(&ws.predicted);
+                if ws.reuse_failed {
+                    ws.factored_h = f64::NAN;
+                }
             } else {
                 ws.candidate.copy_from_slice(&ws.x);
             }
@@ -2212,6 +2295,16 @@ impl TransientAnalysis {
                 stats.predicted_steps += 1;
             }
 
+            // An adaptive landing is a source breakpoint, where the source
+            // forced a derivative discontinuity, and a homotopy-recovered
+            // solution is no polynomial continuation of the failed Newton
+            // attempts: the predictor restarts from scratch after either.
+            let restart = recovered || (landing && lte.is_some());
+            if restart {
+                ws.restart_predictor(t);
+            } else {
+                ws.hist_push(t);
+            }
             if lte.is_none() {
                 // A landing opens the next grid interval, taken whole; inside
                 // a halved interval the step regrows ×2 (once it reaches the
@@ -2224,18 +2317,13 @@ impl TransientAnalysis {
                 }
                 continue;
             }
-            if landing || recovered {
-                // The source forced a derivative discontinuity here, or a
-                // homotopy-recovered solution is no polynomial continuation
-                // of the failed Newton attempts: the predictor restarts from
-                // scratch. After a breakpoint the step restarts at the
-                // nominal dt, exactly as at t = 0; after a recovery it stays
-                // at the (small) step size the emergency was crossed at.
-                ws.restart_predictor(t);
+            if restart {
+                // After a breakpoint the step restarts at the nominal dt,
+                // exactly as at t = 0; after a recovery it stays at the
+                // (small) step size the emergency was crossed at.
                 h = if landing { opts.dt } else { h_step }.max(opts.min_dt);
                 continue;
             }
-            ws.hist_push(t);
 
             // Step-size controller: grow on accuracy headroom (bounded per
             // step), throttled when Newton is struggling.
@@ -3316,8 +3404,17 @@ mod tests {
                 "adaptive trace must stay accurate at t={t}: {v} vs {exact}"
             );
         }
-        assert_eq!(fixed.statistics().lte_rejections, 0);
-        assert_eq!(fixed.statistics().predicted_steps, 0);
+        assert_eq!(fs.lte_rejections, 0);
+        // Fixed stepping predicts every step after the first, except under
+        // classical full Newton, which starts each from the previous solution.
+        assert_eq!(fs.predicted_steps, fs.accepted_steps - 1);
+        let classical = TransientAnalysis::new(TransientOptions {
+            reuse_jacobian: false,
+            ..base
+        })
+        .run(&c)
+        .unwrap();
+        assert_eq!(classical.statistics().predicted_steps, 0);
     }
 
     #[test]

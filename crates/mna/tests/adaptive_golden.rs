@@ -194,10 +194,10 @@ fn tightening_reltol_monotonically_reduces_rc_error() {
     );
 }
 
-/// The `StepControl::Fixed` path must be bit-identical whether or not the
-/// adaptive machinery exists in the build: same step count, same samples as
-/// a second identical run, and statistics must show the adaptive counters
-/// untouched.
+/// The `StepControl::Fixed` path must be deterministic: same step count and
+/// same samples as a second identical run. Statistics must show the LTE
+/// counter untouched, and the predictor engaged on every step after the
+/// first except under classical full Newton.
 #[test]
 fn fixed_control_is_deterministic_with_silent_adaptive_counters() {
     let (c, out) = half_wave_rectifier();
@@ -209,5 +209,18 @@ fn fixed_control_is_deterministic_with_silent_adaptive_counters() {
     }
     assert_eq!(a.statistics(), b.statistics());
     assert_eq!(a.statistics().lte_rejections, 0);
-    assert_eq!(a.statistics().predicted_steps, 0);
+    assert_eq!(
+        a.statistics().predicted_steps,
+        a.statistics().accepted_steps - 1
+    );
+    let classical = TransientAnalysis::new(TransientOptions {
+        t_stop: T_STOP,
+        dt: DT,
+        record_interval: Some(RECORD),
+        reuse_jacobian: false,
+        ..TransientOptions::default()
+    })
+    .run(&c)
+    .expect("golden fixture must simulate");
+    assert_eq!(classical.statistics().predicted_steps, 0);
 }

@@ -5,7 +5,10 @@
 //! must stamp a Jacobian only where it factors one
 //! (`jacobian_assemblies == factorizations()`), the bypass must actually
 //! decouple factorisations from iterations, and it must not move the
-//! converged trace beyond the Newton tolerances.
+//! converged trace beyond the Newton tolerances. The step solves' iteration
+//! policy (predict on either grid, factor at the prediction once reuse has
+//! failed, stop on the observed contraction) must keep a nonlinear fixed
+//! step to a few iterations and a linear run to its two factorisations.
 
 use harvester_mna::circuit::{Circuit, NodeId};
 use harvester_mna::devices::{Capacitor, Diode, Resistor, VoltageSource};
@@ -185,4 +188,98 @@ fn shooting_runs_honour_the_extended_counter_contract() {
         stats.newton_iterations,
         stats.accepted_steps
     );
+}
+
+/// The nonlinear fixture's fixed-step run, predicted and stopped on the
+/// observed contraction, spends at most 2.5 Newton iterations per accepted
+/// step on either backend, stamping a Jacobian only where it factors one.
+#[test]
+fn predicted_fixed_steps_converge_in_few_iterations() {
+    let (circuit, _) = rectifier();
+    for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+        let stats = run(&circuit, options(backend, true)).statistics();
+        let per_step = stats.newton_iterations as f64 / stats.accepted_steps as f64;
+        assert!(
+            per_step <= 2.5,
+            "{backend:?}: {} iterations for {} steps",
+            stats.newton_iterations,
+            stats.accepted_steps
+        );
+        assert_eq!(
+            stats.predicted_steps,
+            stats.accepted_steps - 1,
+            "{backend:?}"
+        );
+        assert_eq!(
+            stats.jacobian_assemblies,
+            stats.factorizations(),
+            "{backend:?}"
+        );
+    }
+}
+
+/// The contraction stop accepts a step on its error estimate, so the trace
+/// must stay within the Newton tolerance's reach of a classical-full-Newton
+/// run converged to `delta_tolerance = 1e-12`, sample by sample.
+#[test]
+fn the_contraction_stop_keeps_the_trace_at_the_newton_tolerance() {
+    let (circuit, out) = rectifier();
+    for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+        let policy = run(&circuit, options(backend, true));
+        let reference = run(
+            &circuit,
+            TransientOptions {
+                delta_tolerance: 1e-12,
+                ..options(backend, false)
+            },
+        );
+        assert_eq!(policy.times(), reference.times(), "{backend:?}");
+        for (k, (a, b)) in policy
+            .voltage(out)
+            .iter()
+            .zip(reference.voltage(out))
+            .enumerate()
+        {
+            assert!(
+                (a - b).abs() <= 1e-7 * (1.0 + b.abs()),
+                "{backend:?}, sample {k}: {a} vs {b}"
+            );
+        }
+    }
+}
+
+/// On a linear circuit reusing factors never fails, so a fixed-step run
+/// factors only for the start-up step and the first regular one while the
+/// predictor cuts the iterations below the two per step of a warm start
+/// from the previous solution.
+#[test]
+fn a_linear_circuit_keeps_back_substituting_through_two_factorisations() {
+    let mut circuit = Circuit::new();
+    let vin = circuit.node("in");
+    let out = circuit.node("out");
+    circuit.add(VoltageSource::new(
+        "V",
+        vin,
+        Circuit::GROUND,
+        Waveform::dc(1.0),
+    ));
+    circuit.add(Resistor::new("R", vin, out, 1000.0));
+    circuit.add(Capacitor::new("C", out, Circuit::GROUND, 1e-6));
+    for backend in [SolverBackend::Dense, SolverBackend::Sparse] {
+        let options = TransientOptions {
+            t_stop: 1e-4,
+            dt: 1e-6,
+            backend,
+            ..TransientOptions::default()
+        };
+        let stats = run(&circuit, options).statistics();
+        assert_eq!(stats.accepted_steps, 100, "{backend:?}");
+        assert_eq!(stats.factorizations(), 2, "{backend:?}");
+        assert_eq!(stats.jacobian_assemblies, 2, "{backend:?}");
+        assert!(
+            stats.newton_iterations < 2 * stats.accepted_steps,
+            "{backend:?}: {} iterations",
+            stats.newton_iterations
+        );
+    }
 }

@@ -52,11 +52,8 @@ const MAX_ATTEMPTS: u32 = 2;
 pub struct ServiceConfig {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Backoff before the second attempt; attempt `n` waits
-    /// `base_backoff * 2^(n-1)`, capped at [`ServiceConfig::max_backoff`].
+    /// Wait before a job's retry, its second and last attempt.
     pub base_backoff: Duration,
-    /// Upper bound of the exponential backoff.
-    pub max_backoff: Duration,
 }
 
 impl Default for ServiceConfig {
@@ -64,7 +61,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_secs(1),
         }
     }
 }
@@ -576,12 +572,6 @@ fn tightened(budget: SimulationBudget) -> SimulationBudget {
     }
 }
 
-/// Exponential backoff before the attempt after `failed_attempt`.
-fn backoff_for(config: &ServiceConfig, failed_attempt: u32) -> Duration {
-    let factor = 1u32 << failed_attempt.saturating_sub(1).min(16);
-    (config.base_backoff * factor).min(config.max_backoff)
-}
-
 /// One attempt, run on the worker's warm engine. Returns the engine's
 /// verdict together with the reclaimed fault injector (its counters have
 /// advanced, so the next attempt continues — not replays — the schedule).
@@ -748,7 +738,7 @@ fn worker_loop(shared: Arc<Shared>) {
                     && attempt < MAX_ATTEMPTS
                     && !record.cancel_requested
                     && !record.deadline_fired;
-                let backoff = retry.then(|| backoff_for(&shared.config, attempt));
+                let backoff = retry.then_some(shared.config.base_backoff);
                 record.attempts.push(AttemptRecord {
                     attempt,
                     escalated,
